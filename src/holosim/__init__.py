@@ -46,7 +46,6 @@ from .estimator import (
     four_mode_input,
     mixed_derivative_denominator,
     paired_phase_average,
-    phase_averaged_expectation,
     required_monomials,
     uncertainty_env_approx,
     uncertainty_env_full,

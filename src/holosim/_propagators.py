@@ -12,23 +12,17 @@ a quantum number, so they block-diagonalize into short tridiagonal chains:
 
 For a chain matrix A with A[k+1,k] = t_k, A[k,k+1] = -t_k, the Hermitian
 matrix iA becomes real symmetric tridiagonal after conjugation with
-D = diag(i^k), so each block is solved once with eigh_tridiagonal and
-exp(theta*A) = D V exp(-i*theta*w) V^T D* is assembled from real spectra.
-The truncated generator is exactly antisymmetric, hence every truncated
-exponential built here is exactly unitary (to rounding).
-
-Caches are built under a lock and read-only afterwards, so concurrent
-sweep evaluation is safe.
+D = diag(i^k), so each block is solved once with numpy.linalg.eigh on its
+dense tridiagonal matrix and exp(theta*A) = D V exp(-i*theta*w) V^T D* is
+assembled from real spectra.  The truncated generator is exactly
+antisymmetric, hence every truncated exponential built here is exactly
+unitary (to rounding).
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-_LOCK = threading.Lock()
 _CHAIN_CACHE: dict = {}
 
 
@@ -43,8 +37,8 @@ class _Chain:
             self.vecs = np.ones((1, 1))
             self.eigs = np.zeros(1)
         else:
-            self.eigs, self.vecs = eigh_tridiagonal(
-                np.zeros(n), np.asarray(couplings, dtype=float))
+            self.eigs, self.vecs = np.linalg.eigh(
+                np.diag(couplings, 1) + np.diag(couplings, -1))
 
 
 def _squeeze_chains(dim):
@@ -79,10 +73,9 @@ _BUILDERS = {"squeeze": _squeeze_chains, "beam_splitter": _beam_splitter_chains}
 
 def get_chains(kind, dim):
     key = (kind, dim)
-    with _LOCK:
-        if key not in _CHAIN_CACHE:
-            _CHAIN_CACHE[key] = _BUILDERS[kind](dim)
-        return _CHAIN_CACHE[key]
+    if key not in _CHAIN_CACHE:
+        _CHAIN_CACHE[key] = _BUILDERS[kind](dim)
+    return _CHAIN_CACHE[key]
 
 
 def apply_exponential(kind, dim, theta, flat):

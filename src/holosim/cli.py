@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,8 @@ from . import estimator, gaussian
 from .environment import EnvironmentParams, fokker_planck_coefficients
 from .errors import ConfigError, HolosimError
 from .estimator import (
+    ORACLE_MAX_EPSILON,
+    ORACLE_MAX_R,
     Configuration,
     PhaseNoiseModel,
     classical_uncertainty,
@@ -66,7 +67,6 @@ from .modccr import (
 VERSION = "0.1.0"
 MODES = ("sweep-env-coupling", "sweep-env-squeezing", "sweep-modccr",
          "validate", "phase-mc")
-FOCK_COLUMN_MAX_R = 1.2
 
 _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\)$")
 
@@ -170,22 +170,28 @@ def _parse_value(kind: str, raw: str, line_no: int):
     def fail(message):
         raise ConfigError(f"line {line_no}: {message}")
 
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            fail(f"value {text.strip()!r} is not finite")
+        return value
+
     raw = raw.strip()
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return finite(raw)
         if kind == "float_list":
-            return tuple(float(p) for p in raw.split(","))
+            return tuple(finite(p) for p in raw.split(","))
         if kind == "str":
             return raw
         if kind == "grid":
             match = _GRID_RE.match(raw)
             if match:
                 scale, a, b, n = match.groups()
-                return GridSpec.from_span(scale, float(a), float(b), int(n))
-            values = tuple(float(p) for p in raw.split(","))
+                return GridSpec.from_span(scale, finite(a), finite(b), int(n))
+            values = tuple(finite(p) for p in raw.split(","))
             if len(values) < 2:
                 fail(f"grid needs at least 2 points, got {raw!r}")
             return GridSpec(values)
@@ -272,12 +278,6 @@ def _metadata(config: RunConfig, backend_note: str) -> dict:
     return meta
 
 
-def _parallel_rows(evaluate, points):
-    workers = estimator._worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, points))
-
-
 # ---------------------------------------------------------------------------
 # Sweep runners.
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def run_sweep_env_coupling(config: RunConfig) -> SweepResult:
         return (lt, m, full.ratio, approx.ratio, quotient,
                 full.backend.value, approx.backend.value)
 
-    rows = _parallel_rows(evaluate, points)
+    rows = [evaluate(p) for p in points]
     columns = ("lambda_tau", "M", "ratio_full", "ratio_approx",
                "full_over_approx", "backend_full", "backend_approx")
     gnuplot = _series_plot_script(
@@ -314,7 +314,7 @@ def run_sweep_env_squeezing(config: RunConfig) -> SweepResult:
         return (r, m, full.ratio, approx.ratio,
                 full.backend.value, approx.backend.value)
 
-    raw = _parallel_rows(evaluate, points)
+    raw = [evaluate(p) for p in points]
     # Monotone-decrease diagnostic along the r grid (asserted for r >= 0.5).
     previous = {}
     rows = []
@@ -341,7 +341,7 @@ def run_sweep_modccr(config: RunConfig) -> SweepResult:
     def evaluate(point):
         r, eps = point
         analytic = uncertainty_modccr_analytic(r, eps)
-        if r <= FOCK_COLUMN_MAX_R and abs(eps) <= 0.1:
+        if r <= ORACLE_MAX_R and abs(eps) <= ORACLE_MAX_EPSILON:
             oracle = uncertainty_modccr_fock(DeformationParams(eps, r), cutoff)
             fock_val = oracle.ratio
             rel_dev = abs(fock_val - analytic.ratio) / analytic.ratio
@@ -351,7 +351,7 @@ def run_sweep_modccr(config: RunConfig) -> SweepResult:
         return (r, eps, analytic.ratio, fock_val, rel_dev,
                 analytic.backend.value, fock_backend)
 
-    rows = _parallel_rows(evaluate, points)
+    rows = [evaluate(p) for p in points]
     columns = ("r", "epsilon", "ratio_analytic", "ratio_fock",
                "relative_deviation", "backend_analytic", "backend_fock")
     gnuplot = _series_plot_script(
@@ -367,10 +367,8 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
         SqueezeParams(config.r), CoherentInput(config.mu), cutoff)
     noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho,
                             Configuration.PARALLEL)
-    quad = estimator.paired_phase_average(noise, state, config.samples,
-                                          config.seed, power=2)
-    quartic = estimator.paired_phase_average(noise, state, config.samples,
-                                             config.seed, power=4)
+    quad, quartic = estimator.paired_phase_average(
+        noise, state, config.samples, config.seed, powers=(2, 4))
     denom = mixed_derivative_denominator(state, PhaseConfig(0.0, 0.0),
                                          h=config.h)
     covariance = correlation_estimate(quad.mean_par, quad.mean_perp, denom)

@@ -61,7 +61,7 @@ class EnvironmentParams:
     provenance: tuple = None  # (beta, omega, length) when derived
 
     def __post_init__(self):
-        if self.lam < 0.0 or self.M < 0.0 or self.tau < 0.0:
+        if not (self.lam >= 0.0 and self.M >= 0.0 and self.tau >= 0.0):
             raise NegativeParameter(
                 f"lam, M, tau must be non-negative, got "
                 f"({self.lam!r}, {self.M!r}, {self.tau!r})")

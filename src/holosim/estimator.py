@@ -13,9 +13,7 @@ cross-checking backend.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,6 +59,9 @@ from .modccr import (
 DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
 MIN_SAMPLES = 1000
+# Support of the deformed-sector oracle at its default cutoff.
+ORACLE_MAX_R = 1.2
+ORACLE_MAX_EPSILON = 0.1
 _TABLE_HARMONICS = 4  # number-difference moments are trig polynomials of this order
 
 
@@ -298,11 +299,12 @@ def uncertainty_modccr_fock(params: DeformationParams,
     correlations.  The denominator is the undeformed quadrature
     correlator, consistent with first order.
     """
-    if params.r > 1.2:
-        raise CutoffTooSmall(
-            "oracle evaluation is supported for r <= 1.2 at the default cutoff")
-    if abs(params.epsilon) > 0.1:
-        raise AmplitudeTooLarge("oracle evaluation requires |epsilon| <= 0.1")
+    if params.r > ORACLE_MAX_R:
+        raise CutoffTooSmall(f"oracle evaluation is supported for "
+                             f"r <= {ORACLE_MAX_R} at the default cutoff")
+    if abs(params.epsilon) > ORACLE_MAX_EPSILON:
+        raise AmplitudeTooLarge(
+            f"oracle evaluation requires |epsilon| <= {ORACLE_MAX_EPSILON}")
     echo = {"r": params.r, "epsilon": params.epsilon, "n_max": cutoff.n_max}
     if params.epsilon == 0.0:
         return UncertaintyResult(0.0, Backend.FOCK_ORACLE, echo)
@@ -353,56 +355,49 @@ def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
                               discarded_tail=combined.discarded_tail)
 
 
-def _delta_n_power(state: MultiModeFockState, phases: PhaseConfig,
-                   power: int) -> float:
-    out = apply_beam_splitter(state, 0, 1, phases.phi1)
-    out = apply_beam_splitter(out, 2, 3, phases.phi2)
-    return number_difference_moment(out, power)
-
-
 def delta_n_expectation(state: MultiModeFockState, phases: PhaseConfig) -> float:
     """<(N_c1 - N_c2)^2> at interferometer phases (phi1, phi2).
 
     Each interferometer mixes its signal mode with its coherent companion
     through a beam splitter of the given phase before photon counting.
     """
-    return _delta_n_power(state, phases, 2)
+    out = apply_beam_splitter(state, 0, 1, phases.phi1)
+    out = apply_beam_splitter(out, 2, 3, phases.phi2)
+    return number_difference_moment(out, 2)
 
 
 class _PhaseFourierTable:
-    """Exact trigonometric-polynomial table of a number-difference moment.
+    """Exact trigonometric-polynomial tables of number-difference moments.
 
     In the Heisenberg picture the output number operators are quadratic
     polynomials in the input modes with coefficients of trigonometric
     degree one per interferometer phase, so <(N_c1 - N_c2)^p> is exactly a
     trig polynomial of harmonic order p in each phase.  Sampling the
-    moment on a (2*4+1)^2 phase grid therefore determines it everywhere;
-    the table turns each Monte-Carlo evaluation into a tiny matrix
-    contraction instead of a pair of beam-splitter applications.
+    moments on a (2*4+1)^2 phase grid therefore determines them everywhere;
+    every requested power is read off the same rotated states, and the
+    tables turn each Monte-Carlo evaluation into a tiny matrix contraction
+    instead of a pair of beam-splitter applications.
     """
 
-    def __init__(self, state: MultiModeFockState, power: int):
+    def __init__(self, state: MultiModeFockState, powers: tuple):
         n = 2 * _TABLE_HARMONICS + 1
         grid = 2.0 * math.pi * np.arange(n) / n
-        values = np.empty((n, n))
+        values = np.empty((len(powers), n, n))
         for j, p1 in enumerate(grid):
+            first = apply_beam_splitter(state, 0, 1, p1)
             for k, p2 in enumerate(grid):
-                values[j, k] = _delta_n_power(state, PhaseConfig(p1, p2), power)
-        self.coeffs = np.fft.fft2(values) / (n * n)
+                out = apply_beam_splitter(first, 2, 3, p2)
+                for i, power in enumerate(powers):
+                    values[i, j, k] = number_difference_moment(out, power)
+        self.coeffs = [np.fft.fft2(v) / (n * n) for v in values]
         self.harmonics = np.where(np.arange(n) <= _TABLE_HARMONICS,
                                   np.arange(n), np.arange(n) - n)
 
-    def evaluate(self, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    def evaluate(self, phi1: np.ndarray, phi2: np.ndarray) -> list:
+        """Each tabulated moment at the phase samples, one array per power."""
         e1 = np.exp(1j * np.multiply.outer(np.asarray(phi1), self.harmonics))
         e2 = np.exp(1j * np.multiply.outer(np.asarray(phi2), self.harmonics))
-        return np.einsum("sm,mn,sn->s", e1, self.coeffs, e2).real
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HOLOSIM_WORKERS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+        return [((e1 @ c) * e2).sum(axis=1).real for c in self.coeffs]
 
 
 def _chunk_seeds(samples: int, seed: int):
@@ -430,82 +425,48 @@ class PairedAverages:
     samples: int
 
 
-def _averaged_sums(table: _PhaseFourierTable, scales, centers, samples, seed):
-    """Deterministic chunked accumulation of table averages per scale matrix.
-
-    Every scale matrix consumes the identical standard-normal draws
-    (common random numbers), so differences between configurations are
-    estimated with strongly reduced variance; per-sample differences give
-    the standard error of the difference directly.
-    """
-    c1, c2 = centers
-
-    def one_chunk(args):
-        seq, size = args
-        z = np.random.default_rng(seq).standard_normal((size, 2))
-        rows = []
-        for scale in scales:
-            phi = z @ scale.T
-            vals = table.evaluate(c1 + phi[:, 0], c2 + phi[:, 1])
-            rows.append(vals)
-        return rows
-
-    n_scales = len(scales)
-    sums = np.zeros(n_scales)
-    sq_sums = np.zeros(n_scales)
-    diff_sum = 0.0
-    diff_sq = 0.0
-    chunks = _chunk_seeds(samples, seed)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for rows in pool.map(one_chunk, chunks):
-            for i, vals in enumerate(rows):
-                sums[i] += float(vals.sum())
-                sq_sums[i] += float((vals * vals).sum())
-            if n_scales == 2:
-                d = rows[0] - rows[1]
-                diff_sum += float(d.sum())
-                diff_sq += float((d * d).sum())
-    return sums, sq_sums, diff_sum, diff_sq
-
-
-def phase_averaged_expectation(noise: PhaseNoiseModel, state: MultiModeFockState,
-                               samples: int, seed: int,
-                               phases: PhaseConfig = None) -> tuple:
-    """Monte-Carlo average of the output difference statistic over phase noise.
-
-    Phases are drawn from the bivariate Gaussian noise model centered at
-    the working point (default (0, 0)); returns (mean, standard error).
-    Deterministic for a given seed, independent of worker count.
-    """
-    if samples < MIN_SAMPLES:
-        raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    centers = (phases.phi1_0, phases.phi2_0) if phases is not None else (0.0, 0.0)
-    table = _PhaseFourierTable(state, power=2)
-    sums, sq_sums, _, _ = _averaged_sums(
-        table, [noise.scale_matrix()], centers, samples, seed)
-    return _mean_and_se(sums[0], sq_sums[0], samples)
-
-
 def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
                          samples: int, seed: int,
                          phases: PhaseConfig = None,
-                         power: int = 2) -> PairedAverages:
-    """Averages under the parallel and orthogonal configurations jointly."""
+                         powers: tuple = (2,)) -> tuple:
+    """Monte-Carlo averages of <(N_c1 - N_c2)^p> over phase noise.
+
+    Phases are drawn from the bivariate Gaussian noise model centered at
+    the working point (default (0, 0)), under the parallel and orthogonal
+    configurations jointly.  Both configurations and every power consume
+    the identical standard-normal draws (common random numbers), so
+    differences between configurations are estimated with strongly
+    reduced variance; per-sample differences give the standard error of
+    the difference directly.  Draws come in fixed chunks from spawned
+    seed sequences and are accumulated in chunk order, so the result is
+    deterministic for a given seed.  Returns one ``PairedAverages`` per
+    entry of ``powers``, in order.
+    """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    centers = (phases.phi1_0, phases.phi2_0) if phases is not None else (0.0, 0.0)
+    c1, c2 = (phases.phi1_0, phases.phi2_0) if phases is not None else (0.0, 0.0)
     par = PhaseNoiseModel(noise.sigma1, noise.sigma2, noise.rho,
                           Configuration.PARALLEL)
     perp = PhaseNoiseModel(noise.sigma1, noise.sigma2, 0.0,
                            Configuration.ORTHOGONAL)
-    table = _PhaseFourierTable(state, power=power)
-    sums, sq_sums, diff_sum, diff_sq = _averaged_sums(
-        table, [par.scale_matrix(), perp.scale_matrix()], centers, samples, seed)
-    mean_par, se_par = _mean_and_se(sums[0], sq_sums[0], samples)
-    mean_perp, se_perp = _mean_and_se(sums[1], sq_sums[1], samples)
-    mean_diff, se_diff = _mean_and_se(diff_sum, diff_sq, samples)
-    return PairedAverages(mean_par, se_par, mean_perp, se_perp,
-                          mean_diff, se_diff, samples)
+    scales = (par.scale_matrix(), perp.scale_matrix())
+    table = _PhaseFourierTable(state, powers)
+    # Per power: running sums for the parallel, orthogonal and difference series.
+    sums = np.zeros((len(powers), 3))
+    sq_sums = np.zeros((len(powers), 3))
+    for seq, size in _chunk_seeds(samples, seed):
+        z = np.random.default_rng(seq).standard_normal((size, 2))
+        vals_par, vals_perp = (table.evaluate(c1 + phi[:, 0], c2 + phi[:, 1])
+                               for phi in (z @ scale.T for scale in scales))
+        for i, (a, b) in enumerate(zip(vals_par, vals_perp)):
+            for k, vals in enumerate((a, b, a - b)):
+                sums[i, k] += float(vals.sum())
+                sq_sums[i, k] += float((vals * vals).sum())
+    results = []
+    for total, total_sq in zip(sums, sq_sums):
+        stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
+        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples))
+    return tuple(results)
 
 
 def correlation_estimate(e_par: float, e_perp: float, denom: float) -> float:

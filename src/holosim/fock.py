@@ -11,7 +11,7 @@ sparse axis-wise matrix action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class MultiModeFockState:
     cutoff: FockCutoff
     amplitudes: np.ndarray
     discarded_tail: float = 0.0
-    normalized: bool = field(default=True)
 
     def __post_init__(self):
         expected = (self.cutoff.dim,) * self.mode_count
@@ -217,15 +216,15 @@ def apply_beam_splitter(state: MultiModeFockState, mode_a: int, mode_b: int,
     amp = apply_exponential("beam_splitter", d, phi, amp.reshape(d * d, -1))
     amp = np.moveaxis(amp.reshape((d, d) + rest), (0, 1), (mode_a, mode_b))
     return MultiModeFockState(state.mode_count, state.cutoff, amp,
-                              discarded_tail=state.discarded_tail,
-                              normalized=state.normalized)
+                              discarded_tail=state.discarded_tail)
 
 
-def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool, dim: int) -> np.ndarray:
+def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
     """Apply a or a' on one tensor axis via the shifted-sqrt stencil."""
     out = np.zeros_like(amp)
     src = np.moveaxis(amp, mode, 0)
     dst = np.moveaxis(out, mode, 0)
+    dim = amp.shape[mode]
     root = np.sqrt(np.arange(1, dim))
     shape = (dim - 1,) + (1,) * (amp.ndim - 1)
     if dagger:
@@ -249,7 +248,7 @@ def expectation(state: MultiModeFockState, monomial) -> complex:
         _check_mode(state, int(mode))
     ket = state.amplitudes
     for mode, dagger in reversed(ops):
-        ket = _apply_ladder(ket, int(mode), bool(dagger), state.cutoff.dim)
+        ket = _apply_ladder(ket, int(mode), bool(dagger))
     return complex(np.vdot(state.amplitudes, ket))
 
 

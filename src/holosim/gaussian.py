@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, roots_hermite
 
 from .environment import EnvironmentParams
 from .errors import (
@@ -204,6 +203,14 @@ def isserlis_moment(state: TwoModeGaussianState,
     return rec((1 << n) - 1)
 
 
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_n^alpha(x) by its three-term recurrence."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
 def _laguerre_kernel(z: np.ndarray, n: int, m: int) -> np.ndarray:
     """Phase-space kernel whose Gaussian average gives <(a')^n a^m> per mode."""
     if n == 0 and m == 0:
@@ -211,14 +218,14 @@ def _laguerre_kernel(z: np.ndarray, n: int, m: int) -> np.ndarray:
     arg = 2.0 * np.abs(z) ** 2
     if m >= n:
         return (math.factorial(n) * (-0.5) ** n * z ** (m - n)
-                * eval_genlaguerre(n, m - n, arg))
+                * _genlaguerre(n, m - n, arg))
     return (math.factorial(m) * (-0.5) ** m * np.conj(z) ** (n - m)
-            * eval_genlaguerre(m, n - m, arg))
+            * _genlaguerre(m, n - m, arg))
 
 
 @lru_cache(maxsize=8)
 def _hermite_rule(nodes: int):
-    t, w = roots_hermite(nodes)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
     return t, w / math.sqrt(math.pi)
 
 

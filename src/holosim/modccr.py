@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ._propagators import apply_exponential
 from .errors import (
@@ -25,7 +24,13 @@ from .errors import (
     NegativeParameter,
     QuadratureUnderResolved,
 )
-from .fock import FockCutoff, MultiModeFockState, SqueezeParams, build_twb
+from .fock import (
+    FockCutoff,
+    MultiModeFockState,
+    SqueezeParams,
+    _apply_ladder,
+    build_twb,
+)
 
 MAX_EPSILON = 0.2
 MAX_SQUEEZE = 1.5
@@ -134,42 +139,14 @@ def deformed_commutator_check(mode_map: AuxiliaryModeMap,
                                  dev_same_mode=dev_same)
 
 
-def _pair_create(psi: np.ndarray) -> np.ndarray:
-    """A1' A2' acting on a two-mode amplitude tensor."""
-    d = psi.shape[0]
-    out = np.zeros_like(psi)
-    root = np.sqrt(np.arange(1, d))
-    out[1:, 1:] = root[:, None] * root[None, :] * psi[:-1, :-1]
-    return out
+def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
+    """A1' A2' (dagger) or A1 A2 acting on a two-mode amplitude tensor."""
+    return _apply_ladder(_apply_ladder(psi, 1, dagger), 0, dagger)
 
 
-def _pair_annihilate(psi: np.ndarray) -> np.ndarray:
-    """A1 A2 acting on a two-mode amplitude tensor."""
-    d = psi.shape[0]
-    out = np.zeros_like(psi)
-    root = np.sqrt(np.arange(1, d))
-    out[:-1, :-1] = root[:, None] * root[None, :] * psi[1:, 1:]
-    return out
-
-
-def _sum_create(psi: np.ndarray) -> np.ndarray:
-    """(A1' + A2') acting on a two-mode amplitude tensor."""
-    d = psi.shape[0]
-    out = np.zeros_like(psi)
-    root = np.sqrt(np.arange(1, d))
-    out[1:, :] += root[:, None] * psi[:-1, :]
-    out[:, 1:] += root[None, :] * psi[:, :-1]
-    return out
-
-
-def _sum_annihilate(psi: np.ndarray) -> np.ndarray:
-    """(A1 + A2) acting on a two-mode amplitude tensor."""
-    d = psi.shape[0]
-    out = np.zeros_like(psi)
-    root = np.sqrt(np.arange(1, d))
-    out[:-1, :] += root[:, None] * psi[1:, :]
-    out[:, :-1] += root[None, :] * psi[:, 1:]
-    return out
+def _sum_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
+    """(A1' + A2') (dagger) or (A1 + A2) acting on a two-mode amplitude tensor."""
+    return _apply_ladder(psi, 0, dagger) + _apply_ladder(psi, 1, dagger)
 
 
 def squeeze_generator_action(r: float, cutoff: FockCutoff):
@@ -178,7 +155,7 @@ def squeeze_generator_action(r: float, cutoff: FockCutoff):
 
     def act(flat: np.ndarray) -> np.ndarray:
         psi = flat.reshape(d, d)
-        return (r * (_pair_create(psi) - _pair_annihilate(psi))).ravel()
+        return (r * (_pair_ladder(psi, True) - _pair_ladder(psi, False))).ravel()
 
     return act
 
@@ -195,8 +172,8 @@ def perturbation_generator_action(r: float, cutoff: FockCutoff):
 
     def act(flat: np.ndarray) -> np.ndarray:
         psi = flat.reshape(d, d)
-        up2 = _sum_create(_sum_create(psi))
-        down2 = _sum_annihilate(_sum_annihilate(psi))
+        up2 = _sum_ladder(_sum_ladder(psi, True), True)
+        down2 = _sum_ladder(_sum_ladder(psi, False), False)
         return (r * (0.5 * (up2 - down2) - psi)).ravel()
 
     return act
@@ -225,7 +202,7 @@ def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff,
     d = cutoff.dim
     vac = np.zeros(d * d, dtype=complex)
     vac[0] = 1.0
-    x, w = roots_legendre(nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
     u_nodes, u_weights = (x + 1.0) / 2.0, w / 2.0
     integral = np.zeros(d * d, dtype=complex)
     for u, wu in zip(u_nodes, u_weights):
@@ -233,7 +210,7 @@ def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff,
         v = np.asarray(apply_b(v), dtype=complex)
         integral += wu * apply_exponential("squeeze", d, -u * r, v)
     out = apply_exponential("squeeze", d, r, integral)
-    return MultiModeFockState(2, cutoff, out.reshape(d, d), normalized=False)
+    return MultiModeFockState(2, cutoff, out.reshape(d, d))
 
 
 def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
@@ -241,9 +218,9 @@ def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
     d = cutoff.dim
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
-    seed = 0.5 * _sum_create(_sum_create(vac)) - vac
+    seed = 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
     out = r * apply_exponential("squeeze", d, r, seed.ravel())
-    return MultiModeFockState(2, cutoff, out.reshape(d, d), normalized=False)
+    return MultiModeFockState(2, cutoff, out.reshape(d, d))
 
 
 def build_twb_prime(params: DeformationParams, cutoff: FockCutoff,
@@ -276,6 +253,6 @@ def deformed_number_difference_action(epsilon: float, cutoff: FockCutoff):
 
     def act(psi: np.ndarray) -> np.ndarray:
         return ((1.0 + epsilon) * occ_diff * psi
-                - epsilon * (_pair_annihilate(psi) + _pair_create(psi)))
+                - epsilon * (_pair_ladder(psi, False) + _pair_ladder(psi, True)))
 
     return act

@@ -173,12 +173,12 @@ def test_acceptance_8_phase_noise_recovery():
                       "averages", 300.0):
         state = four_mode_input(SqueezeParams(0.6), CoherentInput(0.8))
         noise = PhaseNoiseModel(1e-2, 1e-2, rho=0.5)
-        res = paired_phase_average(noise, state, 100_000, seed=7)
+        (res,) = paired_phase_average(noise, state, 100_000, seed=7)
         denom = mixed_derivative_denominator(state, PhaseConfig(0.0, 0.0))
         recovered = correlation_estimate(res.mean_par, res.mean_perp, denom)
         injected = 0.5 * 1e-2 * 1e-2
         assert abs(recovered - injected) / injected <= 0.10
-        again = paired_phase_average(noise, state, 100_000, seed=7)
+        (again,) = paired_phase_average(noise, state, 100_000, seed=7)
         assert again == res
 
 

@@ -1,9 +1,13 @@
 """Command-line interface: configs, sweeps, reports, and exit codes."""
 
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import holosim
 from holosim import cli
 
 
@@ -210,6 +214,13 @@ def test_stdout_mode_and_seed_override(tmp_path, capsys):
      "line 2: grid needs at least 2 points"),
     ("[sweep-env-coupling]\nlambda_tau_grid = logspace(0, 1e-3, 4)\n",
      "line 2: logspace grids need start > 0"),
+    ("[sweep-env-coupling]\nr = nan\n", "line 2: value 'nan' is not finite"),
+    ("[sweep-env-coupling]\nm_values = 0.0, inf\n",
+     "line 2: value 'inf' is not finite"),
+    ("[sweep-env-coupling]\nlambda_tau_grid = 1e-4, nan\n",
+     "line 2: value 'nan' is not finite"),
+    ("[sweep-env-coupling]\nlambda_tau_grid = linspace(1e-5, inf, 3)\n",
+     "line 2: value 'inf' is not finite"),
 ])
 def test_config_errors(tmp_path, capsys, body, fragment):
     path = tmp_path / "bad.cfg"
@@ -226,3 +237,13 @@ def test_missing_config_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot read config file" in err
+
+
+def test_import_loads_neither_scipy_nor_thread_pools():
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    probe = ("import sys, holosim.cli; print([m for m in "
+             "('scipy', 'concurrent.futures') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"

@@ -102,6 +102,13 @@ def test_negative_parameters_rejected():
         EnvironmentParams(1.0, -0.5)
 
 
+@pytest.mark.parametrize("args", [(math.nan, 0.0), (1.0, math.nan),
+                                  (1.0, 0.0, math.nan)])
+def test_nan_parameters_rejected(args):
+    with pytest.raises(NegativeParameter):
+        EnvironmentParams(*args)
+
+
 def test_width_rate_matches_drift_and_diffusion():
     # d(width)/dt at t=0 must equal -2*drift*width + diffusion/2 for both
     # widths; checked by a forward difference at dt = 1e-6/lam.

@@ -28,7 +28,6 @@ from holosim import (
     four_mode_input,
     mixed_derivative_denominator,
     paired_phase_average,
-    phase_averaged_expectation,
     required_monomials,
     uncertainty_env_approx,
     uncertainty_env_full,
@@ -149,18 +148,17 @@ def test_mixed_derivative_degenerate_and_step_guards(state4):
 def test_zero_width_noise_reproduces_point_value(state4):
     noise = PhaseNoiseModel(0.0, 0.0)
     centers = PhaseConfig(0.2, 0.35, 0.2, 0.35)
-    mean, se = phase_averaged_expectation(noise, state4, 2000, seed=3,
-                                          phases=centers)
+    (res,) = paired_phase_average(noise, state4, 2000, seed=3, phases=centers)
     point = delta_n_expectation(state4, PhaseConfig(0.2, 0.35))
     # The tabulated and direct evaluations sample the truncation edge at
     # different phases, so they agree to the discarded-tail scale only.
-    assert mean == pytest.approx(point, rel=1e-6)
-    assert se == pytest.approx(0.0, abs=1e-9)
+    assert res.mean_par == pytest.approx(point, rel=1e-6)
+    assert res.se_par == pytest.approx(0.0, abs=1e-9)
 
 
 def test_uncorrelated_noise_has_identical_configurations(state4):
     noise = PhaseNoiseModel(0.01, 0.02, rho=0.0)
-    res = paired_phase_average(noise, state4, 2000, seed=11)
+    (res,) = paired_phase_average(noise, state4, 2000, seed=11)
     assert res.mean_par == res.mean_perp
     assert res.mean_diff == 0.0
     assert res.se_diff == 0.0
@@ -175,7 +173,7 @@ def test_orthogonal_configuration_forces_rho_zero():
 
 def test_paired_average_reference_run(state4):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    res = paired_phase_average(noise, state4, 100_000, seed=7)
+    (res,) = paired_phase_average(noise, state4, 100_000, seed=7)
     assert res.samples == 100_000
     assert res.mean_par == pytest.approx(MC_MEAN_PAR, rel=1e-12)
     assert res.mean_perp == pytest.approx(MC_MEAN_PERP, rel=1e-12)
@@ -186,23 +184,27 @@ def test_paired_average_reference_run(state4):
     assert recovered == pytest.approx(INJECTED_COV, rel=0.1)
 
 
-def test_paired_average_deterministic_across_workers(state4, monkeypatch):
+def test_paired_average_deterministic_for_a_seed(state4):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    monkeypatch.setenv("HOLOSIM_WORKERS", "1")
-    serial = paired_phase_average(noise, state4, 5000, seed=21)
-    monkeypatch.setenv("HOLOSIM_WORKERS", "3")
-    threaded = paired_phase_average(noise, state4, 5000, seed=21)
-    assert serial == threaded
-    repeat = paired_phase_average(noise, state4, 5000, seed=21)
-    assert repeat == serial
+    first = paired_phase_average(noise, state4, 5000, seed=21)
+    assert paired_phase_average(noise, state4, 5000, seed=21) == first
+    other = paired_phase_average(noise, state4, 5000, seed=22)
+    assert other[0].mean_par != first[0].mean_par
+    assert other[0].mean_diff != first[0].mean_diff
+
+
+def test_paired_average_powers_share_draws(state4):
+    noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
+    joint = paired_phase_average(noise, state4, 5000, seed=5, powers=(2, 4))
+    separate = tuple(paired_phase_average(noise, state4, 5000, seed=5,
+                                          powers=(p,))[0] for p in (2, 4))
+    assert joint == separate
 
 
 def test_sample_floor(state4):
     noise = PhaseNoiseModel(0.01, 0.01)
     with pytest.raises(NegativeParameter):
         paired_phase_average(noise, state4, 999, seed=1)
-    with pytest.raises(NegativeParameter):
-        phase_averaged_expectation(noise, state4, 999, seed=1)
 
 
 def test_correlation_estimate_floor():

@@ -24,7 +24,7 @@ from holosim import (
     squeeze_generator_action,
 )
 from holosim._propagators import apply_exponential
-from holosim.modccr import _pair_annihilate, _pair_create
+from holosim.fock import _apply_ladder
 
 
 def flat_basis(n1, n2, dim):
@@ -215,7 +215,9 @@ def test_deformed_difference_first_order_structure():
     seed = np.zeros((d, d), dtype=complex)
     seed[2, 0], seed[0, 2] = 1.0, -1.0
     rotated = apply_exponential("squeeze", d, r, seed.ravel()).reshape(d, d)
-    pair_part = _pair_annihilate(twb.amplitudes) + _pair_create(twb.amplitudes)
+    amp = twb.amplitudes
+    pair_part = (_apply_ladder(_apply_ladder(amp, 1, False), 0, False)
+                 + _apply_ladder(_apply_ladder(amp, 1, True), 0, True))
     residuals = {}
     for eps in (1e-4, 2e-4):
         prime = build_twb_prime(DeformationParams(eps, r), cut)
