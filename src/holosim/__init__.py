@@ -28,14 +28,13 @@ from .errors import (
     NegativeParameter,
     NonPositiveExponent,
     NonPositiveLength,
-    QuadratureUnderResolved,
+    ParameterOutOfRange,
     StepTooLarge,
     UnsupportedPhase,
     ZeroAmplitude,
 )
 from .estimator import (
     Backend,
-    Configuration,
     PairedAverages,
     PhaseNoiseModel,
     UncertaintyResult,
@@ -68,7 +67,6 @@ from .fock import (
     tensor_product,
 )
 from .gaussian import (
-    QuadratureSpec,
     TwoModeGaussianState,
     WignerMonomial,
     as_ladder_sequence,

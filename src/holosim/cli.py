@@ -28,7 +28,6 @@ from .errors import ConfigError, HolosimError
 from .estimator import (
     ORACLE_MAX_EPSILON,
     ORACLE_MAX_R,
-    Configuration,
     PhaseNoiseModel,
     classical_uncertainty,
     correlation_estimate,
@@ -48,7 +47,6 @@ from .fock import (
     number_difference_moment,
 )
 from .gaussian import (
-    QuadratureSpec,
     WignerMonomial,
     evolve,
     from_squeezing,
@@ -244,6 +242,8 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     return cfg
 
 
@@ -288,7 +288,7 @@ def run_sweep_env_coupling(config: RunConfig) -> SweepResult:
 
     def evaluate(point):
         lt, m = point
-        full = uncertainty_env_full(config.r, m, lt, config.mu)
+        full = uncertainty_env_full(config.r, m, lt)
         approx = uncertainty_env_approx(config.r, m, lt)
         quotient = full.ratio / approx.ratio if approx.ratio > 0.0 else float("nan")
         return (lt, m, full.ratio, approx.ratio, quotient,
@@ -309,7 +309,7 @@ def run_sweep_env_squeezing(config: RunConfig) -> SweepResult:
 
     def evaluate(point):
         r, m = point
-        full = uncertainty_env_full(r, m, config.lambda_tau, config.mu)
+        full = uncertainty_env_full(r, m, config.lambda_tau)
         approx = uncertainty_env_approx(r, m, config.lambda_tau)
         return (r, m, full.ratio, approx.ratio,
                 full.backend.value, approx.backend.value)
@@ -365,8 +365,7 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
     cutoff = FockCutoff(config.cutoff)
     state = estimator.four_mode_input(
         SqueezeParams(config.r), CoherentInput(config.mu), cutoff)
-    noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho,
-                            Configuration.PARALLEL)
+    noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho)
     quad, quartic = estimator.paired_phase_average(
         noise, state, config.samples, config.seed, powers=(2, 4))
     denom = mixed_derivative_denominator(state, PhaseConfig(0.0, 0.0),
@@ -451,7 +450,7 @@ def run_validate(config: RunConfig) -> tuple:
     dev = 0.0
     for mono in (WignerMonomial(1, 1, 0, 0), WignerMonomial(0, 1, 0, 1),
                  WignerMonomial(1, 1, 1, 1), WignerMonomial(2, 2, 0, 0)):
-        quad_val = glauber_moment(evolved, mono, QuadratureSpec(48))
+        quad_val = glauber_moment(evolved, mono)
         wick_val = isserlis_moment(evolved, mono)
         dev = max(dev, abs(quad_val - wick_val) / max(1.0, abs(wick_val)))
     checks.append(_check("glauber_vs_isserlis", dev, 1e-8))

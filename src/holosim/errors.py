@@ -34,8 +34,8 @@ class NegativeParameter(HolosimError):
     """A rate, occupation or time that must be >= 0 was negative."""
 
 
-class QuadratureUnderResolved(HolosimError):
-    """Quadrature rule too coarse for the requested integrand."""
+class ParameterOutOfRange(HolosimError):
+    """A parameter is not finite, or too large for its closed form to stay finite."""
 
 
 class NonPositiveExponent(HolosimError):

@@ -24,6 +24,7 @@ from .errors import (
     CutoffTooSmall,
     DegenerateDenominator,
     NegativeParameter,
+    ParameterOutOfRange,
     StepTooLarge,
     ZeroAmplitude,
 )
@@ -72,18 +73,12 @@ class Backend(str, Enum):
     ANALYTIC_MODCCR = "analytic_modccr"
 
 
-class Configuration(str, Enum):
-    PARALLEL = "parallel"
-    ORTHOGONAL = "orthogonal"
-
-
 @dataclass(frozen=True)
 class UncertaintyResult:
-    """Normalized uncertainty ratio with backend provenance and input echo."""
+    """Normalized uncertainty ratio with backend provenance."""
 
     ratio: float
     backend: Backend
-    inputs_echo: dict
 
     def __post_init__(self):
         if not self.ratio >= 0.0:
@@ -94,28 +89,22 @@ class UncertaintyResult:
 class PhaseNoiseModel:
     """Bivariate Gaussian phase-noise model for the two interferometers.
 
-    The parallel configuration correlates the phase fluctuations with
-    coefficient rho; the orthogonal configuration has the same marginals
-    but forces rho = 0.
+    The phase fluctuations have widths sigma1, sigma2 and correlation
+    coefficient rho; rho = 0 describes the orthogonal configuration.
     """
 
     sigma1: float
     sigma2: float
     rho: float = 0.0
-    configuration: Configuration = Configuration.PARALLEL
 
     def __post_init__(self):
         if self.sigma1 < 0.0 or self.sigma2 < 0.0:
             raise NegativeParameter("noise widths must be non-negative")
         if not -1.0 <= self.rho <= 1.0:
             raise NegativeParameter(f"correlation must be in [-1, 1], got {self.rho!r}")
-        if self.configuration == Configuration.ORTHOGONAL:
-            object.__setattr__(self, "rho", 0.0)
 
     def scale_matrix(self) -> np.ndarray:
         """Lower-triangular L with phases = centers + L @ z, z ~ N(0, I)."""
-        if self.configuration == Configuration.ORTHOGONAL:
-            return np.diag([self.sigma1, self.sigma2])
         return np.array([
             [self.sigma1, 0.0],
             [self.rho * self.sigma2,
@@ -222,22 +211,33 @@ def classical_uncertainty(mu: complex) -> float:
     return math.sqrt(2.0) / abs(mu) ** 2
 
 
+def _ratio_squeeze(r: float) -> SqueezeParams:
+    """Validated squeeze strength of a closed-form ratio with denominator sinh(2r)."""
+    if r == 0.0:
+        raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
+    return SqueezeParams(r)
+
+
+def _check_thermal(m_thermal: float, lambda_tau: float) -> None:
+    if not (m_thermal >= 0.0 and lambda_tau >= 0.0):
+        raise NegativeParameter(
+            f"M and lambda*tau must be non-negative, "
+            f"got ({m_thermal!r}, {lambda_tau!r})")
+
+
 def uncertainty_env_approx(r: float, m_thermal: float,
                            lambda_tau: float) -> UncertaintyResult:
     """Lowest-order ratio 8 sqrt(lt) sqrt((2M+1)cosh(2r) - 1) / sinh(2r)."""
-    if r <= 0.0:
-        raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
-    if m_thermal < 0.0 or lambda_tau < 0.0:
-        raise NegativeParameter("M and lambda*tau must be non-negative")
+    _ratio_squeeze(r)
+    _check_thermal(m_thermal, lambda_tau)
     ratio = (8.0 * math.sqrt(lambda_tau)
              * math.sqrt((2.0 * m_thermal + 1.0) * math.cosh(2.0 * r) - 1.0)
              / math.sinh(2.0 * r))
-    return UncertaintyResult(ratio, Backend.GAUSSIAN_APPROX,
-                             {"r": r, "M": m_thermal, "lambda_tau": lambda_tau})
+    return UncertaintyResult(ratio, Backend.GAUSSIAN_APPROX)
 
 
-def uncertainty_env_full(r: float, m_thermal: float, lambda_tau: float,
-                         mu: complex = 1.0) -> UncertaintyResult:
+def uncertainty_env_full(r: float, m_thermal: float,
+                         lambda_tau: float) -> UncertaintyResult:
     """Uncertainty ratio from the evolved analytic state.
 
     Numerator: the variance <DN^4> - <DN^2>^2 vanishes on the pure state
@@ -248,16 +248,13 @@ def uncertainty_env_full(r: float, m_thermal: float, lambda_tau: float,
     where the printed closed form is valid.  Denominator: the quadrature
     correlator evaluated by Gaussian moment factorization on the evolved
     state.  Coherent ports affect only the classical normalization and are
-    taken at zeroth order, so mu is echoed but does not enter the ratio.
+    taken at zeroth order, so their amplitude does not enter the ratio.
     """
-    if r <= 0.0:
-        raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
-    if m_thermal < 0.0 or lambda_tau < 0.0:
-        raise NegativeParameter("M and lambda*tau must be non-negative")
-    echo = {"r": r, "M": m_thermal, "lambda_tau": lambda_tau, "mu": mu}
+    squeeze = _ratio_squeeze(r)
+    _check_thermal(m_thermal, lambda_tau)
     if lambda_tau == 0.0:
-        return UncertaintyResult(0.0, Backend.GAUSSIAN_FULL, echo)
-    initial = from_squeezing(SqueezeParams(r))
+        return UncertaintyResult(0.0, Backend.GAUSSIAN_FULL)
+    initial = from_squeezing(squeeze)
     env = EnvironmentParams(lam=1.0, M=m_thermal)
     evolved = evolve(initial, env, lambda_tau)
     denom = _quadrature_correlator(evolved)
@@ -271,16 +268,16 @@ def uncertainty_env_full(r: float, m_thermal: float, lambda_tau: float,
     q_rate = 16.0 * ((heat - sp) * sm + sp * (heat - sm))
     variance_lin = variance_slope() * q_rate * lambda_tau
     ratio = 2.0 * math.sqrt(max(variance_lin, 0.0)) / denom
-    return UncertaintyResult(ratio, Backend.GAUSSIAN_FULL, echo)
+    return UncertaintyResult(ratio, Backend.GAUSSIAN_FULL)
 
 
 def uncertainty_modccr_analytic(r: float, epsilon: float) -> UncertaintyResult:
     """First-order deformed-algebra ratio 8 r |eps| / sinh(2r)."""
-    if r <= 0.0:
-        raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
+    _ratio_squeeze(r)
+    if not math.isfinite(epsilon):
+        raise ParameterOutOfRange(f"epsilon must be finite, got {epsilon!r}")
     ratio = 8.0 * r * abs(epsilon) / math.sinh(2.0 * r)
-    return UncertaintyResult(ratio, Backend.ANALYTIC_MODCCR,
-                             {"r": r, "epsilon": epsilon})
+    return UncertaintyResult(ratio, Backend.ANALYTIC_MODCCR)
 
 
 def uncertainty_modccr_fock(params: DeformationParams,
@@ -305,9 +302,8 @@ def uncertainty_modccr_fock(params: DeformationParams,
     if abs(params.epsilon) > ORACLE_MAX_EPSILON:
         raise AmplitudeTooLarge(
             f"oracle evaluation requires |epsilon| <= {ORACLE_MAX_EPSILON}")
-    echo = {"r": params.r, "epsilon": params.epsilon, "n_max": cutoff.n_max}
     if params.epsilon == 0.0:
-        return UncertaintyResult(0.0, Backend.FOCK_ORACLE, echo)
+        return UncertaintyResult(0.0, Backend.FOCK_ORACLE)
     if params.r == 0.0:
         raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
 
@@ -335,7 +331,7 @@ def uncertainty_modccr_fock(params: DeformationParams,
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"quadrature correlator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
-    return UncertaintyResult(numerator / denom, Backend.FOCK_ORACLE, echo)
+    return UncertaintyResult(numerator / denom, Backend.FOCK_ORACLE)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +441,8 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
     c1, c2 = (phases.phi1_0, phases.phi2_0) if phases is not None else (0.0, 0.0)
-    par = PhaseNoiseModel(noise.sigma1, noise.sigma2, noise.rho,
-                          Configuration.PARALLEL)
-    perp = PhaseNoiseModel(noise.sigma1, noise.sigma2, 0.0,
-                           Configuration.ORTHOGONAL)
-    scales = (par.scale_matrix(), perp.scale_matrix())
+    perp = PhaseNoiseModel(noise.sigma1, noise.sigma2)
+    scales = (noise.scale_matrix(), perp.scale_matrix())
     table = _PhaseFourierTable(state, powers)
     # Per power: running sums for the parallel, orthogonal and difference series.
     sums = np.zeros((len(powers), 3))

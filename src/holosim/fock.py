@@ -22,6 +22,7 @@ from .errors import (
     DegreeTooHigh,
     InvalidModeIndex,
     NegativeParameter,
+    ParameterOutOfRange,
     UnsupportedPhase,
 )
 
@@ -31,6 +32,8 @@ DEFAULT_FOUR_MODE_CUTOFF = 16
 DEFAULT_FOUR_MODE_TAIL_TOL = 1e-6
 MAX_MONOMIAL_DEGREE = 8
 MAX_DIFFERENCE_POWER = 4
+# e^{2r}, cosh(2r) and sinh(2r) overflow a double beyond r = 354.9.
+MAX_SQUEEZE_R = 350.0
 _TWO_PI = 2.0 * math.pi
 
 
@@ -51,7 +54,7 @@ class FockCutoff:
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Two-mode squeeze strength r >= 0 and pump phase theta in [0, 2*pi)."""
+    """Two-mode squeeze strength r in [0, MAX_SQUEEZE_R], pump phase theta in [0, 2*pi)."""
 
     r: float
     theta: float = 0.0
@@ -59,6 +62,9 @@ class SqueezeParams:
     def __post_init__(self):
         if not (self.r >= 0.0):
             raise NegativeParameter(f"squeeze strength must satisfy r >= 0, got {self.r!r}")
+        if self.r > MAX_SQUEEZE_R:
+            raise ParameterOutOfRange(
+                f"squeeze strength must satisfy r <= {MAX_SQUEEZE_R}, got {self.r!r}")
         if not (0.0 <= self.theta < _TWO_PI):
             raise UnsupportedPhase(
                 f"pump phase must lie in [0, 2*pi), got {self.theta!r}")

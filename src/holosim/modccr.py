@@ -14,16 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._propagators import apply_exponential
-from .errors import (
-    AmplitudeTooLarge,
-    CutoffTooSmall,
-    NegativeParameter,
-    QuadratureUnderResolved,
-)
+from .errors import AmplitudeTooLarge, CutoffTooSmall, NegativeParameter
 from .fock import (
     FockCutoff,
     MultiModeFockState,
@@ -45,10 +41,10 @@ class DeformationParams:
     r: float
 
     def __post_init__(self):
-        if abs(self.epsilon) > MAX_EPSILON:
+        if not abs(self.epsilon) <= MAX_EPSILON:
             raise AmplitudeTooLarge(
                 f"|epsilon| must be <= {MAX_EPSILON}, got {self.epsilon!r}")
-        if self.r < 0.0:
+        if not self.r >= 0.0:
             raise NegativeParameter(f"squeeze strength must be >= 0, got {self.r!r}")
 
 
@@ -179,16 +175,14 @@ def perturbation_generator_action(r: float, cutoff: FockCutoff):
     return act
 
 
-def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff,
-                        nodes: int = 16) -> MultiModeFockState:
+def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> MultiModeFockState:
     """First-order response vector e^A Int_0^1 e^{-uA} B e^{uA} du |0>.
 
     A is the squeeze generator with strength r; ``b_pert`` is the
-    perturbing operator, given either as a dense matrix on the flattened
-    two-mode space or as a callable on flat vectors.  The u-integral uses
-    fixed Gauss-Legendre quadrature; the integrand is analytic in u, so
-    convergence is rapid.  The result is a correction vector, not a
-    normalized state.
+    perturbing operator, a callable on flat vectors of the two-mode space.
+    The u-integral uses a fixed 16-node Gauss-Legendre rule; the integrand
+    is analytic in u, so convergence is rapid.  The result is a correction
+    vector, not a normalized state.
     """
     if r > MAX_SQUEEZE:
         raise CutoffTooSmall(
@@ -196,31 +190,37 @@ def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff,
             "space cannot hold the correction accurately")
     if r < 0.0:
         raise NegativeParameter(f"squeeze strength must be >= 0, got {r!r}")
-    if nodes < 4:
-        raise QuadratureUnderResolved(f"need >= 4 quadrature nodes, got {nodes}")
-    apply_b = (lambda v: b_pert @ v) if isinstance(b_pert, np.ndarray) else b_pert
     d = cutoff.dim
     vac = np.zeros(d * d, dtype=complex)
     vac[0] = 1.0
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(16)
     u_nodes, u_weights = (x + 1.0) / 2.0, w / 2.0
     integral = np.zeros(d * d, dtype=complex)
     for u, wu in zip(u_nodes, u_weights):
         v = apply_exponential("squeeze", d, u * r, vac)
-        v = np.asarray(apply_b(v), dtype=complex)
+        v = b_pert(v)
         integral += wu * apply_exponential("squeeze", d, -u * r, v)
     out = apply_exponential("squeeze", d, r, integral)
     return MultiModeFockState(2, cutoff, out.reshape(d, d))
 
 
-def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
-    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>."""
-    d = cutoff.dim
-    vac = np.zeros((d, d), dtype=complex)
+@lru_cache(maxsize=4)
+def _correction_amplitudes(r: float, dim: int) -> np.ndarray:
+    vac = np.zeros((dim, dim), dtype=complex)
     vac[0, 0] = 1.0
     seed = 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
-    out = r * apply_exponential("squeeze", d, r, seed.ravel())
-    return MultiModeFockState(2, cutoff, out.reshape(d, d))
+    out = (r * apply_exponential("squeeze", dim, r, seed.ravel())).reshape(dim, dim)
+    out.setflags(write=False)
+    return out
+
+
+def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
+    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>.
+
+    The oracle asks for the same vector many times per squeeze strength, so
+    the amplitudes are cached per (r, cutoff) and returned read-only.
+    """
+    return MultiModeFockState(2, cutoff, _correction_amplitudes(r, cutoff.dim))
 
 
 def build_twb_prime(params: DeformationParams, cutoff: FockCutoff,

@@ -221,6 +221,7 @@ def test_stdout_mode_and_seed_override(tmp_path, capsys):
      "line 2: value 'nan' is not finite"),
     ("[sweep-env-coupling]\nlambda_tau_grid = linspace(1e-5, inf, 3)\n",
      "line 2: value 'inf' is not finite"),
+    ("[sweep-env-coupling]\nseed = -1\n", "seed must be non-negative, got -1"),
 ])
 def test_config_errors(tmp_path, capsys, body, fragment):
     path = tmp_path / "bad.cfg"
@@ -247,3 +248,20 @@ def test_import_loads_neither_scipy_nor_thread_pools():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("mode,config,flags", [
+    ("phase-mc", None, ["--seed", "-1"]),
+    ("sweep-env-squeezing", "[sweep-env-squeezing]\nr_grid = 0.5, 400\n", []),
+], ids=["negative-seed", "overflowing-squeeze"])
+def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config, encoding="utf-8")
+        flags = flags + ["--config", str(path)]
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    done = subprocess.run([sys.executable, "-m", "holosim.cli", mode, *flags],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr

@@ -9,8 +9,7 @@ from holosim import (
     EnvironmentParams,
     FockCutoff,
     NegativeParameter,
-    QuadratureSpec,
-    QuadratureUnderResolved,
+    ParameterOutOfRange,
     SqueezeParams,
     TwoModeGaussianState,
     UnsupportedPhase,
@@ -22,6 +21,7 @@ from holosim import (
     from_squeezing,
     glauber_moment,
     isserlis_moment,
+    required_monomials,
 )
 
 E4 = 54.598150033144236                  # exp(4)
@@ -58,6 +58,12 @@ def test_from_squeezing_reference_widths():
 def test_from_squeezing_purity(r):
     state = from_squeezing(SqueezeParams(r))
     assert state.sigma_plus * state.sigma_minus == pytest.approx(1.0, rel=1e-12)
+
+
+def test_squeeze_strength_capped_below_overflow():
+    assert from_squeezing(SqueezeParams(350.0)).sigma_plus < math.inf
+    with pytest.raises(ParameterOutOfRange):
+        from_squeezing(SqueezeParams(400.0))
 
 
 def test_from_squeezing_rejects_phase():
@@ -120,18 +126,6 @@ def test_state_rejects_non_positive_widths():
         TwoModeGaussianState(1.0, 0.0)
 
 
-def test_covariance_matrix_structure():
-    state = from_squeezing(SqueezeParams(0.9))
-    cov = state.covariance_matrix()
-    s = (state.sigma_plus + state.sigma_minus) / 8.0
-    d = (state.sigma_plus - state.sigma_minus) / 8.0
-    for k in range(4):
-        assert cov[k, k] == pytest.approx(s, rel=1e-14)
-    assert cov[0, 2] == pytest.approx(d, rel=1e-14)
-    assert cov[1, 3] == pytest.approx(-d, rel=1e-14)
-    assert cov[0, 1] == 0.0 and cov[0, 3] == 0.0
-
-
 def test_isserlis_vacuum_occupation():
     state = from_squeezing(SqueezeParams(0.0))
     assert isserlis_moment(state, WignerMonomial(1, 1, 0, 0)) == pytest.approx(
@@ -181,14 +175,14 @@ def test_evolved_difference_moments_match_closed_form():
 
 def test_glauber_vacuum_occupation():
     state = from_squeezing(SqueezeParams(0.0))
-    val = glauber_moment(state, WignerMonomial(1, 1, 0, 0), QuadratureSpec())
+    val = glauber_moment(state, WignerMonomial(1, 1, 0, 0))
     assert abs(val) < 1e-6
 
 
 def test_glauber_matches_isserlis_squeezed():
     state = from_squeezing(SqueezeParams(0.8))
     mono = WignerMonomial(1, 1, 0, 0)
-    quad = glauber_moment(state, mono, QuadratureSpec())
+    quad = glauber_moment(state, mono)
     wick = isserlis_moment(state, mono)
     assert quad.real == pytest.approx(wick.real, abs=1e-6)
     assert quad.real == pytest.approx(math.sinh(0.8) ** 2, abs=1e-6)
@@ -197,16 +191,20 @@ def test_glauber_matches_isserlis_squeezed():
 def test_glauber_matches_isserlis_evolved():
     state = evolve(from_squeezing(SqueezeParams(0.8)),
                    EnvironmentParams(1.0, 0.5), 0.1)
-    via_quad = difference_moment(
-        state, 2, lambda s, m: glauber_moment(s, m, QuadratureSpec()))
+    via_quad = difference_moment(state, 2, glauber_moment)
     via_wick = difference_moment(state, 2, isserlis_moment)
     assert via_quad == pytest.approx(via_wick, rel=1e-5)
 
 
-def test_glauber_quadrature_guard():
-    state = from_squeezing(SqueezeParams(0.5))
-    with pytest.raises(QuadratureUnderResolved):
-        glauber_moment(state, WignerMonomial(1, 1, 0, 0), QuadratureSpec(8))
+@pytest.mark.parametrize("state", [
+    from_squeezing(SqueezeParams(2.0)),
+    evolve(from_squeezing(SqueezeParams(2.0)), EnvironmentParams(1.0, 2.0), 1e-3),
+], ids=["pure", "evolved"])
+def test_glauber_matches_isserlis_on_required_monomials(state):
+    for mono in required_monomials():
+        wick = isserlis_moment(state, mono)
+        quad = glauber_moment(state, mono)
+        assert abs(quad - wick) <= 1e-12 * max(1.0, abs(wick))
 
 
 def test_degree_caps():
@@ -214,4 +212,4 @@ def test_degree_caps():
     with pytest.raises(DegreeTooHigh):
         isserlis_moment(state, WignerMonomial(3, 3, 2, 1))
     with pytest.raises(DegreeTooHigh):
-        glauber_moment(state, WignerMonomial(3, 3, 2, 1), QuadratureSpec())
+        glauber_moment(state, WignerMonomial(3, 3, 2, 1))
