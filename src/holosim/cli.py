@@ -129,10 +129,10 @@ class RunConfig:
 
 _DEFAULTS = {
     "sweep-env-coupling": dict(
-        r=2.0, mu=1.0, m_values=(0.0, 0.5, 1.0, 2.0),
+        r=2.0, m_values=(0.0, 0.5, 1.0, 2.0),
         lambda_tau_grid=GridSpec.from_span("logspace", 1e-6, 1e-2, 25)),
     "sweep-env-squeezing": dict(
-        lambda_tau=1e-3, mu=1.0, m_values=(0.0, 0.5, 1.0, 2.0),
+        lambda_tau=1e-3, m_values=(0.0, 0.5, 1.0, 2.0),
         r_grid=GridSpec.from_span("linspace", 0.25, 3.0, 56)),
     "sweep-modccr": dict(
         epsilon_values=(0.01, 0.05, 0.1), cutoff=64,
@@ -153,9 +153,9 @@ _FIELD_PARSERS = {
 }
 
 _MODE_KEYS = {
-    "sweep-env-coupling": ("r", "mu", "m_values", "lambda_tau_grid",
+    "sweep-env-coupling": ("r", "m_values", "lambda_tau_grid",
                            "seed", "cutoff", "out"),
-    "sweep-env-squeezing": ("lambda_tau", "mu", "m_values", "r_grid",
+    "sweep-env-squeezing": ("lambda_tau", "m_values", "r_grid",
                             "seed", "cutoff", "out"),
     "sweep-modccr": ("epsilon_values", "r_grid", "seed", "cutoff", "out"),
     "validate": ("seed", "cutoff", "fault", "out"),
@@ -382,7 +382,10 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
     row = (config.samples, quad.mean_par, quad.se_par, quad.mean_perp,
            quad.se_perp, denom, covariance, covariance_se, injected,
            delta_e, delta_e_cl, delta_e / delta_e_cl)
-    return SweepResult(_metadata(config, "fock_oracle"), columns, [row])
+    meta = _metadata(config, "fock_oracle")
+    meta["table_residual_p2"] = quad.table_residual
+    meta["table_residual_p4"] = quartic.table_residual
+    return SweepResult(meta, columns, [row])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,7 @@ def run_validate(config: RunConfig) -> tuple:
             return evolve(state, env, t)
         # Negative control: relax the widths with the wrong exponent sign.
         decay = math.exp(-env.lam * t)
-        asym = 0.5 * (env.M + 0.5) * (1.0 - decay)
+        asym = gaussian.asymptotic_width(env) * (1.0 - decay)
         return gaussian.TwoModeGaussianState(
             asym + state.sigma_plus / decay, asym + state.sigma_minus / decay)
 
@@ -495,7 +498,7 @@ def run_validate(config: RunConfig) -> tuple:
     checks.append(_check("duhamel_closed_form", dev, 1e-8))
 
     # 9. Widths relax monotonically toward the thermal asymptote.
-    target = 0.5 * (envb.M + 0.5)
+    target = gaussian.asymptotic_width(envb)
     times = np.linspace(0.0, 3.0, 13)
     gaps_p, gaps_m = [], []
     for t in times:

@@ -357,22 +357,50 @@ def delta_n_expectation(state: MultiModeFockState, phases: PhaseConfig) -> float
     Each interferometer mixes its signal mode with its coherent companion
     through a beam splitter of the given phase before photon counting.
     """
-    out = apply_beam_splitter(state, 0, 1, phases.phi1)
-    out = apply_beam_splitter(out, 2, 3, phases.phi2)
-    return number_difference_moment(out, 2)
+    return _output_moments(state, phases.phi1, phases.phi2, (2,))[0]
+
+
+def _output_moments(state: MultiModeFockState, phi1: float, phi2: float,
+                    powers: tuple) -> list:
+    """<(N_c1 - N_c2)^p> for each power, by direct beam-splitter evaluation."""
+    out = apply_beam_splitter(state, 0, 1, phi1)
+    out = apply_beam_splitter(out, 2, 3, phi2)
+    return [number_difference_moment(out, power) for power in powers]
+
+
+def _trig_basis(phi: np.ndarray) -> np.ndarray:
+    """Rows (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), one per phase.
+
+    Only cos phi and sin phi are evaluated; the higher harmonics follow by
+    angle addition.
+    """
+    basis = np.empty((2 * _TABLE_HARMONICS + 1, np.size(phi)))
+    basis[0] = 1.0
+    cos1, sin1 = basis[1], basis[2]
+    np.cos(phi, out=cos1)
+    np.sin(phi, out=sin1)
+    for k in range(2, _TABLE_HARMONICS + 1):
+        cos_prev, sin_prev = basis[2 * k - 3], basis[2 * k - 2]
+        np.subtract(cos_prev * cos1, sin_prev * sin1, out=basis[2 * k - 1])
+        np.add(sin_prev * cos1, cos_prev * sin1, out=basis[2 * k])
+    return basis.T
 
 
 class _PhaseFourierTable:
-    """Exact trigonometric-polynomial tables of number-difference moments.
+    """Trigonometric-polynomial tables of number-difference moments.
 
     In the Heisenberg picture the output number operators are quadratic
     polynomials in the input modes with coefficients of trigonometric
-    degree one per interferometer phase, so <(N_c1 - N_c2)^p> is exactly a
-    trig polynomial of harmonic order p in each phase.  Sampling the
-    moments on a (2*4+1)^2 phase grid therefore determines them everywhere;
-    every requested power is read off the same rotated states, and the
-    tables turn each Monte-Carlo evaluation into a tiny matrix contraction
-    instead of a pair of beam-splitter applications.
+    degree one per interferometer phase, so on the untruncated space
+    <(N_c1 - N_c2)^p> is a trig polynomial of harmonic order p in each
+    phase.  The moments are sampled on a (2*4+1)^2 phase grid and
+    interpolated by their 2-D FFT, every power from the same rotated
+    states.  The truncated beam splitter is not exactly such a polynomial,
+    so the table is exact only on the grid nodes and aliases the
+    truncation error in between.  Each power's coefficients are folded
+    once into a real matrix over the basis (1, cos phi, sin phi, ...,
+    cos 4phi, sin 4phi), so a Monte-Carlo evaluation is a small real
+    contraction instead of a pair of beam-splitter applications.
     """
 
     def __init__(self, state: MultiModeFockState, powers: tuple):
@@ -385,15 +413,19 @@ class _PhaseFourierTable:
                 out = apply_beam_splitter(first, 2, 3, p2)
                 for i, power in enumerate(powers):
                     values[i, j, k] = number_difference_moment(out, power)
-        self.coeffs = [np.fft.fft2(v) / (n * n) for v in values]
-        self.harmonics = np.where(np.arange(n) <= _TABLE_HARMONICS,
-                                  np.arange(n), np.arange(n) - n)
+        # FFT index order (0, 1, ..., 4, -4, ..., -1): e^{i h phi} = fold @ basis.
+        fold = np.zeros((n, n), dtype=complex)
+        fold[0, 0] = 1.0
+        for k in range(1, _TABLE_HARMONICS + 1):
+            fold[[k, n - k], 2 * k - 1] = 1.0
+            fold[[k, n - k], 2 * k] = (1j, -1j)
+        self.coeffs = [(fold.T @ (np.fft.fft2(v) / (n * n)) @ fold).real
+                       for v in values]
 
     def evaluate(self, phi1: np.ndarray, phi2: np.ndarray) -> list:
         """Each tabulated moment at the phase samples, one array per power."""
-        e1 = np.exp(1j * np.multiply.outer(np.asarray(phi1), self.harmonics))
-        e2 = np.exp(1j * np.multiply.outer(np.asarray(phi2), self.harmonics))
-        return [((e1 @ c) * e2).sum(axis=1).real for c in self.coeffs]
+        b1, b2 = _trig_basis(phi1), _trig_basis(phi2)
+        return [((b1 @ r) * b2).sum(axis=1) for r in self.coeffs]
 
 
 def _chunk_seeds(samples: int, seed: int):
@@ -419,6 +451,7 @@ class PairedAverages:
     mean_diff: float
     se_diff: float
     samples: int
+    table_residual: float
 
 
 def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
@@ -436,7 +469,11 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     the difference directly.  Draws come in fixed chunks from spawned
     seed sequences and are accumulated in chunk order, so the result is
     deterministic for a given seed.  Returns one ``PairedAverages`` per
-    entry of ``powers``, in order.
+    entry of ``powers``, in order.  Each carries ``table_residual``, the
+    relative deviation |table - direct| / |direct| of the interpolation
+    table from direct beam-splitter evaluation at the off-grid point
+    (center1 + sigma1, center2 + sigma2); it is NaN where the direct
+    moment vanishes.
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
@@ -455,10 +492,16 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
             for k, vals in enumerate((a, b, a - b)):
                 sums[i, k] += float(vals.sum())
                 sq_sums[i, k] += float((vals * vals).sum())
+    phi1, phi2 = c1 + noise.sigma1, c2 + noise.sigma2
+    direct = _output_moments(state, phi1, phi2, powers)
+    tabulated = table.evaluate(np.array([phi1]), np.array([phi2]))
     results = []
-    for total, total_sq in zip(sums, sq_sums):
+    for total, total_sq, exact, approx in zip(sums, sq_sums, direct, tabulated):
         stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
-        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples))
+        residual = (abs(float(approx[0]) - exact) / abs(exact)
+                    if exact != 0.0 else math.nan)
+        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples,
+                                      residual))
     return tuple(results)
 
 

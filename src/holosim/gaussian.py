@@ -96,6 +96,16 @@ def from_squeezing(params: SqueezeParams) -> TwoModeGaussianState:
     return TwoModeGaussianState(math.exp(2.0 * params.r), math.exp(-2.0 * params.r))
 
 
+def asymptotic_width(env: EnvironmentParams) -> float:
+    """Width (M + 1/2)/2 that the thermal channel relaxes both widths toward.
+
+    A thermal state of occupation M has width 2M + 1 in the vacuum-is-1
+    convention, four times this value; the normalization is an open
+    question and lives only here.
+    """
+    return 0.5 * (env.M + 0.5)
+
+
 def evolve(state: TwoModeGaussianState, env: EnvironmentParams,
            t: float) -> TwoModeGaussianState:
     """Closed-form thermal-channel action on the widths after time t.
@@ -106,7 +116,7 @@ def evolve(state: TwoModeGaussianState, env: EnvironmentParams,
     if t < 0.0:
         raise NegativeParameter(f"evolution time must be non-negative, got {t!r}")
     decay = math.exp(-env.lam * t)
-    asym = 0.5 * (env.M + 0.5) * (1.0 - decay)
+    asym = asymptotic_width(env) * (1.0 - decay)
     return TwoModeGaussianState(asym + state.sigma_plus * decay,
                                 asym + state.sigma_minus * decay)
 

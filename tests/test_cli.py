@@ -1,5 +1,6 @@
 """Command-line interface: configs, sweeps, reports, and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -184,6 +185,10 @@ def test_phase_mc_single_row(tmp_path):
     assert float(named["ratio"]) == pytest.approx(
         float(named["delta_e"]) / float(named["delta_e_cl"]), rel=1e-12)
     assert not (tmp_path / "mc.gnuplot").exists()
+    receipts = dict(line[2:].split("=", 1) for line in text.splitlines()
+                    if line.startswith("# table_residual_p"))
+    assert sorted(receipts) == ["table_residual_p2", "table_residual_p4"]
+    assert all(math.isfinite(float(v)) for v in receipts.values())
 
 
 def test_stdout_mode_and_seed_override(tmp_path, capsys):
@@ -222,6 +227,8 @@ def test_stdout_mode_and_seed_override(tmp_path, capsys):
     ("[sweep-env-coupling]\nlambda_tau_grid = linspace(1e-5, inf, 3)\n",
      "line 2: value 'inf' is not finite"),
     ("[sweep-env-coupling]\nseed = -1\n", "seed must be non-negative, got -1"),
+    ("[sweep-env-coupling]\nmu = 1\n",
+     "line 2: unknown key 'mu' for [sweep-env-coupling]"),
 ])
 def test_config_errors(tmp_path, capsys, body, fragment):
     path = tmp_path / "bad.cfg"

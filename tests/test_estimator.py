@@ -36,6 +36,7 @@ from holosim import (
     uncertainty_modccr_fock,
     variance_slope,
 )
+from holosim.estimator import _output_moments, _PhaseFourierTable, _trig_basis
 
 # Independently derived anchors (hyperbolic closed forms and high-precision
 # reference runs frozen at module-creation time).
@@ -204,6 +205,39 @@ def test_sample_floor(state4):
     noise = PhaseNoiseModel(0.01, 0.01)
     with pytest.raises(NegativeParameter):
         paired_phase_average(noise, state4, 999, seed=1)
+
+
+def test_trig_basis_matches_cos_and_sin():
+    phi = np.linspace(-50.0, 50.0, 4001)
+    basis = _trig_basis(phi)
+    assert basis.shape == (phi.size, 9)
+    assert np.array_equal(basis[:, 0], np.ones(phi.size))
+    for k in range(1, 5):
+        assert np.max(np.abs(basis[:, 2 * k - 1] - np.cos(k * phi))) <= 1e-13
+        assert np.max(np.abs(basis[:, 2 * k] - np.sin(k * phi))) <= 1e-13
+
+
+def test_phase_table_reproduces_grid_nodes():
+    state = four_mode_input(SqueezeParams(0.3), CoherentInput(0.5), FockCutoff(8))
+    table = _PhaseFourierTable(state, (2, 4))
+    nodes = 2.0 * math.pi * np.arange(9) / 9
+    phi1, phi2 = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    direct = np.array([_output_moments(state, a, b, (2, 4))
+                       for a, b in zip(phi1, phi2)]).T
+    for values, tabulated in zip(direct, table.evaluate(phi1, phi2)):
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(tabulated - values)) <= 1e-12 * scale
+
+
+def test_table_residual_receipt(state4):
+    noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
+    quad, quartic = paired_phase_average(noise, state4, 1000, seed=1,
+                                         powers=(2, 4))
+    for res in (quad, quartic):
+        assert math.isfinite(res.table_residual) and res.table_residual > 0.0
+    vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
+    (res,) = paired_phase_average(noise, vac, 1000, seed=1)
+    assert math.isnan(res.table_residual)
 
 
 def test_correlation_estimate_floor():
