@@ -50,7 +50,6 @@ from .estimator import (
     uncertainty_env_full,
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
-    variance_slope,
 )
 from .fock import (
     CoherentInput,

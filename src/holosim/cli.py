@@ -153,10 +153,8 @@ _FIELD_PARSERS = {
 }
 
 _MODE_KEYS = {
-    "sweep-env-coupling": ("r", "m_values", "lambda_tau_grid",
-                           "seed", "cutoff", "out"),
-    "sweep-env-squeezing": ("lambda_tau", "m_values", "r_grid",
-                            "seed", "cutoff", "out"),
+    "sweep-env-coupling": ("r", "m_values", "lambda_tau_grid", "seed", "out"),
+    "sweep-env-squeezing": ("lambda_tau", "m_values", "r_grid", "seed", "out"),
     "sweep-modccr": ("epsilon_values", "r_grid", "seed", "cutoff", "out"),
     "validate": ("seed", "cutoff", "fault", "out"),
     "phase-mc": ("r", "mu", "sigma1", "sigma2", "rho", "samples", "h",
@@ -587,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="typed key-value config file")
         p.add_argument("--out", help="output CSV (or report) path")
         p.add_argument("--seed", type=int, help="override random seed")
-        p.add_argument("--cutoff", type=int, help="override occupation cutoff")
+        if "cutoff" in _MODE_KEYS[mode]:
+            p.add_argument("--cutoff", type=int, help="override occupation cutoff")
     return parser
 
 
@@ -596,7 +595,8 @@ def main(argv=None) -> int:
     try:
         file_values = (parse_config_file(args.config, args.mode)
                        if args.config else {})
-        overrides = {"seed": args.seed, "cutoff": args.cutoff, "out": args.out}
+        overrides = {"seed": args.seed, "cutoff": getattr(args, "cutoff", None),
+                     "out": args.out}
         config = resolve_config(args.mode, file_values, overrides)
         if config.mode == "validate":
             exit_code, checks = run_validate(config)

@@ -43,13 +43,7 @@ from .fock import (
     number_difference_moment,
     tensor_product,
 )
-from .gaussian import (
-    TwoModeGaussianState,
-    WignerMonomial,
-    evolve,
-    from_squeezing,
-    isserlis_moment,
-)
+from .gaussian import WignerMonomial, evolve, from_squeezing
 from .modccr import (
     DEFAULT_ORACLE_CUTOFF,
     DeformationParams,
@@ -98,6 +92,9 @@ class PhaseNoiseModel:
     rho: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
+            raise ParameterOutOfRange(
+                f"noise widths must be finite, got ({self.sigma1!r}, {self.sigma2!r})")
         if self.sigma1 < 0.0 or self.sigma2 < 0.0:
             raise NegativeParameter("noise widths must be non-negative")
         if not -1.0 <= self.rho <= 1.0:
@@ -156,59 +153,16 @@ def required_monomials() -> tuple:
     return tuple(monos)
 
 
-def _difference_moment(state: TwoModeGaussianState, power: int) -> float:
-    total = 0.0
-    for mono, coeff in difference_power_terms(power).items():
-        if mono.degree == 0:
-            total += coeff
-        else:
-            total += coeff * isserlis_moment(state, mono).real
-    return total
-
-
-def _quadrature_correlator(state: TwoModeGaussianState) -> float:
-    """<(a1' + a1)(a2' + a2)> on the analytic backend."""
-    return sum(isserlis_moment(state, m).real for m in _DENOMINATOR_MONOMIALS)
-
-
-def _variance_slope_probe() -> float:
-    """d[<DN^4> - <DN^2>^2]/dq at q = 1, measured through the moment engine.
-
-    q = sigma_plus * sigma_minus is the purity parameter; the probe
-    measures the leading growth rate of the numerator variance along the
-    thermal channel using healthy moderate-width states and a
-    second-order one-sided difference (q >= 1 keeps the states physical).
-    """
-    aspect = math.exp(1.6)
-    delta = 2e-4
-
-    def variance(q: float) -> float:
-        root = math.sqrt(q)
-        st = TwoModeGaussianState(aspect * root, root / aspect)
-        return _difference_moment(st, 4) - _difference_moment(st, 2) ** 2
-
-    v0, v1, v2 = variance(1.0), variance(1.0 + delta), variance(1.0 + 2 * delta)
-    return (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * delta)
-
-
-_slope_cache = {}
-
-
-def variance_slope() -> float:
-    if "slope" not in _slope_cache:
-        _slope_cache["slope"] = _variance_slope_probe()
-    return _slope_cache["slope"]
-
-
 # ---------------------------------------------------------------------------
 # Closed-form uncertainty ratios.
 # ---------------------------------------------------------------------------
 
 def classical_uncertainty(mu: complex) -> float:
     """Shot-noise floor sqrt(2)/|mu|^2 of the coherent-input scheme."""
-    if abs(mu) == 0.0:
+    photons = CoherentInput(mu).mean_photons
+    if photons == 0.0:
         raise ZeroAmplitude("classical baseline needs a nonzero coherent amplitude")
-    return math.sqrt(2.0) / abs(mu) ** 2
+    return math.sqrt(2.0) / photons
 
 
 def _ratio_squeeze(r: float) -> SqueezeParams:
@@ -242,13 +196,13 @@ def uncertainty_env_full(r: float, m_thermal: float,
 
     Numerator: the variance <DN^4> - <DN^2>^2 vanishes on the pure state
     and grows linearly along the channel, so it is evaluated as (growth
-    rate of the purity parameter q = S+S-) x (variance slope in q measured
-    through the moment engine) x (lambda tau); the square root of a linear
-    ramp matches the exact small-coupling behaviour, which is the regime
-    where the printed closed form is valid.  Denominator: the quadrature
-    correlator evaluated by Gaussian moment factorization on the evolved
-    state.  Coherent ports affect only the classical normalization and are
-    taken at zeroth order, so their amplitude does not enter the ratio.
+    rate of the purity parameter q = S+S-) x (variance slope 1/2 in q) x
+    (lambda tau); the square root of a linear ramp matches the exact
+    small-coupling behaviour, which is the regime where the printed closed
+    form is valid.  Denominator: the quadrature correlator
+    <(a1' + a1)(a2' + a2)> = 2 <a1 a2> read off the evolved widths.
+    Coherent ports affect only the classical normalization and are taken
+    at zeroth order, so their amplitude does not enter the ratio.
     """
     squeeze = _ratio_squeeze(r)
     _check_thermal(m_thermal, lambda_tau)
@@ -257,7 +211,7 @@ def uncertainty_env_full(r: float, m_thermal: float,
     initial = from_squeezing(squeeze)
     env = EnvironmentParams(lam=1.0, M=m_thermal)
     evolved = evolve(initial, env, lambda_tau)
-    denom = _quadrature_correlator(evolved)
+    denom = 2.0 * evolved.pair_correlation()
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"quadrature correlator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
@@ -266,7 +220,8 @@ def uncertainty_env_full(r: float, m_thermal: float,
     # d(S+ S-)/dt at t=0 for the width relaxation toward the variance-scale
     # asymptote, in lambda*t units with the numerator's rate normalization.
     q_rate = 16.0 * ((heat - sp) * sm + sp * (heat - sm))
-    variance_lin = variance_slope() * q_rate * lambda_tau
+    # The variance is (q - 1)(5q - 3)/4 for every aspect ratio: slope 1/2 at q = 1.
+    variance_lin = 0.5 * q_rate * lambda_tau
     ratio = 2.0 * math.sqrt(max(variance_lin, 0.0)) / denom
     return UncertaintyResult(ratio, Backend.GAUSSIAN_FULL)
 

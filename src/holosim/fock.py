@@ -76,6 +76,10 @@ class CoherentInput:
 
     mu: complex
 
+    def __post_init__(self):
+        if not (math.isfinite(self.mu.real) and math.isfinite(self.mu.imag)):
+            raise ParameterOutOfRange(f"coherent amplitude must be finite, got {self.mu!r}")
+
     @property
     def mean_photons(self) -> float:
         return abs(self.mu) ** 2

@@ -229,6 +229,8 @@ def test_stdout_mode_and_seed_override(tmp_path, capsys):
     ("[sweep-env-coupling]\nseed = -1\n", "seed must be non-negative, got -1"),
     ("[sweep-env-coupling]\nmu = 1\n",
      "line 2: unknown key 'mu' for [sweep-env-coupling]"),
+    ("[sweep-env-coupling]\ncutoff = 3\n",
+     "line 2: unknown key 'cutoff' for [sweep-env-coupling]"),
 ])
 def test_config_errors(tmp_path, capsys, body, fragment):
     path = tmp_path / "bad.cfg"
@@ -238,6 +240,14 @@ def test_config_errors(tmp_path, capsys, body, fragment):
     assert code == 2
     assert err.startswith("config error: ")
     assert fragment in err
+
+
+@pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing"])
+def test_cutoff_flag_only_for_modes_that_read_it(mode, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([mode, "--cutoff", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cutoff 3" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

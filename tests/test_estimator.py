@@ -34,7 +34,6 @@ from holosim import (
     uncertainty_env_full,
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
-    variance_slope,
 )
 from holosim.estimator import _output_moments, _PhaseFourierTable, _trig_basis
 
@@ -91,6 +90,8 @@ def test_classical_uncertainty_values():
                                                           rel=1e-12)
     with pytest.raises(ZeroAmplitude):
         classical_uncertainty(0.0)
+    with pytest.raises(ParameterOutOfRange):
+        classical_uncertainty(math.nan)
 
 
 def test_required_monomials_inventory():
@@ -171,6 +172,13 @@ def test_uncorrelated_scale_matrix_is_diagonal():
     assert np.array_equal(noise.scale_matrix(), np.diag([0.01, 0.01]))
 
 
+@pytest.mark.parametrize("widths", [(math.nan, 0.01), (0.01, math.inf)],
+                         ids=["nan-sigma1", "inf-sigma2"])
+def test_noise_model_rejects_non_finite_widths(widths):
+    with pytest.raises(ParameterOutOfRange):
+        PhaseNoiseModel(*widths)
+
+
 def test_paired_average_reference_run(state4):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
     (res,) = paired_phase_average(noise, state4, 100_000, seed=7)
@@ -243,10 +251,6 @@ def test_table_residual_receipt(state4):
 def test_correlation_estimate_floor():
     with pytest.raises(DegenerateDenominator):
         correlation_estimate(1.0, 0.5, 1e-9)
-
-
-def test_variance_slope_probe():
-    assert variance_slope() == pytest.approx(0.5, abs=1e-5)
 
 
 def test_env_ratio_lowest_order_values():

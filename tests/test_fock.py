@@ -14,6 +14,7 @@ from holosim import (
     DegreeTooHigh,
     FockCutoff,
     InvalidModeIndex,
+    ParameterOutOfRange,
     SqueezeParams,
     apply_beam_splitter,
     basis_state,
@@ -83,6 +84,12 @@ def test_coherent_annihilation_eigenvalue():
 def test_coherent_amplitude_guard():
     with pytest.raises(AmplitudeTooLarge):
         build_coherent(CoherentInput(4.0), FockCutoff(20))
+
+
+@pytest.mark.parametrize("mu", [math.nan, complex(0.5, math.inf)])
+def test_coherent_rejects_non_finite_amplitude(mu):
+    with pytest.raises(ParameterOutOfRange):
+        CoherentInput(mu)
 
 
 def test_beam_splitter_transparent_at_zero():

@@ -23,6 +23,7 @@ from holosim import (
     isserlis_moment,
     required_monomials,
 )
+from holosim.estimator import _DENOMINATOR_MONOMIALS
 
 E4 = 54.598150033144236                  # exp(4)
 EM4 = 0.018315638888734182               # exp(-4)
@@ -158,19 +159,39 @@ def test_isserlis_matches_occupation_oracle():
             oracle, rel=1e-10, abs=1e-10)
 
 
-def test_evolved_difference_moments_match_closed_form():
+def evolved(r, m_thermal, t):
+    return evolve(from_squeezing(SqueezeParams(r)), EnvironmentParams(1.0, m_thermal), t)
+
+
+@pytest.mark.parametrize("state", [
+    evolved(0.8, 0.5, 0.1),
+    evolved(1.2, 2.0, 1e-2),
+    evolved(2.0, 2.0, 0.5),
+    evolved(0.3, 0.0, 0.5),
+    TwoModeGaussianState(2.6, 0.5),
+], ids=["r0.8-M0.5-t0.1", "r1.2-M2-t1e-2", "r2-M2-t0.5", "r0.3-M0-t0.5", "q1.3"])
+def test_evolved_difference_moments_match_closed_form(state):
     # For any widths the photon-number difference obeys occupation-style
-    # closed forms in N = (sqrt(sigma_plus*sigma_minus) - 1)/2:
-    #   <dN^2> = 2N(N+1),   Var(dN^2) = 20N^4 + 40N^3 + 22N^2 + 2N.
-    state = evolve(from_squeezing(SqueezeParams(0.8)),
-                   EnvironmentParams(1.0, 0.5), 0.1)
-    n_eff = (math.sqrt(state.sigma_plus * state.sigma_minus) - 1.0) / 2.0
+    # closed forms in N = (sqrt(q) - 1)/2 with q = sigma_plus*sigma_minus:
+    #   <dN^2> = 2N(N+1),   Var(dN^2) = 20N^4 + 40N^3 + 22N^2 + 2N,
+    # and the variance equals (q - 1)(5q - 3)/4, whose slope at q = 1 is the
+    # 1/2 that uncertainty_env_full uses.
+    q = state.sigma_plus * state.sigma_minus
+    n_eff = (math.sqrt(q) - 1.0) / 2.0
     second = difference_moment(state, 2, isserlis_moment)
     fourth = difference_moment(state, 4, isserlis_moment)
     assert second == pytest.approx(2.0 * n_eff * (n_eff + 1.0), rel=1e-12)
     variance = fourth - second * second
     closed = 20.0 * n_eff ** 4 + 40.0 * n_eff ** 3 + 22.0 * n_eff ** 2 + 2.0 * n_eff
     assert variance == pytest.approx(closed, rel=1e-11)
+    assert variance == pytest.approx((q - 1.0) * (5.0 * q - 3.0) / 4.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("state", [from_squeezing(SqueezeParams(2.0)),
+                                   evolved(2.0, 2.0, 1e-3)], ids=["pure", "evolved"])
+def test_denominator_monomials_sum_to_twice_pair_correlation(state):
+    total = sum(isserlis_moment(state, m).real for m in _DENOMINATOR_MONOMIALS)
+    assert total == 2.0 * state.pair_correlation()
 
 
 def test_glauber_vacuum_occupation():
