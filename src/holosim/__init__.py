@@ -78,13 +78,10 @@ from .modccr import (
     AuxiliaryModeMap,
     CommutatorCheckReport,
     DeformationParams,
-    build_twb_prime,
     closed_form_correction,
     deformed_commutator_check,
-    deformed_number_difference_action,
     duhamel_first_order,
     perturbation_generator_action,
-    squeeze_generator_action,
 )
 
 __version__ = "0.1.0"

@@ -24,10 +24,8 @@ import numpy as np
 
 from . import estimator, gaussian
 from .environment import EnvironmentParams, fokker_planck_coefficients
-from .errors import ConfigError, HolosimError
+from .errors import AmplitudeTooLarge, ConfigError, CutoffTooSmall, HolosimError
 from .estimator import (
-    ORACLE_MAX_EPSILON,
-    ORACLE_MAX_R,
     PhaseNoiseModel,
     classical_uncertainty,
     correlation_estimate,
@@ -339,13 +337,14 @@ def run_sweep_modccr(config: RunConfig) -> SweepResult:
     def evaluate(point):
         r, eps = point
         analytic = uncertainty_modccr_analytic(r, eps)
-        if r <= ORACLE_MAX_R and abs(eps) <= ORACLE_MAX_EPSILON:
+        try:
             oracle = uncertainty_modccr_fock(DeformationParams(eps, r), cutoff)
+        except (CutoffTooSmall, AmplitudeTooLarge):
+            fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
+        else:
             fock_val = oracle.ratio
             rel_dev = abs(fock_val - analytic.ratio) / analytic.ratio
             fock_backend = oracle.backend.value
-        else:
-            fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
         return (r, eps, analytic.ratio, fock_val, rel_dev,
                 analytic.backend.value, fock_backend)
 

@@ -27,7 +27,7 @@ class DegreeTooHigh(HolosimError):
 
 
 class UnsupportedPhase(HolosimError):
-    """Gaussian backend only covers real squeezing (theta = 0)."""
+    """An interferometer or beam-splitter phase is not finite."""
 
 
 class NegativeParameter(HolosimError):

@@ -21,7 +21,6 @@ import numpy as np
 from .environment import EnvironmentParams
 from .errors import (
     AmplitudeTooLarge,
-    CutoffTooSmall,
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
@@ -47,15 +46,12 @@ from .gaussian import WignerMonomial, evolve, from_squeezing
 from .modccr import (
     DEFAULT_ORACLE_CUTOFF,
     DeformationParams,
-    build_twb_prime,
-    deformed_number_difference_action,
+    deformed_variance_coefficient,
 )
 
 DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
 MIN_SAMPLES = 1000
-# Support of the deformed-sector oracle at its default cutoff.
-ORACLE_MAX_R = 1.2
 ORACLE_MAX_EPSILON = 0.1
 _TABLE_HARMONICS = 4  # number-difference moments are trig polynomials of this order
 
@@ -240,48 +236,29 @@ def uncertainty_modccr_fock(params: DeformationParams,
                             ) -> UncertaintyResult:
     """Oracle evaluation of the deformed-sector ratio on the truncated basis.
 
-    Numerator moments use the deformed number-difference observable on the
-    first-order-corrected twin-beam state, retaining only the first order
-    in epsilon: the output variance is a polynomial in epsilon starting at
-    epsilon^2, and its leading coefficient is isolated by averaging over
-    +-epsilon (killing odd orders) and two Richardson halvings (killing
-    the quartic and sextic), probed at or below the requested deformation.
-    The higher orders removed this way are not small at moderate squeezing
-    -- they carry extra powers of sinh(2r) from the undeformed pair
-    correlations.  The denominator is the undeformed quadrature
-    correlator, consistent with first order.
+    The numerator uses the deformed number-difference observable on the
+    first-order-corrected twin-beam state.  Its variance is a polynomial in
+    epsilon starting at epsilon^2; the oracle keeps only that leading
+    coefficient, taken exactly by ``deformed_variance_coefficient``.  The
+    higher orders are not small at moderate squeezing -- they carry extra
+    powers of sinh(2r) from the undeformed pair correlations.  The
+    denominator is the undeformed quadrature correlator on the same twin
+    beam, consistent with first order.  Support is the twin beam's:
+    ``CutoffTooSmall`` where its tail above the cutoff exceeds 1e-10, and
+    ``AmplitudeTooLarge`` for |epsilon| > 0.1.
     """
-    if params.r > ORACLE_MAX_R:
-        raise CutoffTooSmall(f"oracle evaluation is supported for "
-                             f"r <= {ORACLE_MAX_R} at the default cutoff")
     if abs(params.epsilon) > ORACLE_MAX_EPSILON:
         raise AmplitudeTooLarge(
             f"oracle evaluation requires |epsilon| <= {ORACLE_MAX_EPSILON}")
+    twb = build_twb(SqueezeParams(params.r), cutoff)
     if params.epsilon == 0.0:
         return UncertaintyResult(0.0, Backend.FOCK_ORACLE)
     if params.r == 0.0:
         raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
-
-    def variance(eps: float) -> float:
-        state = build_twb_prime(DeformationParams(eps, params.r), cutoff)
-        observable = deformed_number_difference_action(eps, cutoff)
-        once = observable(state.amplitudes)
-        twice = observable(once)
-        m2 = float(np.vdot(once, once).real)
-        m4 = float(np.vdot(twice, twice).real)
-        return m4 - m2 ** 2
-
-    def scaled_even(eps: float) -> float:
-        return 0.5 * (variance(eps) + variance(-eps)) / (eps * eps)
-
-    probe = min(abs(params.epsilon), 0.02)
-    f0, f1, f2 = (scaled_even(probe / 2 ** k) for k in range(3))
-    g0, g1 = (4.0 * f1 - f0) / 3.0, (4.0 * f2 - f1) / 3.0
-    leading = (16.0 * g1 - g0) / 15.0
-    numerator = 2.0 * math.sqrt(max(leading, 0.0)) * abs(params.epsilon)
-    plain = build_twb(SqueezeParams(params.r), cutoff, tail_tol=1e-6)
+    leading = deformed_variance_coefficient(twb, params.r)
+    numerator = 2.0 * math.sqrt(leading) * abs(params.epsilon)
     denom = sum(
-        expectation(plain, (((0, da), (1, db)))).real
+        expectation(twb, (((0, da), (1, db)))).real
         for da in (True, False) for db in (True, False))
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(

@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedPhase,
 )
 
-DEFAULT_TWO_MODE_CUTOFF = 40
 DEFAULT_TWO_MODE_TAIL_TOL = 1e-10
 DEFAULT_FOUR_MODE_CUTOFF = 16
 DEFAULT_FOUR_MODE_TAIL_TOL = 1e-6
@@ -34,7 +33,6 @@ MAX_MONOMIAL_DEGREE = 8
 MAX_DIFFERENCE_POWER = 4
 # e^{2r}, cosh(2r) and sinh(2r) overflow a double beyond r = 354.9.
 MAX_SQUEEZE_R = 350.0
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,9 @@ class FockCutoff:
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Two-mode squeeze strength r in [0, MAX_SQUEEZE_R], pump phase theta in [0, 2*pi)."""
+    """Two-mode squeeze strength r in [0, MAX_SQUEEZE_R]."""
 
     r: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if not (self.r >= 0.0):
@@ -65,9 +62,6 @@ class SqueezeParams:
         if self.r > MAX_SQUEEZE_R:
             raise ParameterOutOfRange(
                 f"squeeze strength must satisfy r <= {MAX_SQUEEZE_R}, got {self.r!r}")
-        if not (0.0 <= self.theta < _TWO_PI):
-            raise UnsupportedPhase(
-                f"pump phase must lie in [0, 2*pi), got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +93,6 @@ class PhaseConfig:
             if not math.isfinite(getattr(self, name)):
                 raise UnsupportedPhase(f"{name} must be finite")
 
-    @property
-    def deviations(self) -> tuple:
-        return (self.phi1 - self.phi1_0, self.phi2 - self.phi2_0)
-
 
 @dataclass(frozen=True)
 class MultiModeFockState:
@@ -128,26 +118,32 @@ class MultiModeFockState:
         return float(np.linalg.norm(self.amplitudes.ravel()))
 
 
-def _twb_tail(r: float, n_max: int) -> float:
-    """Exact out-of-cutoff weight of the twin-beam state: tanh(r)^(2*(n_max+1))."""
-    return math.tanh(r) ** (2 * (n_max + 1))
+def twb_tail(r: float, cutoff: FockCutoff,
+             tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> float:
+    """Exact out-of-cutoff weight tanh(r)^(2*(n_max+1)) of the twin-beam state.
+
+    This is the one support check of every twin-beam construction: raises
+    ``CutoffTooSmall`` if the weight exceeds ``tail_tol``.
+    """
+    tail = math.tanh(r) ** (2 * (cutoff.n_max + 1))
+    if tail > tail_tol:
+        raise CutoffTooSmall(
+            f"twin-beam tail {tail:.3e} above cutoff n_max={cutoff.n_max} "
+            f"exceeds tail_tol={tail_tol:.3e}")
+    return tail
 
 
 def build_twb(params: SqueezeParams, cutoff: FockCutoff,
               tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> MultiModeFockState:
     """Twin-beam (two-mode squeezed vacuum) state on two modes.
 
-    Amplitudes are the exact geometric series tanh(r)^n * e^(i n theta) / cosh(r)
-    on the diagonal |n, n>, renormalized after truncation.  Raises
+    Amplitudes are the exact geometric series tanh(r)^n * sech(r) on the
+    diagonal |n, n>, renormalized after truncation.  Raises
     ``CutoffTooSmall`` if the exact discarded weight exceeds ``tail_tol``.
     """
-    tail = _twb_tail(params.r, cutoff.n_max)
-    if tail > tail_tol:
-        raise CutoffTooSmall(
-            f"twin-beam tail {tail:.3e} above cutoff n_max={cutoff.n_max} "
-            f"exceeds tail_tol={tail_tol:.3e}")
+    tail = twb_tail(params.r, cutoff, tail_tol)
     n = np.arange(cutoff.dim)
-    diag = (np.tanh(params.r) ** n) * np.exp(1j * params.theta * n) / np.cosh(params.r)
+    diag = (np.tanh(params.r) ** n) * (1.0 / np.cosh(params.r))
     amp = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     amp[n, n] = diag
     amp /= np.linalg.norm(amp.ravel())

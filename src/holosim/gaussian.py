@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import EnvironmentParams
-from .errors import DegreeTooHigh, NegativeParameter, UnsupportedPhase
+from .errors import DegreeTooHigh, NegativeParameter
 from .fock import SqueezeParams
 
 MAX_MOMENT_DEGREE = 8
@@ -90,9 +90,6 @@ class TwoModeGaussianState:
 
 def from_squeezing(params: SqueezeParams) -> TwoModeGaussianState:
     """Pure twin-beam state of squeeze strength r: widths e^{2r}, e^{-2r}."""
-    if params.theta != 0.0:
-        raise UnsupportedPhase(
-            "the analytic backend evolves real squeezing only (theta = 0)")
     return TwoModeGaussianState(math.exp(2.0 * params.r), math.exp(-2.0 * params.r))
 
 

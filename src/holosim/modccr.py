@@ -6,8 +6,9 @@ explicit linear map onto standard auxiliary modes A1, A2.  This module
 verifies the deformed algebra on the truncated space, builds the
 first-order perturbative correction to the twin-beam state via a Duhamel
 integral over conjugated generators, and provides the closed-form
-correction vector it collapses to, plus the deformed number-difference
-observable used by the oracle uncertainty evaluation.
+correction vector it collapses to, the deformed number-difference
+observable, and the exact eps^2 coefficient of its variance that the
+oracle uncertainty evaluation uses.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .fock import (
     SqueezeParams,
     _apply_ladder,
     build_twb,
+    twb_tail,
 )
 
 MAX_EPSILON = 0.2
-MAX_SQUEEZE = 1.5
 DEFAULT_ORACLE_CUTOFF = 64
 
 
@@ -182,14 +183,12 @@ def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> MultiModeFockSt
     perturbing operator, a callable on flat vectors of the two-mode space.
     The u-integral uses a fixed 16-node Gauss-Legendre rule; the integrand
     is analytic in u, so convergence is rapid.  The result is a correction
-    vector, not a normalized state.
+    vector, not a normalized state.  Its support is the twin beam's: raises
+    ``CutoffTooSmall`` where ``build_twb`` would at the default tolerance.
     """
-    if r > MAX_SQUEEZE:
-        raise CutoffTooSmall(
-            f"squeeze strength {r!r} exceeds {MAX_SQUEEZE}; the truncated "
-            "space cannot hold the correction accurately")
-    if r < 0.0:
+    if not r >= 0.0:
         raise NegativeParameter(f"squeeze strength must be >= 0, got {r!r}")
+    twb_tail(r, cutoff)
     d = cutoff.dim
     vac = np.zeros(d * d, dtype=complex)
     vac[0] = 1.0
@@ -230,9 +229,6 @@ def build_twb_prime(params: DeformationParams, cutoff: FockCutoff,
     Returns the renormalized |TWB> + eps * r * e^{rA}((X'^2)/2 - 1)|0>;
     renormalization shifts moments only at second order in epsilon.
     """
-    if params.r > MAX_SQUEEZE:
-        raise CutoffTooSmall(
-            f"squeeze strength {params.r!r} exceeds {MAX_SQUEEZE}")
     twb = build_twb(SqueezeParams(params.r), cutoff, tail_tol=tail_tol)
     if params.epsilon == 0.0 or params.r == 0.0:
         return twb
@@ -242,17 +238,38 @@ def build_twb_prime(params: DeformationParams, cutoff: FockCutoff,
     return MultiModeFockState(2, cutoff, amp, discarded_tail=twb.discarded_tail)
 
 
+def _occupation_difference(dim: int) -> np.ndarray:
+    """N1 - N2 as a diagonal weight on two-mode amplitude tensors."""
+    return (np.arange(dim)[:, None] - np.arange(dim)[None, :]).astype(float)
+
+
 def deformed_number_difference_action(epsilon: float, cutoff: FockCutoff):
     """Action of the deformed-mode number difference, to first order.
 
     Through the auxiliary-mode map, a1'a1 - a2'a2 equals
     (1+eps)(N1 - N2) - eps(A1A2 + A1'A2') up to O(eps^2) terms.
     """
-    d = cutoff.dim
-    occ_diff = (np.arange(d)[:, None] - np.arange(d)[None, :]).astype(float)
+    occ_diff = _occupation_difference(cutoff.dim)
 
     def act(psi: np.ndarray) -> np.ndarray:
         return ((1.0 + epsilon) * occ_diff * psi
                 - epsilon * (_pair_ladder(psi, False) + _pair_ladder(psi, True)))
 
     return act
+
+
+def deformed_variance_coefficient(twb: MultiModeFockState, r: float) -> float:
+    """Exact eps^2 coefficient of Var(a1'a1 - a2'a2) on the corrected twin beam.
+
+    ``twb`` is the twin beam of squeeze strength r.  It is an eigenstate of
+    D0 = N1 - N2 with eigenvalue 0, so the deformed observable
+    (1+eps)D0 - eps(A1A2 + A1'A2') acting on |TWB> + eps*c (c the closed-form
+    correction) gives eps*v + O(eps^2) with v = D0 c - (A1A2 + A1'A2')|TWB>;
+    the renormalization and the overlap of c with |TWB> drop out.  Then
+    <O^4> = eps^2 |D0 v|^2 + O(eps^3) while <O^2>^2 = O(eps^4).
+    """
+    occ_diff = _occupation_difference(twb.cutoff.dim)
+    psi = twb.amplitudes
+    v = (occ_diff * closed_form_correction(r, twb.cutoff).amplitudes
+         - _pair_ladder(psi, False) - _pair_ladder(psi, True))
+    return float(np.linalg.norm(occ_diff * v) ** 2)

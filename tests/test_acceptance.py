@@ -125,7 +125,7 @@ def test_acceptance_5_modccr_backends_and_shape():
                 analytic = uncertainty_modccr_analytic(r, eps).ratio
                 oracle = uncertainty_modccr_fock(DeformationParams(eps, r),
                                                  cutoff).ratio
-                assert abs(oracle - analytic) / analytic <= 5.0 * eps
+                assert abs(oracle - analytic) / analytic <= 1e-8
             double = uncertainty_modccr_analytic(r, 0.04).ratio
             single = uncertainty_modccr_analytic(r, 0.02).ratio
             assert double / single == pytest.approx(2.0, rel=1e-12)

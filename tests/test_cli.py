@@ -117,27 +117,38 @@ def test_sweep_output_is_deterministic(tmp_path):
 
 
 def test_modccr_sweep_marks_unsupported_oracle_points(tmp_path):
-    cfg = write_config(tmp_path, """\
-        [sweep-modccr]
-        r_grid = 0.4, 1.4
-        epsilon_values = 0.05, 0.15
-        cutoff = 48
-        """)
-    out = tmp_path / "modccr.csv"
-    assert cli.main(["sweep-modccr", "--config", cfg, "--out", str(out)]) == 0
-    lines = data_lines(out.read_text(encoding="utf-8"))
-    assert lines[0] == ("r,epsilon,ratio_analytic,ratio_fock,"
-                       "relative_deviation,backend_analytic,backend_fock")
-    rows = {(float(c[0]), float(c[1])): c
-            for c in (line.split(",") for line in lines[1:] if line)}
+    def sweep(r_grid, epsilon_values, cutoff):
+        cfg = write_config(tmp_path, f"""\
+            [sweep-modccr]
+            r_grid = {r_grid}
+            epsilon_values = {epsilon_values}
+            cutoff = {cutoff}
+            """)
+        out = tmp_path / "modccr.csv"
+        assert cli.main(["sweep-modccr", "--config", cfg, "--out", str(out)]) == 0
+        lines = data_lines(out.read_text(encoding="utf-8"))
+        assert lines[0] == ("r,epsilon,ratio_analytic,ratio_fock,"
+                           "relative_deviation,backend_analytic,backend_fock")
+        return {(float(c[0]), float(c[1])): c
+                for c in (line.split(",") for line in lines[1:] if line)}
+
+    def assert_unsupported(row):
+        assert row[3] == "nan" and row[4] == "nan"
+        assert row[6] == "none"
+
+    rows = sweep("0.4, 1.4", "0.05, 0.15", 48)
     assert len(rows) == 4
     supported = rows[(0.4, 0.05)]
     assert supported[6] == "fock_oracle"
     assert float(supported[4]) < 1e-6
     for key in ((0.4, 0.15), (1.4, 0.05), (1.4, 0.15)):
-        row = rows[key]
-        assert row[3] == "nan" and row[4] == "nan"
-        assert row[6] == "none"
+        assert_unsupported(rows[key])
+    # The cutoff decides support: the twin-beam tail at r = 1.15 exceeds
+    # 1e-10 at cutoff 48, while cutoff 96 holds r = 1.21.
+    assert_unsupported(sweep("0.4, 1.15", "0.05", 48)[(1.15, 0.05)])
+    held = sweep("0.4, 1.21", "0.05", 96)[(1.21, 0.05)]
+    assert held[6] == "fock_oracle"
+    assert float(held[4]) < 1e-6
 
 
 def test_squeezing_sweep_monotone_diagnostic(tmp_path):

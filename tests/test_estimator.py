@@ -319,7 +319,7 @@ def test_modccr_analytic_values():
 def test_modccr_oracle_agrees_with_analytic():
     res = uncertainty_modccr_fock(DeformationParams(0.05, 0.8), FockCutoff(48))
     assert res.backend is Backend.FOCK_ORACLE
-    assert res.ratio == pytest.approx(MODCCR_R08, rel=1e-6)
+    assert res.ratio == pytest.approx(MODCCR_R08, rel=1e-12)
 
 
 def test_modccr_oracle_guards():

@@ -12,7 +12,6 @@ from holosim import (
     ParameterOutOfRange,
     SqueezeParams,
     TwoModeGaussianState,
-    UnsupportedPhase,
     WignerMonomial,
     build_twb,
     difference_power_terms,
@@ -65,11 +64,6 @@ def test_squeeze_strength_capped_below_overflow():
     assert from_squeezing(SqueezeParams(350.0)).sigma_plus < math.inf
     with pytest.raises(ParameterOutOfRange):
         from_squeezing(SqueezeParams(400.0))
-
-
-def test_from_squeezing_rejects_phase():
-    with pytest.raises(UnsupportedPhase):
-        from_squeezing(SqueezeParams(1.0, theta=0.5))
 
 
 def test_evolve_identity_at_zero_time():

@@ -14,16 +14,19 @@ from holosim import (
     NegativeParameter,
     SqueezeParams,
     build_twb,
-    build_twb_prime,
     closed_form_correction,
     deformed_commutator_check,
-    deformed_number_difference_action,
     duhamel_first_order,
     perturbation_generator_action,
-    squeeze_generator_action,
 )
 from holosim._propagators import apply_exponential
 from holosim.fock import _apply_ladder
+from holosim.modccr import (
+    build_twb_prime,
+    deformed_number_difference_action,
+    deformed_variance_coefficient,
+    squeeze_generator_action,
+)
 
 
 def flat_basis(n1, n2, dim):
@@ -231,6 +234,28 @@ def test_deformed_difference_first_order_structure():
         residuals[eps] = float(np.linalg.norm(moved - first_order))
         assert residuals[eps] < 30.0 * eps * eps
     assert 3.0 < residuals[2e-4] / residuals[1e-4] < 5.0
+
+
+def test_variance_coefficient_matches_finite_epsilon():
+    # Independent finite-eps route: the +-eps average of the variance on the
+    # renormalized corrected state, divided by eps^2, approaches the exact
+    # coefficient with an eps^2 remainder, so the gap shrinks 4x per halving.
+    r = 0.8
+    cut = FockCutoff(64)
+    exact = deformed_variance_coefficient(build_twb(SqueezeParams(r), cut), r)
+
+    def variance(eps):
+        state = build_twb_prime(DeformationParams(eps, r), cut)
+        observable = deformed_number_difference_action(eps, cut)
+        once = observable(state.amplitudes)
+        twice = observable(once)
+        m2 = float(np.vdot(once, once).real)
+        return float(np.vdot(twice, twice).real) - m2 ** 2
+
+    gaps = [0.5 * (variance(eps) + variance(-eps)) / eps ** 2 - exact
+            for eps in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.5 < coarse / fine < 4.5
 
 
 def test_deformation_params_guards():
