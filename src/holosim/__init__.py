@@ -29,7 +29,6 @@ from .errors import (
     NonPositiveExponent,
     NonPositiveLength,
     ParameterOutOfRange,
-    StepTooLarge,
     UnsupportedPhase,
     ZeroAmplitude,
 )
@@ -40,10 +39,8 @@ from .estimator import (
     UncertaintyResult,
     classical_uncertainty,
     correlation_estimate,
-    delta_n_expectation,
     difference_power_terms,
     four_mode_input,
-    mixed_derivative_denominator,
     paired_phase_average,
     required_monomials,
     uncertainty_env_approx,
@@ -55,7 +52,6 @@ from .fock import (
     CoherentInput,
     FockCutoff,
     MultiModeFockState,
-    PhaseConfig,
     SqueezeParams,
     apply_beam_splitter,
     basis_state,

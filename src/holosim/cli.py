@@ -29,7 +29,6 @@ from .estimator import (
     PhaseNoiseModel,
     classical_uncertainty,
     correlation_estimate,
-    mixed_derivative_denominator,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
@@ -38,7 +37,6 @@ from .estimator import (
 from .fock import (
     CoherentInput,
     FockCutoff,
-    PhaseConfig,
     SqueezeParams,
     build_twb,
     expectation,
@@ -108,7 +106,6 @@ class RunConfig:
     sigma2: float = None
     rho: float = None
     samples: int = None
-    h: float = None
     fault: str = None
 
     def echo(self) -> dict:
@@ -138,13 +135,13 @@ _DEFAULTS = {
     "validate": dict(cutoff=60),
     "phase-mc": dict(
         r=0.6, mu=0.8, sigma1=1e-2, sigma2=1e-2, rho=0.5,
-        samples=100000, cutoff=16, h=1e-3),
+        samples=100000, cutoff=16),
 }
 
 _FIELD_PARSERS = {
     "seed": "int", "cutoff": "int", "samples": "int",
     "r": "float", "mu": "float", "lambda_tau": "float",
-    "sigma1": "float", "sigma2": "float", "rho": "float", "h": "float",
+    "sigma1": "float", "sigma2": "float", "rho": "float",
     "m_values": "float_list", "epsilon_values": "float_list",
     "lambda_tau_grid": "grid", "r_grid": "grid",
     "out": "str", "fault": "str",
@@ -155,7 +152,7 @@ _MODE_KEYS = {
     "sweep-env-squeezing": ("lambda_tau", "m_values", "r_grid", "seed", "out"),
     "sweep-modccr": ("epsilon_values", "r_grid", "seed", "cutoff", "out"),
     "validate": ("seed", "cutoff", "fault", "out"),
-    "phase-mc": ("r", "mu", "sigma1", "sigma2", "rho", "samples", "h",
+    "phase-mc": ("r", "mu", "sigma1", "sigma2", "rho", "samples",
                  "seed", "cutoff", "out"),
 }
 
@@ -343,7 +340,8 @@ def run_sweep_modccr(config: RunConfig) -> SweepResult:
             fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
         else:
             fock_val = oracle.ratio
-            rel_dev = abs(fock_val - analytic.ratio) / analytic.ratio
+            rel_dev = (abs(fock_val - analytic.ratio) / analytic.ratio
+                       if analytic.ratio > 0.0 else float("nan"))
             fock_backend = oracle.backend.value
         return (r, eps, analytic.ratio, fock_val, rel_dev,
                 analytic.backend.value, fock_backend)
@@ -365,8 +363,7 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
     noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho)
     quad, quartic = estimator.paired_phase_average(
         noise, state, config.samples, config.seed, powers=(2, 4))
-    denom = mixed_derivative_denominator(state, PhaseConfig(0.0, 0.0),
-                                         h=config.h)
+    denom = quad.mixed_derivative
     covariance = correlation_estimate(quad.mean_par, quad.mean_perp, denom)
     covariance_se = quad.se_diff / abs(denom)
     injected = config.rho * config.sigma1 * config.sigma2
@@ -380,6 +377,7 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
            quad.se_perp, denom, covariance, covariance_se, injected,
            delta_e, delta_e_cl, delta_e / delta_e_cl)
     meta = _metadata(config, "fock_oracle")
+    meta["discarded_tail"] = state.discarded_tail
     meta["table_residual_p2"] = quad.table_residual
     meta["table_residual_p4"] = quartic.table_residual
     return SweepResult(meta, columns, [row])

@@ -50,10 +50,6 @@ class DegenerateDenominator(HolosimError):
     """Correlation-estimate denominator below the degeneracy floor."""
 
 
-class StepTooLarge(HolosimError):
-    """Finite-difference step outside the validated window."""
-
-
 class ZeroAmplitude(HolosimError):
     """Classical baseline needs a nonzero coherent amplitude."""
 

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
-    StepTooLarge,
     ZeroAmplitude,
 )
 from .fock import (
@@ -33,7 +32,6 @@ from .fock import (
     CoherentInput,
     FockCutoff,
     MultiModeFockState,
-    PhaseConfig,
     SqueezeParams,
     apply_beam_splitter,
     build_coherent,
@@ -274,22 +272,31 @@ def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
                     cutoff: FockCutoff = FockCutoff(DEFAULT_FOUR_MODE_CUTOFF),
                     tail_tol: float = DEFAULT_FOUR_MODE_TAIL_TOL,
                     ) -> MultiModeFockState:
-    """Input state TWB x |mu> x |mu> arranged as modes (a1, b1, a2, b2)."""
+    """Input state TWB x |mu> x |mu> arranged as modes (a1, b1, a2, b2).
+
+    Each beam splitter conserves its interferometer's photon total
+    s = n_a + n_b, and the per-mode box keeps every chain with s > n_max
+    only in part.  The state is therefore projected onto s1, s2 <= n_max,
+    where every chain is a complete spin-s/2 representation and the
+    beam splitters act exactly; the projected-out weight is folded into
+    ``discarded_tail``.
+    """
     twb = build_twb(squeeze, cutoff, tail_tol=tail_tol)
     port = build_coherent(coherent, cutoff)
     combined = tensor_product(twb, port, port)  # (a1, a2, b1, b2)
-    amp = np.transpose(combined.amplitudes, (0, 2, 1, 3))
-    return MultiModeFockState(4, cutoff, amp,
-                              discarded_tail=combined.discarded_tail)
-
-
-def delta_n_expectation(state: MultiModeFockState, phases: PhaseConfig) -> float:
-    """<(N_c1 - N_c2)^2> at interferometer phases (phi1, phi2).
-
-    Each interferometer mixes its signal mode with its coherent companion
-    through a beam splitter of the given phase before photon counting.
-    """
-    return _output_moments(state, phases.phi1, phases.phi2, (2,))[0]
+    amp = combined.amplitudes
+    n_max = cutoff.n_max
+    for n in range(1, cutoff.dim):
+        amp[n, :, n_max - n + 1:] = 0.0
+        amp[:, n, :, n_max - n + 1:] = 0.0
+    # Kept weight from the factors: the twin beam pairs n_a1 = n_a2 = n.
+    pair = np.abs(np.diagonal(twb.amplitudes)) ** 2
+    ports = np.cumsum(np.abs(port.amplitudes) ** 2)[::-1]
+    kept = float(np.dot(pair, ports * ports))
+    amp /= math.sqrt(kept)
+    tail = 1.0 - (1.0 - combined.discarded_tail) * kept
+    return MultiModeFockState(4, cutoff, np.transpose(amp, (0, 2, 1, 3)),
+                              discarded_tail=tail)
 
 
 def _output_moments(state: MultiModeFockState, phi1: float, phi2: float,
@@ -323,16 +330,17 @@ class _PhaseFourierTable:
 
     In the Heisenberg picture the output number operators are quadratic
     polynomials in the input modes with coefficients of trigonometric
-    degree one per interferometer phase, so on the untruncated space
-    <(N_c1 - N_c2)^p> is a trig polynomial of harmonic order p in each
-    phase.  The moments are sampled on a (2*4+1)^2 phase grid and
+    degree one per interferometer phase, so <(N_c1 - N_c2)^p> is a trig
+    polynomial of harmonic order p in each phase.  That holds exactly on
+    states made of complete beam-splitter chains, as ``four_mode_input``
+    builds them.  The moments are sampled on a (2*4+1)^2 phase grid and
     interpolated by their 2-D FFT, every power from the same rotated
-    states.  The truncated beam splitter is not exactly such a polynomial,
-    so the table is exact only on the grid nodes and aliases the
-    truncation error in between.  Each power's coefficients are folded
-    once into a real matrix over the basis (1, cos phi, sin phi, ...,
-    cos 4phi, sin 4phi), so a Monte-Carlo evaluation is a small real
-    contraction instead of a pair of beam-splitter applications.
+    states.  Each power's coefficients are folded once into a real matrix
+    R over the basis (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), so a
+    Monte-Carlo evaluation is a small real contraction instead of a pair
+    of beam-splitter applications, and the mixed derivative
+    d^2/dphi1 dphi2 at (0, 0) is ``slope @ R @ slope`` with the basis
+    slopes k on the sin(k phi) rows.
     """
 
     def __init__(self, state: MultiModeFockState, powers: tuple):
@@ -353,6 +361,9 @@ class _PhaseFourierTable:
             fold[[k, n - k], 2 * k] = (1j, -1j)
         self.coeffs = [(fold.T @ (np.fft.fft2(v) / (n * n)) @ fold).real
                        for v in values]
+        slope = np.zeros(n)
+        slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
+        self.mixed_derivatives = [float(slope @ r @ slope) for r in self.coeffs]
 
     def evaluate(self, phi1: np.ndarray, phi2: np.ndarray) -> list:
         """Each tabulated moment at the phase samples, one array per power."""
@@ -384,16 +395,16 @@ class PairedAverages:
     se_diff: float
     samples: int
     table_residual: float
+    mixed_derivative: float
 
 
 def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
                          samples: int, seed: int,
-                         phases: PhaseConfig = None,
                          powers: tuple = (2,)) -> tuple:
     """Monte-Carlo averages of <(N_c1 - N_c2)^p> over phase noise.
 
     Phases are drawn from the bivariate Gaussian noise model centered at
-    the working point (default (0, 0)), under the parallel and orthogonal
+    the working point (0, 0), under the parallel and orthogonal
     configurations jointly.  Both configurations and every power consume
     the identical standard-normal draws (common random numbers), so
     differences between configurations are estimated with strongly
@@ -404,12 +415,11 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     entry of ``powers``, in order.  Each carries ``table_residual``, the
     relative deviation |table - direct| / |direct| of the interpolation
     table from direct beam-splitter evaluation at the off-grid point
-    (center1 + sigma1, center2 + sigma2); it is NaN where the direct
-    moment vanishes.
+    (sigma1, sigma2), NaN where the direct moment vanishes; and
+    ``mixed_derivative``, the table's exact d^2/dphi1 dphi2 at (0, 0).
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    c1, c2 = (phases.phi1_0, phases.phi2_0) if phases is not None else (0.0, 0.0)
     perp = PhaseNoiseModel(noise.sigma1, noise.sigma2)
     scales = (noise.scale_matrix(), perp.scale_matrix())
     table = _PhaseFourierTable(state, powers)
@@ -418,22 +428,23 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     sq_sums = np.zeros((len(powers), 3))
     for seq, size in _chunk_seeds(samples, seed):
         z = np.random.default_rng(seq).standard_normal((size, 2))
-        vals_par, vals_perp = (table.evaluate(c1 + phi[:, 0], c2 + phi[:, 1])
+        vals_par, vals_perp = (table.evaluate(phi[:, 0], phi[:, 1])
                                for phi in (z @ scale.T for scale in scales))
         for i, (a, b) in enumerate(zip(vals_par, vals_perp)):
             for k, vals in enumerate((a, b, a - b)):
                 sums[i, k] += float(vals.sum())
                 sq_sums[i, k] += float((vals * vals).sum())
-    phi1, phi2 = c1 + noise.sigma1, c2 + noise.sigma2
+    phi1, phi2 = noise.sigma1, noise.sigma2
     direct = _output_moments(state, phi1, phi2, powers)
     tabulated = table.evaluate(np.array([phi1]), np.array([phi2]))
     results = []
-    for total, total_sq, exact, approx in zip(sums, sq_sums, direct, tabulated):
+    for total, total_sq, exact, approx, derivative in zip(
+            sums, sq_sums, direct, tabulated, table.mixed_derivatives):
         stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
         residual = (abs(float(approx[0]) - exact) / abs(exact)
                     if exact != 0.0 else math.nan)
         results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples,
-                                      residual))
+                                      residual, derivative))
     return tuple(results)
 
 
@@ -443,38 +454,3 @@ def correlation_estimate(e_par: float, e_perp: float, denom: float) -> float:
         raise DegenerateDenominator(
             f"mixed-derivative denominator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
     return (e_par - e_perp) / denom
-
-
-def mixed_derivative_denominator(state: MultiModeFockState, phases: PhaseConfig,
-                                 h: float = 1e-3) -> float:
-    """Central-difference mixed derivative of the difference statistic.
-
-    Evaluates d^2/dphi1 dphi2 of the quadratic output statistic at the
-    working point by a cross stencil at steps h and h/2; the two estimates
-    must agree within 1%, and the Richardson-extrapolated value is
-    returned.
-    """
-    if not 1e-4 <= h <= 1e-2:
-        raise StepTooLarge(f"step must lie in [1e-4, 1e-2], got {h!r}")
-    c1, c2 = phases.phi1_0, phases.phi2_0
-
-    def cross(step: float) -> float:
-        acc = 0.0
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                cfg = PhaseConfig(c1 + s1 * step, c2 + s2 * step)
-                acc += s1 * s2 * delta_n_expectation(state, cfg)
-        return acc / (4.0 * step * step)
-
-    coarse, fine = cross(h), cross(h / 2.0)
-    if abs(fine) <= DENOM_FLOOR and abs(coarse) <= DENOM_FLOOR:
-        raise DegenerateDenominator(
-            "mixed derivative vanishes at the working point")
-    if abs(fine - coarse) > 0.01 * max(abs(fine), abs(coarse)):
-        raise StepTooLarge(
-            f"finite difference not converged: h -> {coarse!r}, h/2 -> {fine!r}")
-    richardson = (4.0 * fine - coarse) / 3.0
-    if abs(richardson) <= DENOM_FLOOR:
-        raise DegenerateDenominator(
-            "mixed derivative vanishes at the working point")
-    return richardson

@@ -80,21 +80,6 @@ class CoherentInput:
 
 
 @dataclass(frozen=True)
-class PhaseConfig:
-    """Interferometer phases phi1, phi2 and their working points phi1_0, phi2_0."""
-
-    phi1: float
-    phi2: float
-    phi1_0: float = 0.0
-    phi2_0: float = 0.0
-
-    def __post_init__(self):
-        for name in ("phi1", "phi2", "phi1_0", "phi2_0"):
-            if not math.isfinite(getattr(self, name)):
-                raise UnsupportedPhase(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class MultiModeFockState:
     """Dense amplitude tensor over the truncated occupation basis.
 

@@ -17,7 +17,6 @@ from holosim import (
     DeformationParams,
     EnvironmentParams,
     FockCutoff,
-    PhaseConfig,
     PhaseNoiseModel,
     SqueezeParams,
     build_twb,
@@ -33,7 +32,6 @@ from holosim import (
     gaussian,
     glauber_moment,
     isserlis_moment,
-    mixed_derivative_denominator,
     number_difference_moment,
     paired_phase_average,
     perturbation_generator_action,
@@ -174,8 +172,8 @@ def test_acceptance_8_phase_noise_recovery():
         state = four_mode_input(SqueezeParams(0.6), CoherentInput(0.8))
         noise = PhaseNoiseModel(1e-2, 1e-2, rho=0.5)
         (res,) = paired_phase_average(noise, state, 100_000, seed=7)
-        denom = mixed_derivative_denominator(state, PhaseConfig(0.0, 0.0))
-        recovered = correlation_estimate(res.mean_par, res.mean_perp, denom)
+        recovered = correlation_estimate(res.mean_par, res.mean_perp,
+                                         res.mixed_derivative)
         injected = 0.5 * 1e-2 * 1e-2
         assert abs(recovered - injected) / injected <= 0.10
         (again,) = paired_phase_average(noise, state, 100_000, seed=7)

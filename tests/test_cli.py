@@ -149,6 +149,10 @@ def test_modccr_sweep_marks_unsupported_oracle_points(tmp_path):
     held = sweep("0.4, 1.21", "0.05", 96)[(1.21, 0.05)]
     assert held[6] == "fock_oracle"
     assert float(held[4]) < 1e-6
+    # At epsilon = 0 both ratios vanish, so the relative deviation is undefined.
+    rows = sweep("0.4, 0.8", "0, 0.05", 48)
+    for r in (0.4, 0.8):
+        assert rows[(r, 0.0)][6] == "fock_oracle" and rows[(r, 0.0)][4] == "nan"
 
 
 def test_squeezing_sweep_monotone_diagnostic(tmp_path):
@@ -197,9 +201,11 @@ def test_phase_mc_single_row(tmp_path):
         float(named["delta_e"]) / float(named["delta_e_cl"]), rel=1e-12)
     assert not (tmp_path / "mc.gnuplot").exists()
     receipts = dict(line[2:].split("=", 1) for line in text.splitlines()
-                    if line.startswith("# table_residual_p"))
-    assert sorted(receipts) == ["table_residual_p2", "table_residual_p4"]
+                    if line.startswith(("# table_residual_p", "# discarded_tail=")))
+    assert sorted(receipts) == ["discarded_tail", "table_residual_p2",
+                                "table_residual_p4"]
     assert all(math.isfinite(float(v)) for v in receipts.values())
+    assert 0.0 < float(receipts["discarded_tail"]) < 1e-6
 
 
 def test_stdout_mode_and_seed_override(tmp_path, capsys):
@@ -251,6 +257,12 @@ def test_config_errors(tmp_path, capsys, body, fragment):
     assert code == 2
     assert err.startswith("config error: ")
     assert fragment in err
+
+
+def test_phase_mc_has_no_step_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[phase-mc]\nh = 1e-3\n")
+    assert cli.main(["phase-mc", "--config", cfg]) == 2
+    assert "line 2: unknown key 'h' for [phase-mc]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing"])

@@ -16,18 +16,14 @@ from holosim import (
     HolosimError,
     NegativeParameter,
     ParameterOutOfRange,
-    PhaseConfig,
     PhaseNoiseModel,
     SqueezeParams,
-    StepTooLarge,
     WignerMonomial,
     ZeroAmplitude,
     classical_uncertainty,
     correlation_estimate,
-    delta_n_expectation,
     expectation,
     four_mode_input,
-    mixed_derivative_denominator,
     paired_phase_average,
     required_monomials,
     uncertainty_env_approx,
@@ -43,17 +39,38 @@ RATIO_R2_M0 = 0.047548148179516546        # 8 sqrt(1e-3 (cosh4 - 1)) / sinh4
 RATIO_R2_M1 = 0.08339275355461528         # same with (2M+1) = 3
 MODCCR_R1 = 0.11028822590871327           # 8 * 1 * 0.05 / sinh(2)
 MODCCR_R08 = 0.13470462908413722          # 8 * 0.8 * 0.05 / sinh(1.6)
-DELTA_N_REF = 0.011930347414545846        # r=0.6, mu=0.8, phi=(0.2, 0.2)
+DELTA_N_REF = 0.011930345372360728        # r=0.6, mu=0.8, phi=(0.2, 0.2)
 DENOM_REF = -0.4830276337318953           # analytic mixed derivative at (0, 0)
-MC_MEAN_PAR = 5.42410235999546e-05        # seed=7, 1e5 samples, sigma=0.01
-MC_MEAN_PERP = 7.851923414195413e-05
-MC_MEAN_DIFF = -2.427821054199952e-05
+MC_MEAN_PAR = 5.4240998382217586e-05      # seed=7, 1e5 samples, sigma=0.01
+MC_MEAN_PERP = 7.8519208814477e-05
+MC_MEAN_DIFF = -2.427821043225943e-05
 INJECTED_COV = 5e-05                      # rho * sigma1 * sigma2
 
 
 @pytest.fixture(scope="module")
 def state4():
     return four_mode_input(SqueezeParams(0.6), CoherentInput(0.8))
+
+
+def delta_n_squared(state, phi1, phi2):
+    return _output_moments(state, phi1, phi2, (2,))[0]
+
+
+def cross_difference(state, h=0.3):
+    """d^2 <(N_c1 - N_c2)^2> / dphi1 dphi2 at (0, 0) from four direct evaluations.
+
+    Only the cross term -2 <N_c1 N_c2> depends on both phases, and it is
+    of harmonic order one in each, so the cross difference at step h is
+    exactly the derivative times sin(h)^2.
+    """
+    total = sum(s1 * s2 * delta_n_squared(state, s1 * h, s2 * h)
+                for s1 in (1.0, -1.0) for s2 in (1.0, -1.0))
+    return total / (4.0 * math.sin(h) ** 2)
+
+
+def mixed_derivative(state):
+    noise = PhaseNoiseModel(0.01, 0.01)
+    return paired_phase_average(noise, state, 1000, seed=1)[0].mixed_derivative
 
 
 def heisenberg_delta_n_squared(state, phi1, phi2):
@@ -108,25 +125,24 @@ def test_four_mode_input_shape(state4):
 
 
 def test_delta_n_vanishes_at_zero_phase(state4):
-    assert delta_n_expectation(state4, PhaseConfig(0.0, 0.0)) == pytest.approx(
-        0.0, abs=1e-9)
+    assert delta_n_squared(state4, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_delta_n_vacuum_input():
     vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
-    assert delta_n_expectation(vac, PhaseConfig(0.3, 0.7)) == pytest.approx(
-        0.0, abs=1e-12)
+    assert delta_n_squared(vac, 0.3, 0.7) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_n_matches_heisenberg_expansion(state4):
-    via_splitters = delta_n_expectation(state4, PhaseConfig(0.2, 0.2))
+    via_splitters = delta_n_squared(state4, 0.2, 0.2)
     via_monomials = heisenberg_delta_n_squared(state4, 0.2, 0.2)
     assert via_splitters == pytest.approx(via_monomials, abs=1e-9)
     assert via_splitters == pytest.approx(DELTA_N_REF, abs=1e-9)
 
 
 def test_mixed_derivative_reference(state4):
-    denom = mixed_derivative_denominator(state4, PhaseConfig(0.0, 0.0))
+    denom = mixed_derivative(state4)
+    assert denom == pytest.approx(cross_difference(state4), rel=1e-12)
     assert denom == pytest.approx(DENOM_REF, abs=1e-6)
 
 
@@ -134,29 +150,14 @@ def test_mixed_derivative_interferometer_swap(state4):
     from holosim import MultiModeFockState
     swapped = MultiModeFockState(
         4, state4.cutoff, np.transpose(state4.amplitudes, (2, 3, 0, 1)))
-    a = mixed_derivative_denominator(state4, PhaseConfig(0.0, 0.0))
-    b = mixed_derivative_denominator(swapped, PhaseConfig(0.0, 0.0))
-    assert a == pytest.approx(b, abs=1e-10)
+    assert mixed_derivative(state4) == pytest.approx(
+        mixed_derivative(swapped), rel=1e-12)
 
 
-def test_mixed_derivative_degenerate_and_step_guards(state4):
+def test_mixed_derivative_degenerate_guard():
     vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
     with pytest.raises(DegenerateDenominator):
-        mixed_derivative_denominator(vac, PhaseConfig(0.0, 0.0))
-    for h in (1e-5, 2e-2):
-        with pytest.raises(StepTooLarge):
-            mixed_derivative_denominator(state4, PhaseConfig(0.0, 0.0), h=h)
-
-
-def test_zero_width_noise_reproduces_point_value(state4):
-    noise = PhaseNoiseModel(0.0, 0.0)
-    centers = PhaseConfig(0.2, 0.35, 0.2, 0.35)
-    (res,) = paired_phase_average(noise, state4, 2000, seed=3, phases=centers)
-    point = delta_n_expectation(state4, PhaseConfig(0.2, 0.35))
-    # The tabulated and direct evaluations sample the truncation edge at
-    # different phases, so they agree to the discarded-tail scale only.
-    assert res.mean_par == pytest.approx(point, rel=1e-6)
-    assert res.se_par == pytest.approx(0.0, abs=1e-9)
+        correlation_estimate(0.0, 0.0, mixed_derivative(vac))
 
 
 def test_uncorrelated_noise_has_identical_configurations(state4):
@@ -187,8 +188,8 @@ def test_paired_average_reference_run(state4):
     assert res.mean_perp == pytest.approx(MC_MEAN_PERP, rel=1e-12)
     assert res.mean_diff == pytest.approx(MC_MEAN_DIFF, rel=1e-12)
     assert res.se_diff < abs(res.mean_diff)
-    denom = mixed_derivative_denominator(state4, PhaseConfig(0.0, 0.0))
-    recovered = correlation_estimate(res.mean_par, res.mean_perp, denom)
+    recovered = correlation_estimate(res.mean_par, res.mean_perp,
+                                     res.mixed_derivative)
     assert recovered == pytest.approx(INJECTED_COV, rel=0.1)
 
 
@@ -225,16 +226,24 @@ def test_trig_basis_matches_cos_and_sin():
         assert np.max(np.abs(basis[:, 2 * k] - np.sin(k * phi))) <= 1e-13
 
 
-def test_phase_table_reproduces_grid_nodes():
+def test_phase_table_reproduces_grid_nodes(state4):
     state = four_mode_input(SqueezeParams(0.3), CoherentInput(0.5), FockCutoff(8))
-    table = _PhaseFourierTable(state, (2, 4))
     nodes = 2.0 * math.pi * np.arange(9) / 9
-    phi1, phi2 = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
-    direct = np.array([_output_moments(state, a, b, (2, 4))
-                       for a, b in zip(phi1, phi2)]).T
-    for values, tabulated in zip(direct, table.evaluate(phi1, phi2)):
-        scale = np.max(np.abs(values))
-        assert np.max(np.abs(tabulated - values)) <= 1e-12 * scale
+    grid = [g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij")]
+    # Off the grid the table is exact only because the input holds
+    # complete beam-splitter chains.
+    off_grid = [np.array([0.2, -1.3, 2.9, 0.01]), np.array([0.35, 0.7, -2.2, 0.01])]
+    for st, phases in ((state, (grid, off_grid)), (state4, (off_grid,))):
+        table = _PhaseFourierTable(st, (2, 4))
+        for phi1, phi2 in phases:
+            direct = np.array([_output_moments(st, a, b, (2, 4))
+                               for a, b in zip(phi1, phi2)]).T
+            tabulated = table.evaluate(phi1, phi2)
+            for values, approx in zip(direct, tabulated):
+                scale = np.max(np.abs(values))
+                assert np.max(np.abs(approx - values)) <= 1e-12 * scale
+    # The last pass is state4 off the grid; its first point is (0.2, 0.35).
+    assert tabulated[0][0] == pytest.approx(direct[0][0], rel=1e-12)
 
 
 def test_table_residual_receipt(state4):
