@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator, gaussian
-from .environment import EnvironmentParams, fokker_planck_coefficients
+from . import __version__, estimator, gaussian
 from .errors import AmplitudeTooLarge, ConfigError, CutoffTooSmall, HolosimError
 from .estimator import (
     PhaseNoiseModel,
@@ -45,6 +44,7 @@ from .fock import (
 from .gaussian import (
     WignerMonomial,
     evolve,
+    fokker_planck_coefficients,
     from_squeezing,
     glauber_moment,
     isserlis_moment,
@@ -58,7 +58,7 @@ from .modccr import (
     perturbation_generator_action,
 )
 
-VERSION = "0.1.0"
+VERSION = __version__
 MODES = ("sweep-env-coupling", "sweep-env-squeezing", "sweep-modccr",
          "validate", "phase-mc")
 
@@ -132,7 +132,7 @@ _DEFAULTS = {
     "sweep-modccr": dict(
         epsilon_values=(0.01, 0.05, 0.1), cutoff=64,
         r_grid=GridSpec.from_span("linspace", 0.25, 3.0, 56)),
-    "validate": dict(cutoff=60),
+    "validate": dict(cutoff=60, fault="none"),
     "phase-mc": dict(
         r=0.6, mu=0.8, sigma1=1e-2, sigma2=1e-2, rho=0.5,
         samples=100000, cutoff=16),
@@ -147,14 +147,8 @@ _FIELD_PARSERS = {
     "out": "str", "fault": "str",
 }
 
-_MODE_KEYS = {
-    "sweep-env-coupling": ("r", "m_values", "lambda_tau_grid", "seed", "out"),
-    "sweep-env-squeezing": ("lambda_tau", "m_values", "r_grid", "seed", "out"),
-    "sweep-modccr": ("epsilon_values", "r_grid", "seed", "cutoff", "out"),
-    "validate": ("seed", "cutoff", "fault", "out"),
-    "phase-mc": ("r", "mu", "sigma1", "sigma2", "rho", "samples",
-                 "seed", "cutoff", "out"),
-}
+_MODE_KEYS = {mode: (*defaults, "seed", "out")
+              for mode, defaults in _DEFAULTS.items()}
 
 
 def _parse_value(kind: str, raw: str, line_no: int):
@@ -198,7 +192,7 @@ def parse_config_file(path: str, mode: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     section = None
     found = {}
@@ -290,9 +284,8 @@ def run_sweep_env_coupling(config: RunConfig) -> SweepResult:
     rows = [evaluate(p) for p in points]
     columns = ("lambda_tau", "M", "ratio_full", "ratio_approx",
                "full_over_approx", "backend_full", "backend_approx")
-    gnuplot = _series_plot_script(
-        csv_basename(config), "lambda_tau", "ratio_full", 1, 3, 2,
-        config.m_values, "M", logx=True)
+    gnuplot = _series_plot_script(csv_basename(config), columns,
+                                  config.m_values, logx=True)
     return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"),
                        columns, rows, gnuplot)
 
@@ -319,9 +312,8 @@ def run_sweep_env_squeezing(config: RunConfig) -> SweepResult:
         rows.append((r, m, full, approx, flag, bf, ba))
     columns = ("r", "M", "ratio_full", "ratio_approx",
                "monotone_decreasing", "backend_full", "backend_approx")
-    gnuplot = _series_plot_script(
-        csv_basename(config), "r", "ratio_full", 1, 3, 2,
-        config.m_values, "M", logy=True)
+    gnuplot = _series_plot_script(csv_basename(config), columns,
+                                  config.m_values, logx=False)
     return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"),
                        columns, rows, gnuplot)
 
@@ -349,9 +341,8 @@ def run_sweep_modccr(config: RunConfig) -> SweepResult:
     rows = [evaluate(p) for p in points]
     columns = ("r", "epsilon", "ratio_analytic", "ratio_fock",
                "relative_deviation", "backend_analytic", "backend_fock")
-    gnuplot = _series_plot_script(
-        csv_basename(config), "r", "ratio_analytic", 1, 3, 2,
-        config.epsilon_values, "epsilon", logy=True)
+    gnuplot = _series_plot_script(csv_basename(config), columns,
+                                  config.epsilon_values, logx=False)
     return SweepResult(_metadata(config, "analytic_modccr+fock_oracle"),
                        columns, rows, gnuplot)
 
@@ -409,21 +400,21 @@ def run_validate(config: RunConfig) -> tuple:
     """Run the cross-module consistency suite; returns (exit_code, checks).
 
     The optional fault injection (``fault = relaxation_sign_flip``) flips
-    the sign of the width-relaxation asymptote inside the checks that
+    the sign of the width-relaxation exponent inside the checks that
     exercise the evolution law, serving as a negative control: it must
     flip at least one check to FAIL.
     """
     checks = []
     faulty = config.fault == "relaxation_sign_flip"
-    if config.fault not in (None, "", "none", "relaxation_sign_flip"):
+    if config.fault not in ("", "none", "relaxation_sign_flip"):
         raise ConfigError(f"unknown fault {config.fault!r}")
 
-    def evolve_fn(state, env, t):
+    def evolve_fn(state, m_thermal, lambda_t):
         if not faulty:
-            return evolve(state, env, t)
+            return evolve(state, m_thermal, lambda_t)
         # Negative control: relax the widths with the wrong exponent sign.
-        decay = math.exp(-env.lam * t)
-        asym = gaussian.asymptotic_width(env) * (1.0 - decay)
+        decay = math.exp(-lambda_t)
+        asym = gaussian.asymptotic_width(m_thermal) * (1.0 - decay)
         return gaussian.TwoModeGaussianState(
             asym + state.sigma_plus / decay, asym + state.sigma_minus / decay)
 
@@ -443,8 +434,8 @@ def run_validate(config: RunConfig) -> tuple:
     checks.append(_check("oracle_vs_isserlis_t0", dev, 1e-8))
 
     # 3. Quadrature backend vs factorization on an evolved state.
-    env = EnvironmentParams(lam=1.0, M=0.5)
-    evolved = evolve_fn(state0, env, 0.1)
+    m_th = 0.5
+    evolved = evolve_fn(state0, m_th, 0.1)
     dev = 0.0
     for mono in (WignerMonomial(1, 1, 0, 0), WignerMonomial(0, 1, 0, 1),
                  WignerMonomial(1, 1, 1, 1), WignerMonomial(2, 2, 0, 0)):
@@ -458,18 +449,17 @@ def run_validate(config: RunConfig) -> tuple:
     checks.append(_check("twb_null_difference_moments", dev, 1e-10))
 
     # 5. Forward composition law of the evolution.
-    one = evolve_fn(evolve_fn(state0, env, 0.3), env, 1.1)
-    two = evolve_fn(state0, env, 1.4)
+    one = evolve_fn(evolve_fn(state0, m_th, 0.3), m_th, 1.1)
+    two = evolve_fn(state0, m_th, 1.4)
     dev = max(abs(one.sigma_plus - two.sigma_plus),
               abs(one.sigma_minus - two.sigma_minus))
     checks.append(_check("evolution_semigroup", dev, 1e-12))
 
-    # 6. Drift/diffusion consistency of the width relaxation at t=0.
-    lam, m_th = 1.0, 0.5
-    envb = EnvironmentParams(lam=lam, M=m_th)
-    drift, diffusion = fokker_planck_coefficients(envb)
-    dt = 1e-6 / lam
-    stepped = evolve_fn(state0, envb, dt)
+    # 6. Drift/diffusion consistency of the width relaxation at t=0, in
+    # lambda*t units.
+    drift, diffusion = fokker_planck_coefficients(m_th)
+    dt = 1e-6
+    stepped = evolve_fn(state0, m_th, dt)
     dev = 0.0
     for before, after in ((state0.sigma_plus, stepped.sigma_plus),
                           (state0.sigma_minus, stepped.sigma_minus)):
@@ -493,11 +483,11 @@ def run_validate(config: RunConfig) -> tuple:
     checks.append(_check("duhamel_closed_form", dev, 1e-8))
 
     # 9. Widths relax monotonically toward the thermal asymptote.
-    target = gaussian.asymptotic_width(envb)
+    target = gaussian.asymptotic_width(m_th)
     times = np.linspace(0.0, 3.0, 13)
     gaps_p, gaps_m = [], []
     for t in times:
-        ev = evolve_fn(state0, envb, float(t))
+        ev = evolve_fn(state0, m_th, float(t))
         gaps_p.append(abs(ev.sigma_plus - target))
         gaps_m.append(abs(ev.sigma_minus - target))
     monotone = (all(b <= a + 1e-12 for a, b in zip(gaps_p, gaps_p[1:]))
@@ -523,8 +513,12 @@ def csv_basename(config: RunConfig) -> str:
     return os.path.basename(config.out) if config.out else "output.csv"
 
 
-def _series_plot_script(csv_name, xlabel, ylabel, xcol, ycol, series_col,
-                        series_values, series_name, logx=False, logy=False):
+def _series_plot_script(csv_name, columns, series_values, logx):
+    """Plot columns[2] against columns[0], one line per value of columns[1].
+
+    The y axis is logarithmic unless ``logx`` makes the x axis so.
+    """
+    xlabel, series_name, ylabel = columns[:3]
     lines = [
         f"# gnuplot script for {csv_name}",
         'set datafile separator ","',
@@ -534,14 +528,11 @@ def _series_plot_script(csv_name, xlabel, ylabel, xcol, ycol, series_col,
         f'set ylabel "{ylabel}"',
         "set key left top",
     ]
-    if logx:
-        lines.append("set logscale x")
-    if logy:
-        lines.append("set logscale y")
+    lines.append("set logscale x" if logx else "set logscale y")
     plots = []
     for value in series_values:
-        cond = f"(${series_col}=={value!r} ? ${ycol} : 1/0)"
-        plots.append(f'"{csv_name}" using {xcol}:{cond} with lines '
+        cond = f"($2=={value!r} ? $3 : 1/0)"
+        plots.append(f'"{csv_name}" using 1:{cond} with lines '
                      f'title "{series_name}={value!r}"')
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
     return "\n".join(lines) + "\n"
@@ -559,15 +550,21 @@ _RUNNERS = {
 }
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file; an unwritable path is bad input (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise HolosimError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(result: SweepResult, config: RunConfig) -> None:
     text = result.to_csv()
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(config.out, text)
         if result.gnuplot:
-            script_path = os.path.splitext(config.out)[0] + ".gnuplot"
-            with open(script_path, "w", encoding="utf-8") as fh:
-                fh.write(result.gnuplot)
+            _write(os.path.splitext(config.out)[0] + ".gnuplot", result.gnuplot)
     else:
         sys.stdout.write(text)
 
@@ -602,8 +599,7 @@ def main(argv=None) -> int:
             lines.append(f"validate: {passed}/{len(checks)} checks passed")
             report = "\n".join(lines) + "\n"
             if config.out:
-                with open(config.out, "w", encoding="utf-8") as fh:
-                    fh.write(report)
+                _write(config.out, report)
             sys.stdout.write(report)
             return exit_code
         result = _RUNNERS[config.mode](config)

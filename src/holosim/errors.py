@@ -38,14 +38,6 @@ class ParameterOutOfRange(HolosimError):
     """A parameter is not finite, or too large for its closed form to stay finite."""
 
 
-class NonPositiveExponent(HolosimError):
-    """beta*omega must be > 0 for the Bose occupation factor."""
-
-
-class NonPositiveLength(HolosimError):
-    """Arm length must be > 0."""
-
-
 class DegenerateDenominator(HolosimError):
     """Correlation-estimate denominator below the degeneracy floor."""
 

@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .environment import EnvironmentParams
 from .errors import (
     AmplitudeTooLarge,
     DegenerateDenominator,
@@ -51,6 +50,8 @@ DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
 MIN_SAMPLES = 1000
 ORACLE_MAX_EPSILON = 0.1
+PLANCK_MASS_GEV = 1.22e19  # PDG rounded value
+EV_PER_GEV = 1e9
 _TABLE_HARMONICS = 4  # number-difference moments are trig polynomials of this order
 
 
@@ -63,7 +64,7 @@ class Backend(str, Enum):
 
 @dataclass(frozen=True)
 class UncertaintyResult:
-    """Normalized uncertainty ratio with backend provenance."""
+    """Normalized uncertainty ratio and the backend that computed it."""
 
     ratio: float
     backend: Backend
@@ -203,8 +204,7 @@ def uncertainty_env_full(r: float, m_thermal: float,
     if lambda_tau == 0.0:
         return UncertaintyResult(0.0, Backend.GAUSSIAN_FULL)
     initial = from_squeezing(squeeze)
-    env = EnvironmentParams(lam=1.0, M=m_thermal)
-    evolved = evolve(initial, env, lambda_tau)
+    evolved = evolve(initial, m_thermal, lambda_tau)
     denom = 2.0 * evolved.pair_correlation()
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(
@@ -218,6 +218,14 @@ def uncertainty_env_full(r: float, m_thermal: float,
     variance_lin = 0.5 * q_rate * lambda_tau
     ratio = 2.0 * math.sqrt(max(variance_lin, 0.0)) / denom
     return UncertaintyResult(ratio, Backend.GAUSSIAN_FULL)
+
+
+def planck_coupling_estimate(omega_gamma_ev: float) -> float:
+    """Order-of-magnitude lambda*tau ~ omega/M_Planck for photon energy in eV."""
+    if omega_gamma_ev < 0.0:
+        raise NegativeParameter(
+            f"photon energy must be non-negative, got {omega_gamma_ev!r}")
+    return (omega_gamma_ev / EV_PER_GEV) / PLANCK_MASS_GEV
 
 
 def uncertainty_modccr_analytic(r: float, epsilon: float) -> UncertaintyResult:
@@ -270,7 +278,6 @@ def uncertainty_modccr_fock(params: DeformationParams,
 
 def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
                     cutoff: FockCutoff = FockCutoff(DEFAULT_FOUR_MODE_CUTOFF),
-                    tail_tol: float = DEFAULT_FOUR_MODE_TAIL_TOL,
                     ) -> MultiModeFockState:
     """Input state TWB x |mu> x |mu> arranged as modes (a1, b1, a2, b2).
 
@@ -281,7 +288,7 @@ def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
     beam splitters act exactly; the projected-out weight is folded into
     ``discarded_tail``.
     """
-    twb = build_twb(squeeze, cutoff, tail_tol=tail_tol)
+    twb = build_twb(squeeze, cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
     port = build_coherent(coherent, cutoff)
     combined = tensor_product(twb, port, port)  # (a1, a2, b1, b2)
     amp = combined.amplitudes

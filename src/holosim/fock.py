@@ -99,9 +99,6 @@ class MultiModeFockState:
             raise InvalidModeIndex(
                 f"amplitude tensor has shape {self.amplitudes.shape}, expected {expected}")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes.ravel()))
-
 
 def twb_tail(r: float, cutoff: FockCutoff,
              tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> float:

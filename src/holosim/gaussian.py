@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvironmentParams
 from .errors import DegreeTooHigh, NegativeParameter
 from .fock import SqueezeParams
 
@@ -93,27 +92,41 @@ def from_squeezing(params: SqueezeParams) -> TwoModeGaussianState:
     return TwoModeGaussianState(math.exp(2.0 * params.r), math.exp(-2.0 * params.r))
 
 
-def asymptotic_width(env: EnvironmentParams) -> float:
+def asymptotic_width(m_thermal: float) -> float:
     """Width (M + 1/2)/2 that the thermal channel relaxes both widths toward.
 
     A thermal state of occupation M has width 2M + 1 in the vacuum-is-1
     convention, four times this value; the normalization is an open
     question and lives only here.
     """
-    return 0.5 * (env.M + 0.5)
+    return 0.5 * (m_thermal + 0.5)
 
 
-def evolve(state: TwoModeGaussianState, env: EnvironmentParams,
-           t: float) -> TwoModeGaussianState:
+def fokker_planck_coefficients(m_thermal: float) -> tuple:
+    """(drift, diffusion) per unit coupling rate of the phase-space equation.
+
+    drift multiplies (d/dx x + d/dy y), diffusion multiplies
+    (d2/dx2 + d2/dy2) per mode: (1/2, (2M+1)/2).
+    """
+    return 0.5, (2.0 * m_thermal + 1.0) / 2.0
+
+
+def evolve(state: TwoModeGaussianState, m_thermal: float,
+           lambda_t: float) -> TwoModeGaussianState:
     """Closed-form thermal-channel action on the widths after time t.
 
+    Time is measured in units of 1/lambda, so only M and lambda*t enter:
     Sigma(t) = (M + 1/2)(1 - e^{-lambda t})/2 + Sigma(0) e^{-lambda t} for
     both widths.  Forward evolution only.
     """
-    if t < 0.0:
-        raise NegativeParameter(f"evolution time must be non-negative, got {t!r}")
-    decay = math.exp(-env.lam * t)
-    asym = asymptotic_width(env) * (1.0 - decay)
+    if not m_thermal >= 0.0:
+        raise NegativeParameter(
+            f"thermal occupation M must be non-negative, got {m_thermal!r}")
+    if not lambda_t >= 0.0:
+        raise NegativeParameter(
+            f"evolution time must be non-negative, got {lambda_t!r}")
+    decay = math.exp(-lambda_t)
+    asym = asymptotic_width(m_thermal) * (1.0 - decay)
     return TwoModeGaussianState(asym + state.sigma_plus * decay,
                                 asym + state.sigma_minus * decay)
 

@@ -12,35 +12,38 @@ import numpy as np
 import pytest
 
 from holosim import (
-    AuxiliaryModeMap,
     CoherentInput,
     DeformationParams,
-    EnvironmentParams,
     FockCutoff,
     PhaseNoiseModel,
     SqueezeParams,
-    build_twb,
-    closed_form_correction,
-    correlation_estimate,
-    deformed_commutator_check,
-    duhamel_first_order,
-    evolve,
-    expectation,
-    fokker_planck_coefficients,
     four_mode_input,
-    from_squeezing,
-    gaussian,
-    glauber_moment,
-    isserlis_moment,
-    number_difference_moment,
     paired_phase_average,
-    perturbation_generator_action,
-    planck_coupling_estimate,
-    required_monomials,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
+)
+from holosim.estimator import (
+    correlation_estimate,
+    planck_coupling_estimate,
+    required_monomials,
+)
+from holosim.fock import build_twb, expectation, number_difference_moment
+from holosim.gaussian import (
+    as_ladder_sequence,
+    evolve,
+    fokker_planck_coefficients,
+    from_squeezing,
+    glauber_moment,
+    isserlis_moment,
+)
+from holosim.modccr import (
+    AuxiliaryModeMap,
+    closed_form_correction,
+    deformed_commutator_check,
+    duhamel_first_order,
+    perturbation_generator_action,
 )
 
 
@@ -78,7 +81,7 @@ def test_acceptance_2_three_backend_cross_check():
             for mono in required_monomials():
                 wick = isserlis_moment(state, mono)
                 scale = max(1.0, abs(wick))
-                oracle = expectation(twb, gaussian.as_ladder_sequence(mono))
+                oracle = expectation(twb, as_ladder_sequence(mono))
                 quad = glauber_moment(state, mono)
                 assert abs(oracle - wick) / scale <= 1e-5
                 assert abs(quad - wick) / scale <= 1e-5
@@ -136,14 +139,14 @@ def test_acceptance_6_evolution_consistency():
     with criterion(6, "width relaxation composes and matches its generator",
                    5.0):
         state = from_squeezing(SqueezeParams(0.8))
-        env = EnvironmentParams(lam=1.0, M=0.5)
-        one = evolve(evolve(state, env, 0.3), env, 1.1)
-        two = evolve(state, env, 1.4)
+        m_thermal = 0.5
+        one = evolve(evolve(state, m_thermal, 0.3), m_thermal, 1.1)
+        two = evolve(state, m_thermal, 1.4)
         assert abs(one.sigma_plus - two.sigma_plus) <= 1e-12
         assert abs(one.sigma_minus - two.sigma_minus) <= 1e-12
-        drift, diffusion = fokker_planck_coefficients(env)
-        dt = 1e-6 / env.lam
-        stepped = evolve(state, env, dt)
+        drift, diffusion = fokker_planck_coefficients(m_thermal)
+        dt = 1e-6  # in units of 1/lambda
+        stepped = evolve(state, m_thermal, dt)
         for before, after in ((state.sigma_plus, stepped.sigma_plus),
                               (state.sigma_minus, stepped.sigma_minus)):
             rate = (after - before) / dt

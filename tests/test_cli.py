@@ -290,18 +290,27 @@ def test_import_loads_neither_scipy_nor_thread_pools():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("mode,config,flags", [
-    ("phase-mc", None, ["--seed", "-1"]),
-    ("sweep-env-squeezing", "[sweep-env-squeezing]\nr_grid = 0.5, 400\n", []),
-], ids=["negative-seed", "overflowing-squeeze"])
-def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags):
+@pytest.mark.parametrize("mode,config,flags,named", [
+    ("phase-mc", None, ["--seed", "-1"], None),
+    ("sweep-env-squeezing", "[sweep-env-squeezing]\nr_grid = 0.5, 400\n", [],
+     None),
+    ("sweep-env-coupling", None, ["--out", "missing/dir/x.csv"],
+     "missing/dir/x.csv"),
+    ("validate", None, ["--out", "missing/dir/v.txt"], "missing/dir/v.txt"),
+    ("validate", b"[validate]\nfault = \xff\n", [], "run.cfg"),
+], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
+        "validate-out-missing-dir", "config-not-utf8"])
+def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
+                                             named):
     if config is not None:
         path = tmp_path / "run.cfg"
-        path.write_text(config, encoding="utf-8")
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
         flags = flags + ["--config", str(path)]
     src = os.path.dirname(os.path.dirname(holosim.__file__))
     done = subprocess.run([sys.executable, "-m", "holosim.cli", mode, *flags],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
+    if named is not None:
+        assert named in done.stderr

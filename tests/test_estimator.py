@@ -6,32 +6,38 @@ import numpy as np
 import pytest
 
 from holosim import (
-    Backend,
     CoherentInput,
-    CutoffTooSmall,
     DeformationParams,
-    DegenerateDenominator,
     FockCutoff,
-    AmplitudeTooLarge,
     HolosimError,
-    NegativeParameter,
-    ParameterOutOfRange,
     PhaseNoiseModel,
     SqueezeParams,
-    WignerMonomial,
-    ZeroAmplitude,
-    classical_uncertainty,
-    correlation_estimate,
-    expectation,
     four_mode_input,
     paired_phase_average,
-    required_monomials,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
 )
-from holosim.estimator import _output_moments, _PhaseFourierTable, _trig_basis
+from holosim.errors import (
+    AmplitudeTooLarge,
+    CutoffTooSmall,
+    DegenerateDenominator,
+    NegativeParameter,
+    ParameterOutOfRange,
+    ZeroAmplitude,
+)
+from holosim.estimator import (
+    Backend,
+    _output_moments,
+    _PhaseFourierTable,
+    _trig_basis,
+    classical_uncertainty,
+    correlation_estimate,
+    required_monomials,
+)
+from holosim.fock import MultiModeFockState, expectation
+from holosim.gaussian import WignerMonomial
 
 # Independently derived anchors (hyperbolic closed forms and high-precision
 # reference runs frozen at module-creation time).
@@ -50,6 +56,12 @@ INJECTED_COV = 5e-05                      # rho * sigma1 * sigma2
 @pytest.fixture(scope="module")
 def state4():
     return four_mode_input(SqueezeParams(0.6), CoherentInput(0.8))
+
+
+@pytest.fixture(scope="module")
+def state8():
+    """A cutoff-8 input for tests that pin no cutoff-16 value."""
+    return four_mode_input(SqueezeParams(0.3), CoherentInput(0.5), FockCutoff(8))
 
 
 def delta_n_squared(state, phi1, phi2):
@@ -147,7 +159,6 @@ def test_mixed_derivative_reference(state4):
 
 
 def test_mixed_derivative_interferometer_swap(state4):
-    from holosim import MultiModeFockState
     swapped = MultiModeFockState(
         4, state4.cutoff, np.transpose(state4.amplitudes, (2, 3, 0, 1)))
     assert mixed_derivative(state4) == pytest.approx(
@@ -160,9 +171,9 @@ def test_mixed_derivative_degenerate_guard():
         correlation_estimate(0.0, 0.0, mixed_derivative(vac))
 
 
-def test_uncorrelated_noise_has_identical_configurations(state4):
+def test_uncorrelated_noise_has_identical_configurations(state8):
     noise = PhaseNoiseModel(0.01, 0.02, rho=0.0)
-    (res,) = paired_phase_average(noise, state4, 2000, seed=11)
+    (res,) = paired_phase_average(noise, state8, 2000, seed=11)
     assert res.mean_par == res.mean_perp
     assert res.mean_diff == 0.0
     assert res.se_diff == 0.0
@@ -193,19 +204,19 @@ def test_paired_average_reference_run(state4):
     assert recovered == pytest.approx(INJECTED_COV, rel=0.1)
 
 
-def test_paired_average_deterministic_for_a_seed(state4):
+def test_paired_average_deterministic_for_a_seed(state8):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    first = paired_phase_average(noise, state4, 5000, seed=21)
-    assert paired_phase_average(noise, state4, 5000, seed=21) == first
-    other = paired_phase_average(noise, state4, 5000, seed=22)
+    first = paired_phase_average(noise, state8, 5000, seed=21)
+    assert paired_phase_average(noise, state8, 5000, seed=21) == first
+    other = paired_phase_average(noise, state8, 5000, seed=22)
     assert other[0].mean_par != first[0].mean_par
     assert other[0].mean_diff != first[0].mean_diff
 
 
-def test_paired_average_powers_share_draws(state4):
+def test_paired_average_powers_share_draws(state8):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    joint = paired_phase_average(noise, state4, 5000, seed=5, powers=(2, 4))
-    separate = tuple(paired_phase_average(noise, state4, 5000, seed=5,
+    joint = paired_phase_average(noise, state8, 5000, seed=5, powers=(2, 4))
+    separate = tuple(paired_phase_average(noise, state8, 5000, seed=5,
                                           powers=(p,))[0] for p in (2, 4))
     assert joint == separate
 
@@ -226,14 +237,13 @@ def test_trig_basis_matches_cos_and_sin():
         assert np.max(np.abs(basis[:, 2 * k] - np.sin(k * phi))) <= 1e-13
 
 
-def test_phase_table_reproduces_grid_nodes(state4):
-    state = four_mode_input(SqueezeParams(0.3), CoherentInput(0.5), FockCutoff(8))
+def test_phase_table_reproduces_grid_nodes(state8, state4):
     nodes = 2.0 * math.pi * np.arange(9) / 9
     grid = [g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij")]
     # Off the grid the table is exact only because the input holds
     # complete beam-splitter chains.
     off_grid = [np.array([0.2, -1.3, 2.9, 0.01]), np.array([0.35, 0.7, -2.2, 0.01])]
-    for st, phases in ((state, (grid, off_grid)), (state4, (off_grid,))):
+    for st, phases in ((state8, (grid, off_grid)), (state4, (off_grid,))):
         table = _PhaseFourierTable(st, (2, 4))
         for phi1, phi2 in phases:
             direct = np.array([_output_moments(st, a, b, (2, 4))
@@ -246,9 +256,9 @@ def test_phase_table_reproduces_grid_nodes(state4):
     assert tabulated[0][0] == pytest.approx(direct[0][0], rel=1e-12)
 
 
-def test_table_residual_receipt(state4):
+def test_table_residual_receipt(state8):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    quad, quartic = paired_phase_average(noise, state4, 1000, seed=1,
+    quad, quartic = paired_phase_average(noise, state8, 1000, seed=1,
                                          powers=(2, 4))
     for res in (quad, quartic):
         assert math.isfinite(res.table_residual) and res.table_residual > 0.0

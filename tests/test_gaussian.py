@@ -4,25 +4,21 @@ import math
 
 import pytest
 
-from holosim import (
-    DegreeTooHigh,
-    EnvironmentParams,
-    FockCutoff,
-    NegativeParameter,
-    ParameterOutOfRange,
-    SqueezeParams,
+from holosim.errors import DegreeTooHigh, NegativeParameter, ParameterOutOfRange
+from holosim.estimator import (
+    _DENOMINATOR_MONOMIALS,
+    difference_power_terms,
+    required_monomials,
+)
+from holosim.fock import FockCutoff, SqueezeParams, build_twb, expectation
+from holosim.gaussian import (
     TwoModeGaussianState,
     WignerMonomial,
-    build_twb,
-    difference_power_terms,
     evolve,
-    expectation,
     from_squeezing,
     glauber_moment,
     isserlis_moment,
-    required_monomials,
 )
-from holosim.estimator import _DENOMINATOR_MONOMIALS
 
 E4 = 54.598150033144236                  # exp(4)
 EM4 = 0.018315638888734182               # exp(-4)
@@ -68,14 +64,14 @@ def test_squeeze_strength_capped_below_overflow():
 
 def test_evolve_identity_at_zero_time():
     state = from_squeezing(SqueezeParams(1.3))
-    out = evolve(state, EnvironmentParams(0.7, 0.4), 0.0)
+    out = evolve(state, 0.4, 0.0)
     assert out.sigma_plus == pytest.approx(state.sigma_plus, rel=1e-15)
     assert out.sigma_minus == pytest.approx(state.sigma_minus, rel=1e-15)
 
 
 def test_evolve_asymptote():
     state = from_squeezing(SqueezeParams(1.5))
-    out = evolve(state, EnvironmentParams(1.0, 0.8), 1e4)
+    out = evolve(state, 0.8, 1e4)
     target = 0.5 * (0.8 + 0.5)
     assert out.sigma_plus == pytest.approx(target, rel=1e-12)
     assert out.sigma_minus == pytest.approx(target, rel=1e-12)
@@ -83,27 +79,25 @@ def test_evolve_asymptote():
 
 def test_evolve_reference_value():
     state = from_squeezing(SqueezeParams(2.0))
-    out = evolve(state, EnvironmentParams(1.0, 0.0), 1e-3)
+    out = evolve(state, 0.0, 1e-3)
     assert out.sigma_plus == pytest.approx(SIGMA_PLUS_REF, rel=1e-13)
     assert round(out.sigma_plus, 4) == 54.5438
 
 
 def test_evolve_semigroup():
-    env = EnvironmentParams(0.7, 0.3)
     state = from_squeezing(SqueezeParams(1.1))
-    one = evolve(evolve(state, env, 0.3), env, 1.1)
-    two = evolve(state, env, 1.4)
+    one = evolve(evolve(state, 0.3, 0.3), 0.3, 1.1)
+    two = evolve(state, 0.3, 1.4)
     assert abs(one.sigma_plus - two.sigma_plus) < 1e-12
     assert abs(one.sigma_minus - two.sigma_minus) < 1e-12
 
 
 def test_evolve_monotone_approach():
-    env = EnvironmentParams(1.0, 0.6)
     target = 0.5 * (0.6 + 0.5)
     state = from_squeezing(SqueezeParams(1.4))
     times = [0.02 * k for k in range(14)]
-    gaps_plus = [abs(evolve(state, env, t).sigma_plus - target) for t in times]
-    gaps_minus = [abs(evolve(state, env, t).sigma_minus - target) for t in times]
+    gaps_plus = [abs(evolve(state, 0.6, t).sigma_plus - target) for t in times]
+    gaps_minus = [abs(evolve(state, 0.6, t).sigma_minus - target) for t in times]
     assert all(b <= a for a, b in zip(gaps_plus, gaps_plus[1:]))
     assert all(b <= a for a, b in zip(gaps_minus, gaps_minus[1:]))
 
@@ -111,7 +105,7 @@ def test_evolve_monotone_approach():
 def test_evolve_rejects_negative_time():
     state = from_squeezing(SqueezeParams(1.0))
     with pytest.raises(NegativeParameter):
-        evolve(state, EnvironmentParams(1.0, 0.0), -0.1)
+        evolve(state, 0.0, -0.1)
 
 
 def test_state_rejects_non_positive_widths():
@@ -154,7 +148,7 @@ def test_isserlis_matches_occupation_oracle():
 
 
 def evolved(r, m_thermal, t):
-    return evolve(from_squeezing(SqueezeParams(r)), EnvironmentParams(1.0, m_thermal), t)
+    return evolve(from_squeezing(SqueezeParams(r)), m_thermal, t)
 
 
 @pytest.mark.parametrize("state", [
@@ -204,8 +198,7 @@ def test_glauber_matches_isserlis_squeezed():
 
 
 def test_glauber_matches_isserlis_evolved():
-    state = evolve(from_squeezing(SqueezeParams(0.8)),
-                   EnvironmentParams(1.0, 0.5), 0.1)
+    state = evolve(from_squeezing(SqueezeParams(0.8)), 0.5, 0.1)
     via_quad = difference_moment(state, 2, glauber_moment)
     via_wick = difference_moment(state, 2, isserlis_moment)
     assert via_quad == pytest.approx(via_wick, rel=1e-5)
@@ -213,7 +206,7 @@ def test_glauber_matches_isserlis_evolved():
 
 @pytest.mark.parametrize("state", [
     from_squeezing(SqueezeParams(2.0)),
-    evolve(from_squeezing(SqueezeParams(2.0)), EnvironmentParams(1.0, 2.0), 1e-3),
+    evolve(from_squeezing(SqueezeParams(2.0)), 2.0, 1e-3),
 ], ids=["pure", "evolved"])
 def test_glauber_matches_isserlis_on_required_monomials(state):
     for mono in required_monomials():
