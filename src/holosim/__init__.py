@@ -20,6 +20,5 @@ from .estimator import (
     uncertainty_modccr_fock,
 )
 from .fock import CoherentInput, FockCutoff, SqueezeParams
-from .modccr import DeformationParams
 
 __version__ = "0.1.0"

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    AmplitudeTooLarge,
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
@@ -28,6 +28,7 @@ from .errors import (
 from .fock import (
     DEFAULT_FOUR_MODE_CUTOFF,
     DEFAULT_FOUR_MODE_TAIL_TOL,
+    MAX_DIFFERENCE_POWER,
     CoherentInput,
     FockCutoff,
     MultiModeFockState,
@@ -38,21 +39,19 @@ from .fock import (
     expectation,
     number_difference_moment,
     tensor_product,
+    twb_tail,
 )
 from .gaussian import WignerMonomial, evolve, from_squeezing
-from .modccr import (
-    DEFAULT_ORACLE_CUTOFF,
-    DeformationParams,
-    deformed_variance_coefficient,
-)
+from .modccr import _check_epsilon, deformed_variance_coefficient
 
 DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
 MIN_SAMPLES = 1000
 ORACLE_MAX_EPSILON = 0.1
+DEFAULT_ORACLE_CUTOFF = 64
 PLANCK_MASS_GEV = 1.22e19  # PDG rounded value
 EV_PER_GEV = 1e9
-_TABLE_HARMONICS = 4  # number-difference moments are trig polynomials of this order
+_TABLE_HARMONICS = MAX_DIFFERENCE_POWER  # the table is exact only up to its order
 
 
 class Backend(str, Enum):
@@ -237,7 +236,21 @@ def uncertainty_modccr_analytic(r: float, epsilon: float) -> UncertaintyResult:
     return UncertaintyResult(ratio, Backend.ANALYTIC_MODCCR)
 
 
-def uncertainty_modccr_fock(params: DeformationParams,
+@lru_cache
+def _oracle_terms(r: float, cutoff: FockCutoff) -> tuple:
+    """(sqrt of the eps^2 variance coefficient, quadrature correlator) at r.
+
+    Both depend only on the squeeze strength and the cutoff, so a sweep
+    over epsilon builds the twin beam once per (r, cutoff).
+    """
+    twb = build_twb(SqueezeParams(r), cutoff)
+    denom = sum(
+        expectation(twb, (((0, da), (1, db)))).real
+        for da in (True, False) for db in (True, False))
+    return math.sqrt(deformed_variance_coefficient(r, cutoff)), denom
+
+
+def uncertainty_modccr_fock(r: float, epsilon: float,
                             cutoff: FockCutoff = FockCutoff(DEFAULT_ORACLE_CUTOFF),
                             ) -> UncertaintyResult:
     """Oracle evaluation of the deformed-sector ratio on the truncated basis.
@@ -253,23 +266,18 @@ def uncertainty_modccr_fock(params: DeformationParams,
     ``CutoffTooSmall`` where its tail above the cutoff exceeds 1e-10, and
     ``AmplitudeTooLarge`` for |epsilon| > 0.1.
     """
-    if abs(params.epsilon) > ORACLE_MAX_EPSILON:
-        raise AmplitudeTooLarge(
-            f"oracle evaluation requires |epsilon| <= {ORACLE_MAX_EPSILON}")
-    twb = build_twb(SqueezeParams(params.r), cutoff)
-    if params.epsilon == 0.0:
+    _check_epsilon(epsilon, ORACLE_MAX_EPSILON)
+    SqueezeParams(r)  # a negative r would pass the tail check
+    twb_tail(r, cutoff)
+    if epsilon == 0.0:
         return UncertaintyResult(0.0, Backend.FOCK_ORACLE)
-    if params.r == 0.0:
+    if r == 0.0:
         raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
-    leading = deformed_variance_coefficient(twb, params.r)
-    numerator = 2.0 * math.sqrt(leading) * abs(params.epsilon)
-    denom = sum(
-        expectation(twb, (((0, da), (1, db)))).real
-        for da in (True, False) for db in (True, False))
+    root, denom = _oracle_terms(r, cutoff)
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"quadrature correlator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
-    return UncertaintyResult(numerator / denom, Backend.FOCK_ORACLE)
+    return UncertaintyResult(2.0 * root * abs(epsilon) / denom, Backend.FOCK_ORACLE)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +287,11 @@ def uncertainty_modccr_fock(params: DeformationParams,
 def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
                     cutoff: FockCutoff = FockCutoff(DEFAULT_FOUR_MODE_CUTOFF),
                     ) -> MultiModeFockState:
-    """Input state TWB x |mu> x |mu> arranged as modes (a1, b1, a2, b2).
+    """Input state TWB x |mu> x |mu> on modes (a1, a2, b1, b2).
 
-    Each beam splitter conserves its interferometer's photon total
-    s = n_a + n_b, and the per-mode box keeps every chain with s > n_max
+    Interferometer i mixes signal mode a_i with its coherent port b_i, that
+    is modes (0, 2) and (1, 3), and each beam splitter conserves its photon
+    total s = n_a + n_b.  The per-mode box keeps every chain with s > n_max
     only in part.  The state is therefore projected onto s1, s2 <= n_max,
     where every chain is a complete spin-s/2 representation and the
     beam splitters act exactly; the projected-out weight is folded into
@@ -302,15 +311,14 @@ def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
     kept = float(np.dot(pair, ports * ports))
     amp /= math.sqrt(kept)
     tail = 1.0 - (1.0 - combined.discarded_tail) * kept
-    return MultiModeFockState(4, cutoff, np.transpose(amp, (0, 2, 1, 3)),
-                              discarded_tail=tail)
+    return MultiModeFockState(4, cutoff, amp, discarded_tail=tail)
 
 
 def _output_moments(state: MultiModeFockState, phi1: float, phi2: float,
                     powers: tuple) -> list:
     """<(N_c1 - N_c2)^p> for each power, by direct beam-splitter evaluation."""
-    out = apply_beam_splitter(state, 0, 1, phi1)
-    out = apply_beam_splitter(out, 2, 3, phi2)
+    out = apply_beam_splitter(state, 0, 2, phi1)
+    out = apply_beam_splitter(out, 1, 3, phi2)
     return [number_difference_moment(out, power) for power in powers]
 
 
@@ -355,9 +363,9 @@ class _PhaseFourierTable:
         grid = 2.0 * math.pi * np.arange(n) / n
         values = np.empty((len(powers), n, n))
         for j, p1 in enumerate(grid):
-            first = apply_beam_splitter(state, 0, 1, p1)
+            first = apply_beam_splitter(state, 0, 2, p1)
             for k, p2 in enumerate(grid):
-                out = apply_beam_splitter(first, 2, 3, p2)
+                out = apply_beam_splitter(first, 1, 3, p2)
                 for i, power in enumerate(powers):
                     values[i, j, k] = number_difference_moment(out, power)
         # FFT index order (0, 1, ..., 4, -4, ..., -1): e^{i h phi} = fold @ basis.

@@ -240,32 +240,21 @@ def expectation(state: MultiModeFockState, monomial) -> complex:
     return complex(np.vdot(state.amplitudes, ket))
 
 
-def _difference_modes(state: MultiModeFockState) -> tuple:
-    if state.mode_count == 2:
-        return (0, 1)
-    if state.mode_count == 4:
-        return (0, 2)
-    raise InvalidModeIndex(
-        "number-difference moments are defined for 2- and 4-mode states")
-
-
 def number_difference_moment(state: MultiModeFockState, power: int) -> float:
-    """<(N_i - N_j)^power> with (i, j) the two signal modes.
+    """<(N_0 - N_1)^power> on the first two modes of a state.
 
-    The pair is (0, 1) on two-mode states and (0, 2) on four-mode states
-    (signal modes interleaved with their coherent companions).  The number
-    operators are diagonal, so this is an exact weighted probability sum.
+    Multi-mode states keep tensor-product order, so modes 0 and 1 are the
+    twin-beam signal modes.  The number operators are diagonal, so this is
+    an exact weighted probability sum.
     """
     if not isinstance(power, (int, np.integer)) or not 1 <= power <= MAX_DIFFERENCE_POWER:
         raise DegreeTooHigh(
             f"difference power must be an integer in 1..{MAX_DIFFERENCE_POWER}")
-    i, j = _difference_modes(state)
+    if state.mode_count < 2:
+        raise InvalidModeIndex("number-difference moments need at least two modes")
     d = state.cutoff.dim
     n = np.arange(d, dtype=float)
-    shape_i = [1] * state.mode_count
-    shape_i[i] = d
-    shape_j = [1] * state.mode_count
-    shape_j[j] = d
-    weight = (n.reshape(shape_i) - n.reshape(shape_j)) ** power
+    weight = ((n[:, None] - n[None, :]) ** power).reshape(
+        (d, d) + (1,) * (state.mode_count - 2))
     prob = np.abs(state.amplitudes) ** 2
     return float(np.sum(weight * prob))

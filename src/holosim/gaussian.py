@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooHigh, NegativeParameter
-from .fock import SqueezeParams
+from .fock import MAX_MONOMIAL_DEGREE, SqueezeParams
 
-MAX_MOMENT_DEGREE = 8
+MAX_MOMENT_DEGREE = MAX_MONOMIAL_DEGREE  # every monomial stays checkable by fock.expectation
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ oracle uncertainty evaluation uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,64 +29,29 @@ from .fock import (
 )
 
 MAX_EPSILON = 0.2
-DEFAULT_ORACLE_CUTOFF = 64
 
 
-@dataclass(frozen=True)
-class DeformationParams:
-    """Deformation strength epsilon (|eps| <= 0.2) and squeeze strength r."""
-
-    epsilon: float
-    r: float
-
-    def __post_init__(self):
-        if not abs(self.epsilon) <= MAX_EPSILON:
-            raise AmplitudeTooLarge(
-                f"|epsilon| must be <= {MAX_EPSILON}, got {self.epsilon!r}")
-        if not self.r >= 0.0:
-            raise NegativeParameter(f"squeeze strength must be >= 0, got {self.r!r}")
+def _check_epsilon(epsilon: float, cap: float = MAX_EPSILON) -> None:
+    """The one guard on a deformation strength; rejects NaN as well."""
+    if not abs(epsilon) <= cap:
+        raise AmplitudeTooLarge(f"|epsilon| must be <= {cap}, got {epsilon!r}")
 
 
-@dataclass(frozen=True)
-class AuxiliaryModeMap:
+def auxiliary_mode_map(epsilon: float) -> np.ndarray:
     """Coefficients of (a1, a2) over the operator basis (A1, A2, A1', A2').
 
     Rows are the deformed modes; the defining map is
     a1 = sqrt(1+eps) A1 + eta (A2 - A2') and
     a2 = sqrt(1+eps) A2 + eta (A1 + A1'), with eta = eps / (2 sqrt(1+eps)).
     """
-
-    matrix: np.ndarray
-    epsilon: float
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "AuxiliaryModeMap":
-        if abs(epsilon) > MAX_EPSILON:
-            raise AmplitudeTooLarge(
-                f"|epsilon| must be <= {MAX_EPSILON}, got {epsilon!r}")
-        root = math.sqrt(1.0 + epsilon)
-        eta = epsilon / (2.0 * root)
-        mat = np.array([
-            #  A1    A2    A1'   A2'
-            [root,  eta,  0.0, -eta],   # a1
-            [eta,  root,  eta,  0.0],   # a2
-        ])
-        return cls(matrix=mat, epsilon=epsilon)
-
-
-@dataclass(frozen=True)
-class CommutatorCheckReport:
-    """Max deviations of ([a1,a2], [a1,a2'], [ai,ai']) from (eps, eps, 1+eps)."""
-
-    epsilon: float
-    n_max: int
-    dev_a1_a2: float
-    dev_a1_a2_dagger: float
-    dev_same_mode: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.dev_a1_a2, self.dev_a1_a2_dagger, self.dev_same_mode)
+    _check_epsilon(epsilon)
+    root = math.sqrt(1.0 + epsilon)
+    eta = epsilon / (2.0 * root)
+    return np.array([
+        #  A1    A2    A1'   A2'
+        [root,  eta,  0.0, -eta],   # a1
+        [eta,  root,  eta,  0.0],   # a2
+    ])
 
 
 def _single_mode_ladder(dim: int) -> np.ndarray:
@@ -98,25 +61,25 @@ def _single_mode_ladder(dim: int) -> np.ndarray:
     return a
 
 
-def deformed_commutator_check(mode_map: AuxiliaryModeMap,
-                              cutoff: FockCutoff) -> CommutatorCheckReport:
-    """Evaluate the three deformed commutators as truncated-space matrices.
+def deformed_commutator_check(epsilon: float, cutoff: FockCutoff) -> float:
+    """Max deviation of ([a1,a2], [a1,a2'], [ai,ai']) from (eps, eps, 1+eps).
 
-    The expected values (eps, eps, 1+eps) hold exactly away from the
-    truncation edge; deviations are reported on the guarded subspace with
-    both occupations <= n_max - 2, where quadratic products close.
+    The commutators are evaluated as truncated-space matrices.  The
+    expected values hold exactly away from the truncation edge, so the
+    deviation is taken on the guarded subspace with both occupations
+    <= n_max - 2, where quadratic products close.
     """
     if cutoff.n_max < 4:
         raise CutoffTooSmall(
             "commutator check needs n_max >= 4 to guard the truncation edge")
+    mode_map = auxiliary_mode_map(epsilon)
     d = cutoff.dim
     a = _single_mode_ladder(d)
     eye = np.eye(d)
     basis = [np.kron(a, eye), np.kron(eye, a),
              np.kron(a.T, eye), np.kron(eye, a.T)]
-    a1 = sum(c * op for c, op in zip(mode_map.matrix[0], basis))
-    a2 = sum(c * op for c, op in zip(mode_map.matrix[1], basis))
-    eps = mode_map.epsilon
+    a1 = sum(c * op for c, op in zip(mode_map[0], basis))
+    a2 = sum(c * op for c, op in zip(mode_map[1], basis))
     eye2 = np.eye(d * d)
 
     occ = np.arange(d)
@@ -127,13 +90,10 @@ def deformed_commutator_check(mode_map: AuxiliaryModeMap,
         block = (mat - expected * eye2)[np.ix_(keep, keep)]
         return float(np.max(np.abs(block)))
 
-    dev12 = guarded_dev(a1 @ a2 - a2 @ a1, eps)
-    dev12d = guarded_dev(a1 @ a2.T - a2.T @ a1, eps)
-    dev_same = max(guarded_dev(a1 @ a1.T - a1.T @ a1, 1.0 + eps),
-                   guarded_dev(a2 @ a2.T - a2.T @ a2, 1.0 + eps))
-    return CommutatorCheckReport(epsilon=eps, n_max=cutoff.n_max,
-                                 dev_a1_a2=dev12, dev_a1_a2_dagger=dev12d,
-                                 dev_same_mode=dev_same)
+    return max(guarded_dev(a1 @ a2 - a2 @ a1, epsilon),
+               guarded_dev(a1 @ a2.T - a2.T @ a1, epsilon),
+               guarded_dev(a1 @ a1.T - a1.T @ a1, 1.0 + epsilon),
+               guarded_dev(a2 @ a2.T - a2.T @ a2, 1.0 + epsilon))
 
 
 def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
@@ -203,37 +163,29 @@ def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> MultiModeFockSt
     return MultiModeFockState(2, cutoff, out.reshape(d, d))
 
 
-@lru_cache(maxsize=4)
-def _correction_amplitudes(r: float, dim: int) -> np.ndarray:
-    vac = np.zeros((dim, dim), dtype=complex)
+def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
+    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>."""
+    d = cutoff.dim
+    vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
     seed = 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
-    out = (r * apply_exponential("squeeze", dim, r, seed.ravel())).reshape(dim, dim)
-    out.setflags(write=False)
-    return out
+    out = r * apply_exponential("squeeze", d, r, seed.ravel())
+    return MultiModeFockState(2, cutoff, out.reshape(d, d))
 
 
-def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
-    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>.
-
-    The oracle asks for the same vector many times per squeeze strength, so
-    the amplitudes are cached per (r, cutoff) and returned read-only.
-    """
-    return MultiModeFockState(2, cutoff, _correction_amplitudes(r, cutoff.dim))
-
-
-def build_twb_prime(params: DeformationParams, cutoff: FockCutoff,
+def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
                     tail_tol: float = 1e-10) -> MultiModeFockState:
     """Twin-beam state carrying the first-order deformation correction.
 
     Returns the renormalized |TWB> + eps * r * e^{rA}((X'^2)/2 - 1)|0>;
     renormalization shifts moments only at second order in epsilon.
     """
-    twb = build_twb(SqueezeParams(params.r), cutoff, tail_tol=tail_tol)
-    if params.epsilon == 0.0 or params.r == 0.0:
+    _check_epsilon(epsilon)
+    twb = build_twb(SqueezeParams(r), cutoff, tail_tol=tail_tol)
+    if epsilon == 0.0 or r == 0.0:
         return twb
-    corr = closed_form_correction(params.r, cutoff)
-    amp = twb.amplitudes + params.epsilon * corr.amplitudes
+    corr = closed_form_correction(r, cutoff)
+    amp = twb.amplitudes + epsilon * corr.amplitudes
     amp = amp / np.linalg.norm(amp.ravel())
     return MultiModeFockState(2, cutoff, amp, discarded_tail=twb.discarded_tail)
 
@@ -258,18 +210,22 @@ def deformed_number_difference_action(epsilon: float, cutoff: FockCutoff):
     return act
 
 
-def deformed_variance_coefficient(twb: MultiModeFockState, r: float) -> float:
+def deformed_variance_coefficient(r: float, cutoff: FockCutoff) -> float:
     """Exact eps^2 coefficient of Var(a1'a1 - a2'a2) on the corrected twin beam.
 
-    ``twb`` is the twin beam of squeeze strength r.  It is an eigenstate of
+    The twin beam |TWB> of squeeze strength r is an eigenstate of
     D0 = N1 - N2 with eigenvalue 0, so the deformed observable
-    (1+eps)D0 - eps(A1A2 + A1'A2') acting on |TWB> + eps*c (c the closed-form
-    correction) gives eps*v + O(eps^2) with v = D0 c - (A1A2 + A1'A2')|TWB>;
+    (1+eps)D0 - eps P with P = A1A2 + A1'A2', acting on |TWB> + eps*c (c the
+    closed-form correction), gives eps*v + O(eps^2) with v = D0 c - P|TWB>;
     the renormalization and the overlap of c with |TWB> drop out.  Then
-    <O^4> = eps^2 |D0 v|^2 + O(eps^3) while <O^2>^2 = O(eps^4).
+    <O^4> = eps^2 |D0 v|^2 + O(eps^3) while <O^2>^2 = O(eps^4).  P keeps the
+    twin beam on the diagonal n1 = n2, where D0 vanishes, so D0 v = D0^2 c.
+
+    The coefficient is exactly 16 r^2 at every cutoff: D0 commutes with the
+    squeeze generator, the truncated e^{rA} is exactly unitary on each
+    n1 - n2 chain, and the seed's n1 - n2 = +-2 part (|2,0> + |0,2>)/sqrt(2)
+    has norm 1.
     """
-    occ_diff = _occupation_difference(twb.cutoff.dim)
-    psi = twb.amplitudes
-    v = (occ_diff * closed_form_correction(r, twb.cutoff).amplitudes
-         - _pair_ladder(psi, False) - _pair_ladder(psi, True))
-    return float(np.linalg.norm(occ_diff * v) ** 2)
+    occ_diff = _occupation_difference(cutoff.dim)
+    corr = closed_form_correction(r, cutoff).amplitudes
+    return float(np.linalg.norm(occ_diff * (occ_diff * corr)) ** 2)

@@ -13,7 +13,6 @@ import pytest
 
 from holosim import (
     CoherentInput,
-    DeformationParams,
     FockCutoff,
     PhaseNoiseModel,
     SqueezeParams,
@@ -39,7 +38,6 @@ from holosim.gaussian import (
     isserlis_moment,
 )
 from holosim.modccr import (
-    AuxiliaryModeMap,
     closed_form_correction,
     deformed_commutator_check,
     duhamel_first_order,
@@ -124,8 +122,7 @@ def test_acceptance_5_modccr_backends_and_shape():
         for r in (0.4, 0.8, 1.2):
             for eps in (0.02, 0.05, 0.1):
                 analytic = uncertainty_modccr_analytic(r, eps).ratio
-                oracle = uncertainty_modccr_fock(DeformationParams(eps, r),
-                                                 cutoff).ratio
+                oracle = uncertainty_modccr_fock(r, eps, cutoff).ratio
                 assert abs(oracle - analytic) / analytic <= 1e-8
             double = uncertainty_modccr_analytic(r, 0.04).ratio
             single = uncertainty_modccr_analytic(r, 0.02).ratio
@@ -158,9 +155,7 @@ def test_acceptance_7_deformed_sector_consistency():
     with criterion(7, "deformed commutators close and the response integral "
                       "collapses", 60.0):
         for eps in (0.01, 0.1):
-            report = deformed_commutator_check(AuxiliaryModeMap.from_epsilon(eps),
-                                               FockCutoff(20))
-            assert report.max_deviation <= 1e-10
+            assert deformed_commutator_check(eps, FockCutoff(20)) <= 1e-10
         for r, n_max in ((0.4, 48), (0.8, 80), (1.2, 160)):
             cut = FockCutoff(n_max)
             integral = duhamel_first_order(

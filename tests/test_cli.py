@@ -280,6 +280,16 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config file" in err
 
 
+def test_validate_checks_out_path_before_running(tmp_path, monkeypatch, capsys):
+    def reached(config):
+        raise AssertionError("the checks ran before the --out path was tried")
+
+    monkeypatch.setattr(cli, "run_validate", reached)
+    out = tmp_path / "missing" / "v.txt"
+    assert cli.main(["validate", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
 def test_import_loads_neither_scipy_nor_thread_pools():
     src = os.path.dirname(os.path.dirname(holosim.__file__))
     probe = ("import sys, holosim.cli; print([m for m in "

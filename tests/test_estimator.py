@@ -7,7 +7,6 @@ import pytest
 
 from holosim import (
     CoherentInput,
-    DeformationParams,
     FockCutoff,
     HolosimError,
     PhaseNoiseModel,
@@ -102,8 +101,8 @@ def heisenberg_delta_n_squared(state, phi1, phi2):
             (c * s, ((comp, True), (sig, False))),
         ]
 
-    terms = ([(w, ops) for w, ops in port_terms(0, 1, phi1)]
-             + [(-w, ops) for w, ops in port_terms(2, 3, phi2)])
+    terms = ([(w, ops) for w, ops in port_terms(0, 2, phi1)]
+             + [(-w, ops) for w, ops in port_terms(1, 3, phi2)])
     total = 0.0
     for w1, ops1 in terms:
         for w2, ops2 in terms:
@@ -160,7 +159,7 @@ def test_mixed_derivative_reference(state4):
 
 def test_mixed_derivative_interferometer_swap(state4):
     swapped = MultiModeFockState(
-        4, state4.cutoff, np.transpose(state4.amplitudes, (2, 3, 0, 1)))
+        4, state4.cutoff, np.transpose(state4.amplitudes, (1, 0, 3, 2)))
     assert mixed_derivative(state4) == pytest.approx(
         mixed_derivative(swapped), rel=1e-12)
 
@@ -336,14 +335,18 @@ def test_modccr_analytic_values():
 
 
 def test_modccr_oracle_agrees_with_analytic():
-    res = uncertainty_modccr_fock(DeformationParams(0.05, 0.8), FockCutoff(48))
+    res = uncertainty_modccr_fock(0.8, 0.05, FockCutoff(48))
     assert res.backend is Backend.FOCK_ORACLE
     assert res.ratio == pytest.approx(MODCCR_R08, rel=1e-12)
 
 
 def test_modccr_oracle_guards():
     with pytest.raises(CutoffTooSmall):
-        uncertainty_modccr_fock(DeformationParams(0.05, 1.3))
-    with pytest.raises(AmplitudeTooLarge):
-        uncertainty_modccr_fock(DeformationParams(0.15, 1.0))
-    assert uncertainty_modccr_fock(DeformationParams(0.0, 0.8)).ratio == 0.0
+        uncertainty_modccr_fock(1.3, 0.05)
+    for eps in (0.15, math.nan):
+        with pytest.raises(AmplitudeTooLarge):
+            uncertainty_modccr_fock(1.0, eps)
+    # A negative r would pass the twin-beam tail check.
+    with pytest.raises(NegativeParameter):
+        uncertainty_modccr_fock(-0.5, 0.05)
+    assert uncertainty_modccr_fock(0.8, 0.0).ratio == 0.0

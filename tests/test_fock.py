@@ -175,6 +175,11 @@ def test_number_difference_on_basis_states():
         basis_state((1, 0), FockCutoff(4)), 2) == pytest.approx(1.0, abs=1e-12)
     assert number_difference_moment(
         basis_state((2, 0), FockCutoff(4)), 2) == pytest.approx(4.0, abs=1e-12)
+    # Four-mode states keep tensor-product order: the pair is modes 0 and 1.
+    assert number_difference_moment(
+        basis_state((3, 1, 0, 2), FockCutoff(4)), 2) == pytest.approx(4.0, abs=1e-12)
+    with pytest.raises(InvalidModeIndex):
+        number_difference_moment(basis_state((1,), FockCutoff(4)), 2)
 
 
 def test_tensor_product_preserves_marginals():

@@ -9,8 +9,7 @@ from holosim._propagators import apply_exponential
 from holosim.errors import AmplitudeTooLarge, CutoffTooSmall, NegativeParameter
 from holosim.fock import FockCutoff, SqueezeParams, _apply_ladder, build_twb
 from holosim.modccr import (
-    AuxiliaryModeMap,
-    DeformationParams,
+    auxiliary_mode_map,
     build_twb_prime,
     closed_form_correction,
     deformed_commutator_check,
@@ -30,41 +29,33 @@ def flat_basis(n1, n2, dim):
 
 def test_mode_map_coefficients():
     eps = 0.1
-    mm = AuxiliaryModeMap.from_epsilon(eps)
     root = math.sqrt(1.1)
     eta = eps / (2.0 * root)
     expected = np.array([[root, eta, 0.0, -eta],
                          [eta, root, eta, 0.0]])
-    assert np.allclose(mm.matrix, expected, atol=1e-15)
-    assert mm.epsilon == eps
+    assert np.allclose(auxiliary_mode_map(eps), expected, atol=1e-15)
 
 
 def test_mode_map_strength_guard():
-    with pytest.raises(AmplitudeTooLarge):
-        AuxiliaryModeMap.from_epsilon(0.3)
+    for eps in (0.3, -0.3, math.nan):
+        with pytest.raises(AmplitudeTooLarge):
+            auxiliary_mode_map(eps)
+        with pytest.raises(AmplitudeTooLarge):
+            deformed_commutator_check(eps, FockCutoff(20))
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.1])
 def test_deformed_commutators(eps):
-    report = deformed_commutator_check(AuxiliaryModeMap.from_epsilon(eps),
-                                       FockCutoff(20))
-    assert report.epsilon == eps
-    assert report.dev_a1_a2 < 1e-10
-    assert report.dev_a1_a2_dagger < 1e-10
-    assert report.dev_same_mode < 1e-10
-    assert report.max_deviation < 1e-10
+    assert deformed_commutator_check(eps, FockCutoff(20)) < 1e-10
 
 
 def test_commutators_undeformed_limit():
-    report = deformed_commutator_check(AuxiliaryModeMap.from_epsilon(0.0),
-                                       FockCutoff(10))
-    assert report.max_deviation < 1e-12
+    assert deformed_commutator_check(0.0, FockCutoff(10)) < 1e-12
 
 
 def test_commutator_check_needs_guard_room():
     with pytest.raises(CutoffTooSmall):
-        deformed_commutator_check(AuxiliaryModeMap.from_epsilon(0.1),
-                                  FockCutoff(3))
+        deformed_commutator_check(0.1, FockCutoff(3))
 
 
 def test_squeeze_generator_on_basis_states():
@@ -105,14 +96,6 @@ def test_duhamel_matches_closed_form():
     duh = duhamel_first_order(0.4, perturbation_generator_action(0.4, cut), cut)
     closed = closed_form_correction(0.4, cut)
     assert np.max(np.abs(duh.amplitudes - closed.amplitudes)) < 1e-8
-
-
-def test_closed_form_correction_is_cached_read_only():
-    cut = FockCutoff(24)
-    first = closed_form_correction(0.7, cut).amplitudes
-    second = closed_form_correction(0.7, cut).amplitudes
-    assert np.array_equal(first, second)
-    assert not first.flags.writeable and not second.flags.writeable
 
 
 def test_duhamel_reduces_to_strength_derivative():
@@ -175,9 +158,9 @@ def test_pair_mode_conjugation_identity():
 def test_twb_prime_degenerate_limits():
     cut = FockCutoff(20)
     plain = build_twb(SqueezeParams(0.5), cut)
-    no_deform = build_twb_prime(DeformationParams(0.0, 0.5), cut)
+    no_deform = build_twb_prime(0.5, 0.0, cut)
     assert np.array_equal(no_deform.amplitudes, plain.amplitudes)
-    no_squeeze = build_twb_prime(DeformationParams(0.1, 0.0), cut)
+    no_squeeze = build_twb_prime(0.0, 0.1, cut)
     assert no_squeeze.amplitudes[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -185,7 +168,7 @@ def test_twb_prime_overlap_and_norm():
     eps = 0.05
     cut = FockCutoff(30)
     twb = build_twb(SqueezeParams(0.8), cut, tail_tol=1e-6)
-    prime = build_twb_prime(DeformationParams(eps, 0.8), cut, tail_tol=1e-6)
+    prime = build_twb_prime(0.8, eps, cut, tail_tol=1e-6)
     assert np.linalg.norm(prime.amplitudes) == pytest.approx(1.0, abs=1e-12)
     deviation = 1.0 - abs(np.vdot(twb.amplitudes, prime.amplitudes)) ** 2
     assert 0.0 < deviation < 4.0 * eps * eps
@@ -196,11 +179,11 @@ def test_twb_prime_correction_scales_linearly():
     # removing the linear part grows like eps*(eps - 0.02).
     cut = FockCutoff(30)
     base = build_twb(SqueezeParams(0.8), cut, tail_tol=1e-6).amplitudes
-    slope = (build_twb_prime(DeformationParams(0.02, 0.8), cut,
-                             tail_tol=1e-6).amplitudes - base) / 0.02
+    slope = (build_twb_prime(0.8, 0.02, cut, tail_tol=1e-6).amplitudes
+             - base) / 0.02
     residual = {}
     for eps in (0.04, 0.08):
-        prime = build_twb_prime(DeformationParams(eps, 0.8), cut, tail_tol=1e-6)
+        prime = build_twb_prime(0.8, eps, cut, tail_tol=1e-6)
         residual[eps] = float(np.linalg.norm(
             prime.amplitudes - base - eps * slope))
     assert 3.0 < residual[0.08] / residual[0.04] < 9.0
@@ -221,7 +204,7 @@ def test_deformed_difference_first_order_structure():
                  + _apply_ladder(_apply_ladder(amp, 1, True), 0, True))
     residuals = {}
     for eps in (1e-4, 2e-4):
-        prime = build_twb_prime(DeformationParams(eps, r), cut)
+        prime = build_twb_prime(r, eps, cut)
         moved = deformed_number_difference_action(eps, cut)(prime.amplitudes)
         first_order = eps * (math.sqrt(2.0) * r * rotated - pair_part)
         residuals[eps] = float(np.linalg.norm(moved - first_order))
@@ -235,10 +218,10 @@ def test_variance_coefficient_matches_finite_epsilon():
     # coefficient with an eps^2 remainder, so the gap shrinks 4x per halving.
     r = 0.8
     cut = FockCutoff(64)
-    exact = deformed_variance_coefficient(build_twb(SqueezeParams(r), cut), r)
+    exact = deformed_variance_coefficient(r, cut)
 
     def variance(eps):
-        state = build_twb_prime(DeformationParams(eps, r), cut)
+        state = build_twb_prime(r, eps, cut)
         observable = deformed_number_difference_action(eps, cut)
         once = observable(state.amplitudes)
         twice = observable(once)
@@ -251,8 +234,17 @@ def test_variance_coefficient_matches_finite_epsilon():
         assert 3.5 < coarse / fine < 4.5
 
 
-def test_deformation_params_guards():
-    with pytest.raises(AmplitudeTooLarge):
-        DeformationParams(0.25, 0.5)
+def test_variance_coefficient_is_16_r_squared():
+    # Exact at every cutoff, for the reasons deformed_variance_coefficient gives.
+    for r, n_max in ((0.1, 16), (0.6, 32), (1.0, 48)):
+        coefficient = deformed_variance_coefficient(r, FockCutoff(n_max))
+        assert coefficient == pytest.approx(16.0 * r * r, rel=1e-14)
+
+
+def test_twb_prime_guards():
+    cut = FockCutoff(20)
+    for eps in (0.25, math.nan):
+        with pytest.raises(AmplitudeTooLarge):
+            build_twb_prime(0.5, eps, cut)
     with pytest.raises(NegativeParameter):
-        DeformationParams(0.1, -0.5)
+        build_twb_prime(-0.5, 0.1, cut)
