@@ -78,6 +78,34 @@ def get_chains(kind, dim):
     return _CHAIN_CACHE[key]
 
 
+def _complete_spectra(dim):
+    """Padded stacks (W, w) of the beam-splitter chains s = 0..dim-1.
+
+    These are the chains the per-mode box holds completely.  Block s acts
+    on |k, s-k>, k = 0..s, with eigenvectors W[s] = D V and eigenvalues
+    w[s]; rows and columns past s are the identity with eigenvalue 0.
+    """
+    key = ("beam_splitter_blocks", dim)
+    if key not in _CHAIN_CACHE:
+        vecs = np.tile(np.eye(dim, dtype=complex), (dim, 1, 1))
+        eigs = np.zeros((dim, dim))
+        for s, ch in enumerate(get_chains("beam_splitter", dim)[:dim]):
+            vecs[s, :s + 1, :s + 1] = ch.phases[:, None] * ch.vecs
+            eigs[s, :s + 1] = ch.eigs
+        _CHAIN_CACHE[key] = vecs, eigs
+    return _CHAIN_CACHE[key]
+
+
+def beam_splitter_blocks(dim, theta):
+    """exp(theta * K) on the complete chains s = 0..dim-1, shape (dim, dim, dim).
+
+    Block s maps the amplitudes x[s, k] of |k, s-k> to ``blocks[s] @ x[s]``
+    and is the identity past k = s, so every block is exactly unitary.
+    """
+    vecs, eigs = _complete_spectra(dim)
+    return (vecs * np.exp(-1j * theta * eigs)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+
 def apply_exponential(kind, dim, theta, flat):
     """Return exp(theta * generator) @ flat for a two-mode flat vector.
 

@@ -371,7 +371,16 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
     meta["discarded_tail"] = state.discarded_tail
     meta["table_residual_p2"] = quad.table_residual
     meta["table_residual_p4"] = quartic.table_residual
+    meta["e_par_exact"] = quad.exact_par
+    meta["e_perp_exact"] = quad.exact_perp
+    meta["z_par"] = _z_score(quad.mean_par, quad.exact_par, quad.se_par)
+    meta["z_perp"] = _z_score(quad.mean_perp, quad.exact_perp, quad.se_perp)
     return SweepResult(meta, columns, [row])
+
+
+def _z_score(estimate: float, exact: float, se: float) -> float:
+    """(estimate - exact) / se; NaN without noise, where se is 0."""
+    return (estimate - exact) / se if se > 0.0 else math.nan
 
 
 # ---------------------------------------------------------------------------

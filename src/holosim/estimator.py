@@ -19,8 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._propagators import beam_splitter_blocks
 from .errors import (
+    CutoffTooSmall,
     DegenerateDenominator,
+    InvalidModeIndex,
     NegativeParameter,
     ParameterOutOfRange,
     ZeroAmplitude,
@@ -33,6 +36,7 @@ from .fock import (
     FockCutoff,
     MultiModeFockState,
     SqueezeParams,
+    _check_difference_power,
     apply_beam_splitter,
     build_coherent,
     build_twb,
@@ -52,6 +56,8 @@ DEFAULT_ORACLE_CUTOFF = 64
 PLANCK_MASS_GEV = 1.22e19  # PDG rounded value
 EV_PER_GEV = 1e9
 _TABLE_HARMONICS = MAX_DIFFERENCE_POWER  # the table is exact only up to its order
+_BASIS_SIZE = 2 * _TABLE_HARMONICS + 1
+_LAYOUT_TOL = 1e-12  # input weight the total-photon layout may leave out
 
 
 class Backend(str, Enum):
@@ -322,13 +328,14 @@ def _output_moments(state: MultiModeFockState, phi1: float, phi2: float,
     return [number_difference_moment(out, power) for power in powers]
 
 
-def _trig_basis(phi: np.ndarray) -> np.ndarray:
+def _trig_basis(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), one per phase.
 
     Only cos phi and sin phi are evaluated; the higher harmonics follow by
-    angle addition.
+    angle addition.  ``out``, of shape (9, len(phi)), receives the basis
+    transposed; the result is its transpose.
     """
-    basis = np.empty((2 * _TABLE_HARMONICS + 1, np.size(phi)))
+    basis = np.empty((_BASIS_SIZE, np.size(phi))) if out is None else out
     basis[0] = 1.0
     cos1, sin1 = basis[1], basis[2]
     np.cos(phi, out=cos1)
@@ -348,26 +355,53 @@ class _PhaseFourierTable:
     degree one per interferometer phase, so <(N_c1 - N_c2)^p> is a trig
     polynomial of harmonic order p in each phase.  That holds exactly on
     states made of complete beam-splitter chains, as ``four_mode_input``
-    builds them.  The moments are sampled on a (2*4+1)^2 phase grid and
-    interpolated by their 2-D FFT, every power from the same rotated
-    states.  Each power's coefficients are folded once into a real matrix
-    R over the basis (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), so a
-    Monte-Carlo evaluation is a small real contraction instead of a pair
-    of beam-splitter applications, and the mixed derivative
-    d^2/dphi1 dphi2 at (0, 0) is ``slope @ R @ slope`` with the basis
-    slopes k on the sin(k phi) rows.
+    builds them; weight outside s1, s2 <= n_max raises ``CutoffTooSmall``.
+    The moments are sampled on a (2*4+1)^2 phase grid and interpolated by
+    their 2-D FFT, every power from the same rotated states.  The state is
+    held in each interferometer's total-photon labels (s, k = n_a), as
+    x[s1, k1, (s2, k2)], so a beam splitter is one batched matmul of the
+    complete-chain blocks ``beam_splitter_blocks``: the grid takes 9
+    rotations of interferometer 1 and 81 of interferometer 2.  Each
+    power's coefficients are folded once into a real matrix R over the
+    basis (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), so a Monte-Carlo
+    evaluation is a small real contraction instead of a pair of
+    beam-splitter applications, and the mixed derivative d^2/dphi1 dphi2
+    at (0, 0) is ``slope @ R @ slope`` with the basis slopes k on the
+    sin(k phi) rows.
     """
 
     def __init__(self, state: MultiModeFockState, powers: tuple):
-        n = 2 * _TABLE_HARMONICS + 1
+        for power in powers:
+            _check_difference_power(power)
+        if state.mode_count != 4:
+            raise InvalidModeIndex(
+                f"the phase table needs a four-mode input, got {state.mode_count} modes")
+        d = state.cutoff.dim
+        # Label (s, k) is |n_a = k, n_b = s - k> of one interferometer, s <= n_max.
+        s, k = np.tril_indices(d)
+        amp = state.amplitudes
+        pairs = amp[k[:, None], k, (s - k)[:, None], s - k]  # [c1, c2]
+        lost = float(np.vdot(amp, amp).real - np.vdot(pairs, pairs).real)
+        if lost > _LAYOUT_TOL:
+            raise CutoffTooSmall(
+                f"weight {lost:.3e} lies outside s1, s2 <= n_max={state.cutoff.n_max}, "
+                "where the table is not exact; build the input with four_mode_input")
+        n = _BASIS_SIZE
         grid = 2.0 * math.pi * np.arange(n) / n
+        blocks = [beam_splitter_blocks(d, phi) for phi in grid]
+        # weights[i][k2, c1] = (k1 - k2)^p with k1 the n_a1 of label c1.
+        weights = [(k - np.arange(d)[:, None]).astype(float) ** p for p in powers]
+        state1 = np.zeros((d, d, k.size), dtype=complex)
+        state1[s, k] = pairs  # x[s1, k1, c2]
+        state2 = np.zeros_like(state1)
         values = np.empty((len(powers), n, n))
-        for j, p1 in enumerate(grid):
-            first = apply_beam_splitter(state, 0, 2, p1)
-            for k, p2 in enumerate(grid):
-                out = apply_beam_splitter(first, 1, 3, p2)
-                for i, power in enumerate(powers):
-                    values[i, j, k] = number_difference_moment(out, power)
+        for j, first in enumerate(blocks):
+            state2[s, k] = (first @ state1)[s, k].T  # x[s2, k2, c1]
+            for jj, second in enumerate(blocks):
+                out = second @ state2
+                prob = (out.real ** 2 + out.imag ** 2).sum(axis=0)
+                for i, weight in enumerate(weights):
+                    values[i, j, jj] = np.vdot(weight, prob)
         # FFT index order (0, 1, ..., 4, -4, ..., -1): e^{i h phi} = fold @ basis.
         fold = np.zeros((n, n), dtype=complex)
         fold[0, 0] = 1.0
@@ -411,6 +445,27 @@ class PairedAverages:
     samples: int
     table_residual: float
     mixed_derivative: float
+    exact_par: float
+    exact_perp: float
+
+
+def noise_average(coeffs: np.ndarray, covariance: np.ndarray) -> float:
+    """E[b(phi1)^T R b(phi2)] in closed form for phases ~ N((0, 0), covariance).
+
+    ``coeffs`` is a table's R.  With g(k, l) = E[e^{i(k phi1 + l phi2)}]
+    = exp(-(k, l) covariance (k, l)^T / 2), the basis products average to
+    (g(k, -l) + g(k, l))/2 for cos k phi1 cos l phi2, (g(k, -l) - g(k, l))/2
+    for sin k phi1 sin l phi2, and 0 for a cos-sin product, which is odd.
+    """
+    h = np.repeat(np.arange(_TABLE_HARMONICS + 1), 2)[1:]  # harmonic of each row
+    sin_row = (np.arange(_BASIS_SIZE) % 2 == 0) & (h > 0)
+    k, l = h[:, None], h[None, :]
+    square = covariance[0, 0] * k * k + covariance[1, 1] * l * l
+    cross = 2.0 * covariance[0, 1] * k * l
+    g_plus, g_minus = np.exp(-0.5 * (square + cross)), np.exp(-0.5 * (square - cross))
+    sign = np.where(sin_row, -1.0, 1.0)[:, None]
+    moments = np.where(sin_row[:, None] == sin_row, (g_minus + sign * g_plus) / 2.0, 0.0)
+    return float(np.sum(coeffs * moments))
 
 
 def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
@@ -431,35 +486,55 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     relative deviation |table - direct| / |direct| of the interpolation
     table from direct beam-splitter evaluation at the off-grid point
     (sigma1, sigma2), NaN where the direct moment vanishes; and
-    ``mixed_derivative``, the table's exact d^2/dphi1 dphi2 at (0, 0).
+    ``mixed_derivative``, the table's exact d^2/dphi1 dphi2 at (0, 0); and
+    ``exact_par``/``exact_perp``, the table's noise averages in closed form
+    (``noise_average``), which the Monte-Carlo means estimate.
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
     perp = PhaseNoiseModel(noise.sigma1, noise.sigma2)
     scales = (noise.scale_matrix(), perp.scale_matrix())
     table = _PhaseFourierTable(state, powers)
+    # The direct receipt goes first: its box-sized temporaries are freed
+    # before the chunk buffers are allocated, which lowers the peak RSS.
+    phi1, phi2 = noise.sigma1, noise.sigma2
+    direct = _output_moments(state, phi1, phi2, powers)
     # Per power: running sums for the parallel, orthogonal and difference series.
     sums = np.zeros((len(powers), 3))
     sq_sums = np.zeros((len(powers), 3))
+    # Row 0 of both scale matrices is (sigma1, 0): phi1 is shared.
+    rows = (scales[0][0], scales[0][1], scales[1][1])
+    z = None
     for seq, size in _chunk_seeds(samples, seed):
-        z = np.random.default_rng(seq).standard_normal((size, 2))
-        vals_par, vals_perp = (table.evaluate(phi[:, 0], phi[:, 1])
-                               for phi in (z @ scale.T for scale in scales))
-        for i, (a, b) in enumerate(zip(vals_par, vals_perp)):
-            for k, vals in enumerate((a, b, a - b)):
-                sums[i, k] += float(vals.sum())
-                sq_sums[i, k] += float((vals * vals).sum())
-    phi1, phi2 = noise.sigma1, noise.sigma2
-    direct = _output_moments(state, phi1, phi2, powers)
+        if z is None or len(z) != size:
+            # Chunk buffers, filled in place: fresh arrays this size would
+            # each be mapped and unmapped per chunk.
+            z, phi = np.empty((size, 2)), np.empty(size)
+            bases = np.empty((len(rows), _BASIS_SIZE, size))
+            left = np.empty((size, _BASIS_SIZE))
+            vals = np.empty((3, size))  # parallel, orthogonal, difference
+        np.random.default_rng(seq).standard_normal(out=z)
+        b1, *b2s = (_trig_basis(np.matmul(z, row, out=phi), out=basis)
+                    for row, basis in zip(rows, bases))
+        for i, r in enumerate(table.coeffs):
+            np.matmul(b1, r, out=left)
+            for b2, v in zip(b2s, vals):
+                np.einsum("sb,sb->s", left, b2, out=v)
+            np.subtract(vals[0], vals[1], out=vals[2])
+            for k, v in enumerate(vals):
+                sums[i, k] += float(v.sum())
+                sq_sums[i, k] += float(v @ v)
     tabulated = table.evaluate(np.array([phi1]), np.array([phi2]))
+    covariances = [scale @ scale.T for scale in scales]
     results = []
-    for total, total_sq, exact, approx, derivative in zip(
-            sums, sq_sums, direct, tabulated, table.mixed_derivatives):
+    for total, total_sq, exact, approx, derivative, r in zip(
+            sums, sq_sums, direct, tabulated, table.mixed_derivatives, table.coeffs):
         stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
         residual = (abs(float(approx[0]) - exact) / abs(exact)
                     if exact != 0.0 else math.nan)
+        averages = [noise_average(r, cov) for cov in covariances]
         results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples,
-                                      residual, derivative))
+                                      residual, derivative, *averages))
     return tuple(results)
 
 

@@ -240,6 +240,12 @@ def expectation(state: MultiModeFockState, monomial) -> complex:
     return complex(np.vdot(state.amplitudes, ket))
 
 
+def _check_difference_power(power) -> None:
+    if not isinstance(power, (int, np.integer)) or not 1 <= power <= MAX_DIFFERENCE_POWER:
+        raise DegreeTooHigh(
+            f"difference power must be an integer in 1..{MAX_DIFFERENCE_POWER}")
+
+
 def number_difference_moment(state: MultiModeFockState, power: int) -> float:
     """<(N_0 - N_1)^power> on the first two modes of a state.
 
@@ -247,9 +253,7 @@ def number_difference_moment(state: MultiModeFockState, power: int) -> float:
     twin-beam signal modes.  The number operators are diagonal, so this is
     an exact weighted probability sum.
     """
-    if not isinstance(power, (int, np.integer)) or not 1 <= power <= MAX_DIFFERENCE_POWER:
-        raise DegreeTooHigh(
-            f"difference power must be an integer in 1..{MAX_DIFFERENCE_POWER}")
+    _check_difference_power(power)
     if state.mode_count < 2:
         raise InvalidModeIndex("number-difference moments need at least two modes")
     d = state.cutoff.dim

@@ -208,6 +208,29 @@ def test_phase_mc_single_row(tmp_path):
     assert 0.0 < float(receipts["discarded_tail"]) < 1e-6
 
 
+def test_phase_mc_closed_form_receipts(tmp_path):
+    cfg = write_config(tmp_path, """\
+        [phase-mc]
+        r = 0.3
+        mu = 0.5
+        samples = 2000
+        cutoff = 8
+        """)
+    out = tmp_path / "mc.csv"
+    assert cli.main(["phase-mc", "--config", cfg, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    receipts = dict(line[2:].split("=", 1) for line in text.splitlines()
+                    if line.startswith(("# e_p", "# z_p")))
+    assert sorted(receipts) == ["e_par_exact", "e_perp_exact", "z_par", "z_perp"]
+    header, row = data_lines(text)[:2]
+    named = dict(zip(header.split(","), row.split(",")))
+    for config in ("par", "perp"):
+        z = (float(named[f"e_{config}"]) - float(receipts[f"e_{config}_exact"])
+             ) / float(named[f"se_{config}"])
+        assert float(receipts[f"z_{config}"]) == pytest.approx(z, rel=1e-9)
+        assert abs(z) <= 4.0
+
+
 def test_stdout_mode_and_seed_override(tmp_path, capsys):
     cfg = write_config(tmp_path, """\
         [sweep-env-coupling]

@@ -18,10 +18,12 @@ from holosim import (
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
 )
+from holosim import estimator
 from holosim.errors import (
     AmplitudeTooLarge,
     CutoffTooSmall,
     DegenerateDenominator,
+    DegreeTooHigh,
     NegativeParameter,
     ParameterOutOfRange,
     ZeroAmplitude,
@@ -33,9 +35,17 @@ from holosim.estimator import (
     _trig_basis,
     classical_uncertainty,
     correlation_estimate,
+    noise_average,
     required_monomials,
 )
-from holosim.fock import MultiModeFockState, expectation
+from holosim.fock import (
+    DEFAULT_FOUR_MODE_TAIL_TOL,
+    MultiModeFockState,
+    build_coherent,
+    build_twb,
+    expectation,
+    tensor_product,
+)
 from holosim.gaussian import WignerMonomial
 
 # Independently derived anchors (hyperbolic closed forms and high-precision
@@ -264,6 +274,62 @@ def test_table_residual_receipt(state8):
     vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
     (res,) = paired_phase_average(noise, vac, 1000, seed=1)
     assert math.isnan(res.table_residual)
+
+
+def test_phase_table_rejects_an_unprojected_box_state():
+    # The per-mode box keeps chains with s = n_a + n_b > n_max in part.
+    cutoff = FockCutoff(16)
+    twb = build_twb(SqueezeParams(0.6), cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
+    port = build_coherent(CoherentInput(0.8), cutoff)
+    box = tensor_product(twb, port, port)
+    with pytest.raises(CutoffTooSmall, match=r"weight \d\.\d+e-\d+ lies outside"):
+        _PhaseFourierTable(box, (2,))
+
+
+def test_power_guard_precedes_any_work(state8, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("apply_beam_splitter", "beam_splitter_blocks", "_chunk_seeds"):
+        monkeypatch.setattr(estimator, name, counted(name, getattr(estimator, name)))
+    noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
+    with pytest.raises(DegreeTooHigh):
+        paired_phase_average(noise, state8, 1000, seed=1, powers=(5,))
+    assert calls == []
+    # The counters see the work of a valid power.
+    paired_phase_average(noise, state8, 1000, seed=1, powers=(4,))
+    assert set(calls) == {"apply_beam_splitter", "beam_splitter_blocks", "_chunk_seeds"}
+
+
+@pytest.mark.parametrize("noise, cancel", [
+    (PhaseNoiseModel(0.3, 0.5, rho=0.6), 0.0),
+    (PhaseNoiseModel(0.4, 0.2, rho=-0.8), 0.0),
+    # At the phase-mc widths the average is ~1e-5 of sum |R|, so both
+    # routes round at that scale.
+    (PhaseNoiseModel(0.01, 0.01, rho=0.5), 1e-12),
+], ids=["correlated", "anticorrelated", "narrow"])
+def test_noise_average_matches_gauss_hermite(state8, noise, cancel):
+    nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+    z1, z2 = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    w = np.outer(weights, weights).ravel() / (2.0 * math.pi)
+    scale = noise.scale_matrix()
+    phi1, phi2 = scale @ np.array([z1, z2])
+    table = _PhaseFourierTable(state8, (2, 4))
+    for coeffs, values in zip(table.coeffs, table.evaluate(phi1, phi2)):
+        assert noise_average(coeffs, scale @ scale.T) == pytest.approx(
+            float(w @ values), rel=1e-12, abs=cancel * np.abs(coeffs).sum())
+
+
+def test_noise_average_z_scores_at_reference_run(state4):
+    noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
+    for res in paired_phase_average(noise, state4, 100_000, seed=7, powers=(2, 4)):
+        assert abs(res.mean_par - res.exact_par) <= 4.0 * res.se_par
+        assert abs(res.mean_perp - res.exact_perp) <= 4.0 * res.se_perp
 
 
 def test_correlation_estimate_floor():
