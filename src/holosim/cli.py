@@ -240,20 +240,22 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> RunConfig:
 
 @dataclass
 class SweepResult:
-    """Rows plus full metadata echo; renders to CSV and a gnuplot script."""
+    """Named columns plus full metadata echo; renders to CSV and a gnuplot script."""
 
     metadata: dict
-    columns: tuple
-    rows: list
+    columns: dict  # name -> sequence or numpy array, one entry per row
     gnuplot: str = None
 
     def to_csv(self) -> str:
         lines = [f"# {key}={value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(
-                repr(v) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        # tolist() turns a numpy column into Python numbers, whose str is
+        # their shortest repr; a numpy scalar's repr reads "np.float64(...)".
+        cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c)
+                 for c in self.columns.values())
+        lines.extend(map(",".join, zip(*cells)))
+        lines.append("")
+        return "\n".join(lines)
 
 
 def _metadata(config: RunConfig, backend_note: str) -> dict:
@@ -269,82 +271,97 @@ def _metadata(config: RunConfig, backend_note: str) -> dict:
 # Sweep runners.
 # ---------------------------------------------------------------------------
 
+def _thermal_sweep(grid, m_values, r, lambda_tau) -> tuple:
+    """(grid column, M column, full and approx results) of a thermal sweep.
+
+    The swept argument is passed as ``grid[:, None]``, so rows run over the
+    grid, then M, and each ratio is one call over all rows.
+    """
+    m = np.array(m_values)
+    full = uncertainty_env_full(r, m, lambda_tau)
+    approx = uncertainty_env_approx(r, m, lambda_tau)
+    return np.repeat(grid, m.size), np.tile(m, grid.size), full, approx
+
+
+def _backends(*results) -> list:
+    """One constant backend column per result."""
+    return [[res.backend.value] * res.ratio.size for res in results]
+
+
 def run_sweep_env_coupling(config: RunConfig) -> SweepResult:
-    points = [(lt, m) for lt in config.lambda_tau_grid.values
-              for m in config.m_values]
-
-    def evaluate(point):
-        lt, m = point
-        full = uncertainty_env_full(config.r, m, lt)
-        approx = uncertainty_env_approx(config.r, m, lt)
-        quotient = full.ratio / approx.ratio if approx.ratio > 0.0 else float("nan")
-        return (lt, m, full.ratio, approx.ratio, quotient,
-                full.backend.value, approx.backend.value)
-
-    rows = [evaluate(p) for p in points]
-    columns = ("lambda_tau", "M", "ratio_full", "ratio_approx",
-               "full_over_approx", "backend_full", "backend_approx")
-    gnuplot = _series_plot_script(csv_basename(config), columns,
+    grid = np.array(config.lambda_tau_grid.values)
+    lt, m, full, approx = _thermal_sweep(grid, config.m_values, config.r, grid[:, None])
+    ratio_full, ratio_approx = full.ratio.ravel(), approx.ratio.ravel()
+    quotient = np.divide(ratio_full, ratio_approx, where=ratio_approx > 0.0,
+                         out=np.full_like(ratio_full, math.nan))
+    names = ("lambda_tau", "M", "ratio_full", "ratio_approx",
+             "full_over_approx", "backend_full", "backend_approx")
+    columns = dict(zip(names, (lt, m, ratio_full, ratio_approx, quotient,
+                               *_backends(full, approx))))
+    gnuplot = _series_plot_script(csv_basename(config), names,
                                   config.m_values, logx=True)
     return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"),
-                       columns, rows, gnuplot)
+                       columns, gnuplot)
 
 
 def run_sweep_env_squeezing(config: RunConfig) -> SweepResult:
-    points = [(r, m) for r in config.r_grid.values for m in config.m_values]
-
-    def evaluate(point):
-        r, m = point
-        full = uncertainty_env_full(r, m, config.lambda_tau)
-        approx = uncertainty_env_approx(r, m, config.lambda_tau)
-        return (r, m, full.ratio, approx.ratio,
-                full.backend.value, approx.backend.value)
-
-    raw = [evaluate(p) for p in points]
-    # Monotone-decrease diagnostic along the r grid (asserted for r >= 0.5).
-    previous = {}
-    rows = []
-    for r, m, full, approx, bf, ba in raw:
-        flag = 1
-        if r >= 0.5 and m in previous and not full < previous[m]:
-            flag = 0
-        previous[m] = full
-        rows.append((r, m, full, approx, flag, bf, ba))
-    columns = ("r", "M", "ratio_full", "ratio_approx",
-               "monotone_decreasing", "backend_full", "backend_approx")
-    gnuplot = _series_plot_script(csv_basename(config), columns,
+    grid = np.array(config.r_grid.values)
+    r, m, full, approx = _thermal_sweep(grid, config.m_values, grid[:, None],
+                                        config.lambda_tau)
+    ratio_full = full.ratio.ravel()
+    flags = _monotone_decreasing(r, config.m_values, ratio_full)
+    names = ("r", "M", "ratio_full", "ratio_approx",
+             "monotone_decreasing", "backend_full", "backend_approx")
+    columns = dict(zip(names, (r, m, ratio_full, approx.ratio.ravel(), flags,
+                               *_backends(full, approx))))
+    gnuplot = _series_plot_script(csv_basename(config), names,
                                   config.m_values, logx=False)
     return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"),
-                       columns, rows, gnuplot)
+                       columns, gnuplot)
+
+
+def _monotone_decreasing(r: np.ndarray, m_values: tuple,
+                         ratio: np.ndarray) -> np.ndarray:
+    """Monotone-decrease diagnostic along the r grid (asserted for r >= 0.5).
+
+    A row's flag is 0 when r >= 0.5 and its ratio is not below that of the
+    previous row with an equal M.  Rows run over r, then M, so that row
+    lies 1 to len(m_values) rows back, at the same offset in every block.
+    """
+    k = len(m_values)
+    back = [next(d for d in range(1, k + 1) if m_values[(b - d) % k] == m)
+            for b, m in enumerate(m_values)]
+    previous = np.arange(ratio.size) - np.tile(back, ratio.size // k)
+    rises = ~(ratio < ratio[np.maximum(previous, 0)])
+    return np.where((r >= 0.5) & (previous >= 0) & rises, 0, 1)
 
 
 def run_sweep_modccr(config: RunConfig) -> SweepResult:
     cutoff = FockCutoff(config.cutoff)
-    points = [(r, eps) for r in config.r_grid.values
-              for eps in config.epsilon_values]
+    grid, epsilon = np.array(config.r_grid.values), np.array(config.epsilon_values)
+    analytic = uncertainty_modccr_analytic(grid[:, None], epsilon)
+    points = zip(np.repeat(grid, epsilon.size).tolist(),
+                 np.tile(epsilon, grid.size).tolist(), analytic.ratio.ravel().tolist())
 
     def evaluate(point):
-        r, eps = point
-        analytic = uncertainty_modccr_analytic(r, eps)
+        r, eps, ratio = point
         try:
             oracle = uncertainty_modccr_fock(r, eps, cutoff)
         except (CutoffTooSmall, AmplitudeTooLarge):
             fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
         else:
             fock_val = oracle.ratio
-            rel_dev = (abs(fock_val - analytic.ratio) / analytic.ratio
-                       if analytic.ratio > 0.0 else float("nan"))
+            rel_dev = (abs(fock_val - ratio) / ratio if ratio > 0.0 else float("nan"))
             fock_backend = oracle.backend.value
-        return (r, eps, analytic.ratio, fock_val, rel_dev,
-                analytic.backend.value, fock_backend)
+        return (r, eps, ratio, fock_val, rel_dev, analytic.backend.value, fock_backend)
 
-    rows = [evaluate(p) for p in points]
-    columns = ("r", "epsilon", "ratio_analytic", "ratio_fock",
-               "relative_deviation", "backend_analytic", "backend_fock")
-    gnuplot = _series_plot_script(csv_basename(config), columns,
+    names = ("r", "epsilon", "ratio_analytic", "ratio_fock",
+             "relative_deviation", "backend_analytic", "backend_fock")
+    columns = dict(zip(names, zip(*map(evaluate, points))))
+    gnuplot = _series_plot_script(csv_basename(config), names,
                                   config.epsilon_values, logx=False)
     return SweepResult(_metadata(config, "analytic_modccr+fock_oracle"),
-                       columns, rows, gnuplot)
+                       columns, gnuplot)
 
 
 def run_phase_mc(config: RunConfig) -> SweepResult:
@@ -361,9 +378,9 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
     variance_par = max(quartic.mean_par - quad.mean_par ** 2, 0.0)
     delta_e = math.sqrt(2.0 * variance_par) / abs(denom)
     delta_e_cl = classical_uncertainty(config.mu)
-    columns = ("samples", "e_par", "se_par", "e_perp", "se_perp",
-               "denominator", "covariance_recovered", "covariance_se",
-               "covariance_injected", "delta_e", "delta_e_cl", "ratio")
+    names = ("samples", "e_par", "se_par", "e_perp", "se_perp",
+             "denominator", "covariance_recovered", "covariance_se",
+             "covariance_injected", "delta_e", "delta_e_cl", "ratio")
     row = (config.samples, quad.mean_par, quad.se_par, quad.mean_perp,
            quad.se_perp, denom, covariance, covariance_se, injected,
            delta_e, delta_e_cl, delta_e / delta_e_cl)
@@ -373,14 +390,17 @@ def run_phase_mc(config: RunConfig) -> SweepResult:
     meta["table_residual_p4"] = quartic.table_residual
     meta["e_par_exact"] = quad.exact_par
     meta["e_perp_exact"] = quad.exact_perp
-    meta["z_par"] = _z_score(quad.mean_par, quad.exact_par, quad.se_par)
-    meta["z_perp"] = _z_score(quad.mean_perp, quad.exact_perp, quad.se_perp)
-    return SweepResult(meta, columns, [row])
+    level = quad.rounding_level
+    meta["z_par"] = _z_score(quad.mean_par, quad.exact_par, quad.se_par, level)
+    meta["z_perp"] = _z_score(quad.mean_perp, quad.exact_perp, quad.se_perp, level)
+    return SweepResult(meta, {name: [value] for name, value in zip(names, row)})
 
 
-def _z_score(estimate: float, exact: float, se: float) -> float:
-    """(estimate - exact) / se; NaN without noise, where se is 0."""
-    return (estimate - exact) / se if se > 0.0 else math.nan
+def _z_score(estimate: float, exact: float, se: float, rounding_level: float) -> float:
+    """(estimate - exact) / se; NaN where se is 0, or where the two agree
+    to the table's rounding, which a z-score would only amplify."""
+    gap = estimate - exact
+    return gap / se if se > 0.0 and abs(gap) > rounding_level else math.nan
 
 
 # ---------------------------------------------------------------------------

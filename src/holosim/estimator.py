@@ -32,6 +32,7 @@ from .fock import (
     DEFAULT_FOUR_MODE_CUTOFF,
     DEFAULT_FOUR_MODE_TAIL_TOL,
     MAX_DIFFERENCE_POWER,
+    MAX_SQUEEZE_R,
     CoherentInput,
     FockCutoff,
     MultiModeFockState,
@@ -45,7 +46,7 @@ from .fock import (
     tensor_product,
     twb_tail,
 )
-from .gaussian import WignerMonomial, evolve, from_squeezing
+from .gaussian import WignerMonomial, relax_width
 from .modccr import _check_epsilon, deformed_variance_coefficient
 
 DENOM_FLOOR = 1e-8
@@ -58,6 +59,9 @@ EV_PER_GEV = 1e9
 _TABLE_HARMONICS = MAX_DIFFERENCE_POWER  # the table is exact only up to its order
 _BASIS_SIZE = 2 * _TABLE_HARMONICS + 1
 _LAYOUT_TOL = 1e-12  # input weight the total-photon layout may leave out
+# The table's rounding relative to sum |R|, which bounds the moment: its
+# distance from direct evaluation stays below this on random inputs.
+_ROUNDING_TOL = 1e-12
 
 
 class Backend(str, Enum):
@@ -71,12 +75,13 @@ class Backend(str, Enum):
 class UncertaintyResult:
     """Normalized uncertainty ratio and the backend that computed it."""
 
-    ratio: float
+    ratio: float | np.ndarray  # an array for array input
     backend: Backend
 
     def __post_init__(self):
-        if not self.ratio >= 0.0:
-            raise NegativeParameter(f"ratio must be >= 0, got {self.ratio!r}")
+        bad = _offending(np.asarray(self.ratio) >= 0.0, self.ratio)
+        if bad:
+            raise NegativeParameter(f"ratio must be >= 0, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -165,33 +170,62 @@ def classical_uncertainty(mu: complex) -> float:
     return math.sqrt(2.0) / photons
 
 
-def _ratio_squeeze(r: float) -> SqueezeParams:
-    """Validated squeeze strength of a closed-form ratio with denominator sinh(2r)."""
-    if r == 0.0:
+def _offending(ok: np.ndarray, *values) -> tuple | None:
+    """The first elements of ``values`` (broadcast to ``ok``) where ``ok`` fails."""
+    if ok.all():
+        return None
+    first = np.flatnonzero(~ok)[0]
+    return tuple(np.broadcast_to(v, ok.shape).flat[first].item() for v in values)
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from math per element: numpy's exp, cosh and sinh differ from
+    math's in the last bit, and the ratios must not depend on the route."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _ratio_squeeze(r) -> np.ndarray:
+    """Squeeze strengths of a closed-form ratio with denominator sinh(2r), as
+    an array, validated like ``SqueezeParams`` before any exponential."""
+    r = np.asarray(r, dtype=float)
+    bad = _offending((r > 0.0) & (r <= MAX_SQUEEZE_R), r)
+    if bad and bad[0] == 0.0:
         raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
-    return SqueezeParams(r)
+    if bad:
+        SqueezeParams(*bad)  # raises the typed error that names the value
+    return r
 
 
-def _check_thermal(m_thermal: float, lambda_tau: float) -> None:
-    if not (m_thermal >= 0.0 and lambda_tau >= 0.0):
+def _check_thermal(m_thermal, lambda_tau) -> tuple:
+    """(M, lambda*tau) as arrays, both non-negative."""
+    m, lt = np.asarray(m_thermal, dtype=float), np.asarray(lambda_tau, dtype=float)
+    bad = _offending((m >= 0.0) & (lt >= 0.0), m, lt)
+    if bad:
         raise NegativeParameter(
-            f"M and lambda*tau must be non-negative, "
-            f"got ({m_thermal!r}, {lambda_tau!r})")
+            f"M and lambda*tau must be non-negative, got ({bad[0]!r}, {bad[1]!r})")
+    return m, lt
 
 
-def uncertainty_env_approx(r: float, m_thermal: float,
-                           lambda_tau: float) -> UncertaintyResult:
-    """Lowest-order ratio 8 sqrt(lt) sqrt((2M+1)cosh(2r) - 1) / sinh(2r)."""
-    _ratio_squeeze(r)
-    _check_thermal(m_thermal, lambda_tau)
-    ratio = (8.0 * math.sqrt(lambda_tau)
-             * math.sqrt((2.0 * m_thermal + 1.0) * math.cosh(2.0 * r) - 1.0)
-             / math.sinh(2.0 * r))
-    return UncertaintyResult(ratio, Backend.GAUSSIAN_APPROX)
+def _result(ratio: np.ndarray, backend: Backend) -> UncertaintyResult:
+    return UncertaintyResult(float(ratio) if ratio.ndim == 0 else ratio, backend)
 
 
-def uncertainty_env_full(r: float, m_thermal: float,
-                         lambda_tau: float) -> UncertaintyResult:
+def uncertainty_env_approx(r, m_thermal, lambda_tau) -> UncertaintyResult:
+    """Lowest-order ratio 8 sqrt(lt) sqrt((2M+1)cosh(2r) - 1) / sinh(2r).
+
+    Takes scalars or broadcastable arrays; ``ratio`` has their broadcast
+    shape, and is a float for scalar input.
+    """
+    two_r = 2.0 * _ratio_squeeze(r)
+    m, lt = _check_thermal(m_thermal, lambda_tau)
+    with np.errstate(all="ignore"):  # float semantics: overflow gives inf
+        ratio = (8.0 * np.sqrt(lt)
+                 * np.sqrt((2.0 * m + 1.0) * _each(math.cosh, two_r) - 1.0)
+                 / _each(math.sinh, two_r))
+    return _result(ratio, Backend.GAUSSIAN_APPROX)
+
+
+def uncertainty_env_full(r, m_thermal, lambda_tau) -> UncertaintyResult:
     """Uncertainty ratio from the evolved analytic state.
 
     Numerator: the variance <DN^4> - <DN^2>^2 vanishes on the pure state
@@ -203,26 +237,31 @@ def uncertainty_env_full(r: float, m_thermal: float,
     <(a1' + a1)(a2' + a2)> = 2 <a1 a2> read off the evolved widths.
     Coherent ports affect only the classical normalization and are taken
     at zeroth order, so their amplitude does not enter the ratio.
+
+    Takes scalars or broadcastable arrays like ``uncertainty_env_approx``;
+    the ratio is 0 where lambda*tau is 0.
     """
-    squeeze = _ratio_squeeze(r)
-    _check_thermal(m_thermal, lambda_tau)
-    if lambda_tau == 0.0:
-        return UncertaintyResult(0.0, Backend.GAUSSIAN_FULL)
-    initial = from_squeezing(squeeze)
-    evolved = evolve(initial, m_thermal, lambda_tau)
-    denom = 2.0 * evolved.pair_correlation()
-    if abs(denom) <= DENOM_FLOOR:
-        raise DegenerateDenominator(
-            f"quadrature correlator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
-    sp, sm = initial.sigma_plus, initial.sigma_minus
-    heat = 2.0 * m_thermal + 1.0
-    # d(S+ S-)/dt at t=0 for the width relaxation toward the variance-scale
-    # asymptote, in lambda*t units with the numerator's rate normalization.
-    q_rate = 16.0 * ((heat - sp) * sm + sp * (heat - sm))
-    # The variance is (q - 1)(5q - 3)/4 for every aspect ratio: slope 1/2 at q = 1.
-    variance_lin = 0.5 * q_rate * lambda_tau
-    ratio = 2.0 * math.sqrt(max(variance_lin, 0.0)) / denom
-    return UncertaintyResult(ratio, Backend.GAUSSIAN_FULL)
+    two_r = 2.0 * _ratio_squeeze(r)
+    m, lt = _check_thermal(m_thermal, lambda_tau)
+    # The pure twin beam's widths (from_squeezing), and their decay (evolve).
+    sp, sm = _each(math.exp, two_r), _each(math.exp, -two_r)
+    decay = _each(math.exp, -lt)
+    with np.errstate(all="ignore"):  # float semantics: overflow gives inf
+        denom = 2.0 * ((relax_width(sp, m, decay) - relax_width(sm, m, decay)) / 4.0)
+        bad = _offending(~(np.abs(denom) <= DENOM_FLOOR) | (lt == 0.0), denom)
+        if bad:
+            raise DegenerateDenominator(
+                f"quadrature correlator {bad[0]:.3e} below floor {DENOM_FLOOR:.0e}")
+        heat = 2.0 * m + 1.0
+        # d(S+ S-)/dt at t=0 for the width relaxation toward the variance-scale
+        # asymptote, in lambda*t units with the numerator's rate normalization.
+        q_rate = 16.0 * ((heat - sp) * sm + sp * (heat - sm))
+        # The variance is (q - 1)(5q - 3)/4 for every aspect ratio: slope 1/2 at q = 1.
+        variance_lin = 0.5 * q_rate * lt
+        # max(v, 0.0), which keeps -0.0 where np.maximum would not.
+        ratio = 2.0 * np.sqrt(np.where(variance_lin < 0.0, 0.0, variance_lin)) / denom
+        ratio = np.where(lt == 0.0, 0.0, ratio)
+    return _result(ratio, Backend.GAUSSIAN_FULL)
 
 
 def planck_coupling_estimate(omega_gamma_ev: float) -> float:
@@ -233,13 +272,18 @@ def planck_coupling_estimate(omega_gamma_ev: float) -> float:
     return (omega_gamma_ev / EV_PER_GEV) / PLANCK_MASS_GEV
 
 
-def uncertainty_modccr_analytic(r: float, epsilon: float) -> UncertaintyResult:
-    """First-order deformed-algebra ratio 8 r |eps| / sinh(2r)."""
-    _ratio_squeeze(r)
-    if not math.isfinite(epsilon):
-        raise ParameterOutOfRange(f"epsilon must be finite, got {epsilon!r}")
-    ratio = 8.0 * r * abs(epsilon) / math.sinh(2.0 * r)
-    return UncertaintyResult(ratio, Backend.ANALYTIC_MODCCR)
+def uncertainty_modccr_analytic(r, epsilon) -> UncertaintyResult:
+    """First-order deformed-algebra ratio 8 r |eps| / sinh(2r).
+
+    Takes scalars or broadcastable arrays like ``uncertainty_env_approx``.
+    """
+    r = _ratio_squeeze(r)
+    eps = np.asarray(epsilon, dtype=float)
+    bad = _offending(np.isfinite(eps), eps)
+    if bad:
+        raise ParameterOutOfRange(f"epsilon must be finite, got {bad[0]!r}")
+    ratio = 8.0 * r * np.abs(eps) / _each(math.sinh, 2.0 * r)
+    return _result(ratio, Backend.ANALYTIC_MODCCR)
 
 
 @lru_cache
@@ -447,6 +491,7 @@ class PairedAverages:
     mixed_derivative: float
     exact_par: float
     exact_perp: float
+    rounding_level: float
 
 
 def noise_average(coeffs: np.ndarray, covariance: np.ndarray) -> float:
@@ -482,13 +527,15 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     the difference directly.  Draws come in fixed chunks from spawned
     seed sequences and are accumulated in chunk order, so the result is
     deterministic for a given seed.  Returns one ``PairedAverages`` per
-    entry of ``powers``, in order.  Each carries ``table_residual``, the
+    entry of ``powers``, in order.  Each carries ``rounding_level``, the
+    table's rounding scale 1e-12 sum |R|; ``table_residual``, the
     relative deviation |table - direct| / |direct| of the interpolation
     table from direct beam-splitter evaluation at the off-grid point
-    (sigma1, sigma2), NaN where the direct moment vanishes; and
-    ``mixed_derivative``, the table's exact d^2/dphi1 dphi2 at (0, 0); and
-    ``exact_par``/``exact_perp``, the table's noise averages in closed form
-    (``noise_average``), which the Monte-Carlo means estimate.
+    (sigma1, sigma2), NaN where the direct moment is within the rounding
+    level of 0; ``mixed_derivative``, the table's exact d^2/dphi1 dphi2
+    at (0, 0); and ``exact_par``/``exact_perp``, the table's noise
+    averages in closed form (``noise_average``), which the Monte-Carlo
+    means estimate.
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
@@ -530,11 +577,12 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     for total, total_sq, exact, approx, derivative, r in zip(
             sums, sq_sums, direct, tabulated, table.mixed_derivatives, table.coeffs):
         stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
+        level = _ROUNDING_TOL * float(np.abs(r).sum())
         residual = (abs(float(approx[0]) - exact) / abs(exact)
-                    if exact != 0.0 else math.nan)
+                    if abs(exact) > level else math.nan)
         averages = [noise_average(r, cov) for cov in covariances]
         results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples,
-                                      residual, derivative, *averages))
+                                      residual, derivative, *averages, level))
     return tuple(results)
 
 

@@ -126,9 +126,13 @@ def evolve(state: TwoModeGaussianState, m_thermal: float,
         raise NegativeParameter(
             f"evolution time must be non-negative, got {lambda_t!r}")
     decay = math.exp(-lambda_t)
-    asym = asymptotic_width(m_thermal) * (1.0 - decay)
-    return TwoModeGaussianState(asym + state.sigma_plus * decay,
-                                asym + state.sigma_minus * decay)
+    return TwoModeGaussianState(relax_width(state.sigma_plus, m_thermal, decay),
+                                relax_width(state.sigma_minus, m_thermal, decay))
+
+
+def relax_width(width, m_thermal, decay):
+    """One width after the channel, given decay = e^{-lambda t}; elementwise on arrays."""
+    return asymptotic_width(m_thermal) * (1.0 - decay) + width * decay
 
 
 def _pair_kernel(state: TwoModeGaussianState):

@@ -83,6 +83,7 @@ def test_env_coupling_sweep_csv_and_plot_script(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     text = out.read_text(encoding="utf-8")
+    assert "np." not in text
     assert "# tool=holosim" in text
     assert "# version=0.1.0" in text
     assert "# mode=sweep-env-coupling" in text
@@ -126,7 +127,9 @@ def test_modccr_sweep_marks_unsupported_oracle_points(tmp_path):
             """)
         out = tmp_path / "modccr.csv"
         assert cli.main(["sweep-modccr", "--config", cfg, "--out", str(out)]) == 0
-        lines = data_lines(out.read_text(encoding="utf-8"))
+        text = out.read_text(encoding="utf-8")
+        assert "np." not in text
+        lines = data_lines(text)
         assert lines[0] == ("r,epsilon,ratio_analytic,ratio_fock,"
                            "relative_deviation,backend_analytic,backend_fock")
         return {(float(c[0]), float(c[1])): c
@@ -163,12 +166,38 @@ def test_squeezing_sweep_monotone_diagnostic(tmp_path):
         """)
     out = tmp_path / "squeezing.csv"
     assert cli.main(["sweep-env-squeezing", "--config", cfg, "--out", str(out)]) == 0
-    lines = data_lines(out.read_text(encoding="utf-8"))
+    text = out.read_text(encoding="utf-8")
+    assert "np." not in text
+    lines = data_lines(text)
     assert lines[0] == ("r,M,ratio_full,ratio_approx,"
                        "monotone_decreasing,backend_full,backend_approx")
     rows = [line.split(",") for line in lines[1:] if line]
     assert len(rows) == 10
     assert all(row[4] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("r_grid,m_values", [
+    ("1.0, 0.6, 2.0, 0.4, 0.7, 1.5", "0.0, 1.0"),
+    ("0.5, 1.0, 0.8", "0.5, 0.5"),
+    ("0.9, 0.6, 1.2", "0.0, 0.5, 0.0"),
+], ids=["unsorted-grid", "repeated-m", "repeated-m-apart"])
+def test_squeezing_monotone_flags_follow_the_row_rule(tmp_path, r_grid, m_values):
+    cfg = write_config(tmp_path, f"""\
+        [sweep-env-squeezing]
+        m_values = {m_values}
+        r_grid = {r_grid}
+        """)
+    out = tmp_path / "squeezing.csv"
+    assert cli.main(["sweep-env-squeezing", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in data_lines(out.read_text(encoding="utf-8"))[1:]]
+    previous, expected = {}, []
+    for r, m, full in ((float(row[0]), float(row[1]), float(row[2])) for row in rows):
+        drop = r >= 0.5 and m in previous and not full < previous[m]
+        expected.append(0 if drop else 1)
+        previous[m] = full
+    flags = [int(row[4]) for row in rows]
+    assert flags == expected
+    assert set(flags) == {0, 1}
 
 
 def test_phase_mc_single_row(tmp_path):
@@ -182,7 +211,7 @@ def test_phase_mc_single_row(tmp_path):
     out = tmp_path / "mc.csv"
     assert cli.main(["phase-mc", "--config", cfg, "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
-    assert "np.float64" not in text
+    assert "np." not in text
     lines = data_lines(text)
     header = lines[0].split(",")
     assert header == ["samples", "e_par", "se_par", "e_perp", "se_perp",
@@ -229,6 +258,27 @@ def test_phase_mc_closed_form_receipts(tmp_path):
              ) / float(named[f"se_{config}"])
         assert float(receipts[f"z_{config}"]) == pytest.approx(z, rel=1e-9)
         assert abs(z) <= 4.0
+
+
+def test_phase_mc_receipts_are_nan_without_noise(tmp_path):
+    # At zero noise the direct moment and |mean - exact| are rounding around
+    # 0, which a relative residual or a z-score would blow up to ~1e15.
+    cfg = write_config(tmp_path, """\
+        [phase-mc]
+        r = 0.3
+        mu = 0.5
+        samples = 2000
+        cutoff = 8
+        sigma1 = 0
+        sigma2 = 0
+        """)
+    out = tmp_path / "mc.csv"
+    assert cli.main(["phase-mc", "--config", cfg, "--out", str(out)]) == 0
+    receipts = dict(line[2:].split("=", 1)
+                    for line in out.read_text(encoding="utf-8").splitlines()
+                    if line.startswith(("# table_residual_p", "# z_p")))
+    assert receipts == {"table_residual_p2": "nan", "table_residual_p4": "nan",
+                        "z_par": "nan", "z_perp": "nan"}
 
 
 def test_stdout_mode_and_seed_override(tmp_path, capsys):

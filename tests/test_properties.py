@@ -1,14 +1,25 @@
 """Property tests over random inputs; skipped when hypothesis is missing."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from holosim import CoherentInput, FockCutoff, SqueezeParams, four_mode_input  # noqa: E402
+from holosim import (  # noqa: E402
+    CoherentInput,
+    FockCutoff,
+    HolosimError,
+    SqueezeParams,
+    four_mode_input,
+    uncertainty_env_approx,
+    uncertainty_env_full,
+)
+from holosim import cli  # noqa: E402
 from holosim._propagators import apply_exponential, beam_splitter_blocks  # noqa: E402
 from holosim.estimator import _output_moments, _PhaseFourierTable  # noqa: E402
 from test_estimator import cross_difference  # noqa: E402
@@ -50,3 +61,50 @@ def test_complete_chain_blocks_are_unitary(dim, theta):
     blocks = beam_splitter_blocks(dim, theta)
     products = blocks @ blocks.conj().transpose(0, 2, 1)
     assert np.max(np.abs(products - np.eye(dim))) <= 1e-12
+
+
+# A sweep body of valid values, with at most one special value put in: 0,
+# a negative, r above 350, or lambda*tau large enough that the quadrature
+# correlator falls below its floor (40) or decays to 0 (800).
+VALID = st.floats(1e-3, 3.0)
+SPECIAL = st.sampled_from([0.0, -1.0, 1e-9, 40.0, 350.0, 351.0, 400.0, 800.0])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(["sweep-env-coupling", "sweep-env-squeezing"]),
+       fixed=VALID, grid=st.lists(VALID, min_size=2, max_size=4),
+       m_values=st.lists(VALID, min_size=1, max_size=3),
+       special=st.none() | SPECIAL, slot=st.integers(0, 2))
+@example(mode="sweep-env-coupling", fixed=2.0, grid=[0.0, 40.0], m_values=[0.0],
+         special=None, slot=0)
+@example(mode="sweep-env-squeezing", fixed=1e-3, grid=[0.5, 400.0], m_values=[0.5],
+         special=None, slot=0)
+def test_thermal_sweeps_exit_0_or_2(tmp_path_factory, mode, fixed, grid, m_values,
+                                    special, slot):
+    if special is not None:
+        if slot == 0:
+            fixed = special
+        else:
+            (grid, m_values)[slot - 1].insert(1, special)
+    coupling = mode == "sweep-env-coupling"
+    keys = ("r", "lambda_tau_grid") if coupling else ("lambda_tau", "r_grid")
+    path = tmp_path_factory.mktemp("sweep") / "run.cfg"
+    path.write_text(f"[{mode}]\n{keys[0]} = {fixed!r}\n"
+                    f"{keys[1]} = {', '.join(map(repr, grid))}\n"
+                    f"m_values = {', '.join(map(repr, m_values))}\n", encoding="utf-8")
+    out = path.with_suffix(".csv")
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([mode, "--config", str(path), "--out", str(out)])
+    # The run succeeds exactly when every row does on its own.
+    points = [(fixed, m, x) if coupling else (x, m, fixed)
+              for x in grid for m in m_values]
+    try:
+        rows = [(uncertainty_env_full(*p).ratio, uncertainty_env_approx(*p).ratio)
+                for p in points]
+    except HolosimError:
+        assert code == 2
+        return
+    assert code == 0
+    lines = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
+             if not line.startswith("#")][1:]
+    assert [(float(line[2]), float(line[3])) for line in lines] == rows
