@@ -33,12 +33,8 @@ class _Chain:
         self.indices = np.asarray(indices, dtype=np.intp)
         n = len(indices)
         self.phases = np.power(1j, np.arange(n))
-        if n == 1:
-            self.vecs = np.ones((1, 1))
-            self.eigs = np.zeros(1)
-        else:
-            self.eigs, self.vecs = np.linalg.eigh(
-                np.diag(couplings, 1) + np.diag(couplings, -1))
+        self.eigs, self.vecs = np.linalg.eigh(
+            np.diag(couplings, 1) + np.diag(couplings, -1))
 
 
 def _squeeze_chains(dim):

@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,99 +60,59 @@ from .modccr import (
 )
 
 VERSION = __version__
-MODES = ("sweep-env-coupling", "sweep-env-squeezing", "sweep-modccr",
-         "validate", "phase-mc")
 
 _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\)$")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Swept-parameter grid: span form (linspace/logspace) or explicit list."""
-
-    values: tuple
-
-    @classmethod
-    def from_span(cls, scale: str, start: float, stop: float,
-                  points: int) -> "GridSpec":
-        if points < 2:
-            raise ConfigError(f"grid needs at least 2 points, got {points}")
-        if not stop > start:
-            raise ConfigError(f"grid needs stop > start, got [{start}, {stop}]")
-        if scale == "logspace":
-            if start <= 0.0:
-                raise ConfigError("logspace grids need start > 0")
-            vals = np.geomspace(start, stop, points)
-        else:
-            vals = np.linspace(start, stop, points)
-        return cls(tuple(float(v) for v in vals))
+class Grid(tuple):
+    """Swept-parameter grid of floats, from a span or an explicit list."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved parameters of one run; every field is echoed to the output."""
-
-    mode: str
-    seed: int = 1234
-    cutoff: int = None
-    out: str = None
-    r: float = None
-    mu: float = None
-    m_values: tuple = None
-    epsilon_values: tuple = None
-    lambda_tau: float = None
-    lambda_tau_grid: GridSpec = None
-    r_grid: GridSpec = None
-    sigma1: float = None
-    sigma2: float = None
-    rho: float = None
-    samples: int = None
-    fault: str = None
-
-    def echo(self) -> dict:
-        items = {}
-        for key, val in vars(self).items():
-            if val is None or key == "out":
-                continue
-            if isinstance(val, GridSpec):
-                items[key] = "grid[" + ";".join(repr(v) for v in val.values) + "]"
-            elif isinstance(val, tuple):
-                items[key] = ";".join(repr(v) for v in val)
-            else:
-                items[key] = str(val)
-        return items
+def _span_grid(scale: str, start: float, stop: float, points: int) -> Grid:
+    if points < 2:
+        raise ConfigError(f"grid needs at least 2 points, got {points}")
+    if not stop > start:
+        raise ConfigError(f"grid needs stop > start, got [{start}, {stop}]")
+    if scale == "logspace":
+        if start <= 0.0:
+            raise ConfigError("logspace grids need start > 0")
+        vals = np.geomspace(start, stop, points)
+    else:
+        vals = np.linspace(start, stop, points)
+    return Grid(float(v) for v in vals)
 
 
+# Each mode's keys and defaults; a key's default type fixes how it parses.
 _DEFAULTS = {
     "sweep-env-coupling": dict(
         r=2.0, m_values=(0.0, 0.5, 1.0, 2.0),
-        lambda_tau_grid=GridSpec.from_span("logspace", 1e-6, 1e-2, 25)),
+        lambda_tau_grid=_span_grid("logspace", 1e-6, 1e-2, 25)),
     "sweep-env-squeezing": dict(
         lambda_tau=1e-3, m_values=(0.0, 0.5, 1.0, 2.0),
-        r_grid=GridSpec.from_span("linspace", 0.25, 3.0, 56)),
+        r_grid=_span_grid("linspace", 0.25, 3.0, 56)),
     "sweep-modccr": dict(
         epsilon_values=(0.01, 0.05, 0.1), cutoff=DEFAULT_ORACLE_CUTOFF,
-        r_grid=GridSpec.from_span("linspace", 0.25, 3.0, 56)),
+        r_grid=_span_grid("linspace", 0.25, 3.0, 56)),
     "validate": dict(cutoff=60, fault="none"),
     "phase-mc": dict(
         r=0.6, mu=0.8, sigma1=1e-2, sigma2=1e-2, rho=0.5,
         samples=100000, cutoff=DEFAULT_FOUR_MODE_CUTOFF),
 }
+_COMMON = dict(seed=1234, out="")
+MODES = tuple(_DEFAULTS)
 
-_FIELD_PARSERS = {
-    "seed": "int", "cutoff": "int", "samples": "int",
-    "r": "float", "mu": "float", "lambda_tau": "float",
-    "sigma1": "float", "sigma2": "float", "rho": "float",
-    "m_values": "float_list", "epsilon_values": "float_list",
-    "lambda_tau_grid": "grid", "r_grid": "grid",
-    "out": "str", "fault": "str",
-}
-
-_MODE_KEYS = {mode: (*defaults, "seed", "out")
-              for mode, defaults in _DEFAULTS.items()}
+_KINDS = {int: "int", float: "float", tuple: "float_list", str: "str", Grid: "grid"}
 
 
-def _parse_value(kind: str, raw: str, line_no: int):
+def _mode_defaults(mode: str) -> dict:
+    """The mode's keys, then seed and out, in the order errors list them."""
+    return {**_DEFAULTS[mode], **_COMMON}
+
+
+def _parse_value(default, raw: str, line_no: int):
+    """Parse ``raw`` as the kind of ``default``."""
+    kind = _KINDS[type(default)]
+
     def fail(message):
         raise ConfigError(f"line {line_no}: {message}")
 
@@ -167,24 +128,22 @@ def _parse_value(kind: str, raw: str, line_no: int):
             return int(raw)
         if kind == "float":
             return finite(raw)
-        if kind == "float_list":
-            return tuple(finite(p) for p in raw.split(","))
         if kind == "str":
             return raw
-        if kind == "grid":
-            match = _GRID_RE.match(raw)
-            if match:
-                scale, a, b, n = match.groups()
-                return GridSpec.from_span(scale, finite(a), finite(b), int(n))
-            values = tuple(finite(p) for p in raw.split(","))
-            if len(values) < 2:
-                fail(f"grid needs at least 2 points, got {raw!r}")
-            return GridSpec(values)
+        match = _GRID_RE.match(raw) if kind == "grid" else None
+        if match:
+            scale, a, b, n = match.groups()
+            return _span_grid(scale, finite(a), finite(b), int(n))
+        values = tuple(finite(p) for p in raw.split(","))
+        if kind == "float_list":
+            return values
+        if len(values) < 2:
+            fail(f"grid needs at least 2 points, got {raw!r}")
+        return Grid(values)
     except ConfigError as exc:
         fail(str(exc).split(": ", 1)[-1])
     except ValueError:
         fail(f"cannot parse {raw!r} as {kind}")
-    fail(f"unknown field kind {kind!r}")
 
 
 def parse_config_file(path: str, mode: str) -> dict:
@@ -194,6 +153,7 @@ def parse_config_file(path: str, mode: str) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    defaults = _mode_defaults(mode)
     section = None
     found = {}
     for line_no, line in enumerate(lines, start=1):
@@ -212,26 +172,21 @@ def parse_config_file(path: str, mode: str) -> dict:
         if section != mode:
             continue
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in _MODE_KEYS[mode]:
+        if key not in defaults:
             raise ConfigError(
                 f"line {line_no}: unknown key {key!r} for [{mode}] "
-                f"(expected one of {', '.join(_MODE_KEYS[mode])})")
-        found[key] = _parse_value(_FIELD_PARSERS[key], raw, line_no)
+                f"(expected one of {', '.join(defaults)})")
+        found[key] = _parse_value(defaults[key], raw, line_no)
     return found
 
 
-def resolve_config(mode: str, file_values: dict, overrides: dict) -> RunConfig:
-    cfg = RunConfig(mode=mode)
-    for key, val in _DEFAULTS[mode].items():
-        setattr(cfg, key, val)
-    for key, val in file_values.items():
-        setattr(cfg, key, val)
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    return cfg
+def resolve_config(mode: str, file_values: dict, overrides: dict) -> SimpleNamespace:
+    """The run's parameters: defaults, then the file, then set overrides."""
+    values = {**_mode_defaults(mode), **file_values,
+              **{key: val for key, val in overrides.items() if val is not None}}
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {values['seed']}")
+    return SimpleNamespace(mode=mode, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +213,18 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _metadata(config: RunConfig, backend_note: str) -> dict:
+def _metadata(config: SimpleNamespace, backend_note: str) -> dict:
+    """Header of a run: every parameter but ``out``, keys sorted."""
     meta = {"tool": "holosim", "version": VERSION, "mode": config.mode,
             "generated_at": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(timespec="seconds")}
-    meta.update(sorted(config.echo().items()))
+    for key, val in sorted(vars(config).items()):
+        if isinstance(val, Grid):
+            val = "grid[" + ";".join(map(repr, val)) + "]"
+        elif isinstance(val, tuple):
+            val = ";".join(map(repr, val))
+        if key != "out":
+            meta[key] = str(val)
     meta["backend"] = backend_note
     return meta
 
@@ -288,8 +250,8 @@ def _backends(*results) -> list:
     return [[res.backend.value] * res.ratio.size for res in results]
 
 
-def run_sweep_env_coupling(config: RunConfig) -> SweepResult:
-    grid = np.array(config.lambda_tau_grid.values)
+def run_sweep_env_coupling(config: SimpleNamespace) -> SweepResult:
+    grid = np.array(config.lambda_tau_grid)
     lt, m, full, approx = _thermal_sweep(grid, config.m_values, config.r, grid[:, None])
     ratio_full, ratio_approx = full.ratio.ravel(), approx.ratio.ravel()
     quotient = np.divide(ratio_full, ratio_approx, where=ratio_approx > 0.0,
@@ -304,8 +266,8 @@ def run_sweep_env_coupling(config: RunConfig) -> SweepResult:
                        columns, gnuplot)
 
 
-def run_sweep_env_squeezing(config: RunConfig) -> SweepResult:
-    grid = np.array(config.r_grid.values)
+def run_sweep_env_squeezing(config: SimpleNamespace) -> SweepResult:
+    grid = np.array(config.r_grid)
     r, m, full, approx = _thermal_sweep(grid, config.m_values, grid[:, None],
                                         config.lambda_tau)
     ratio_full = full.ratio.ravel()
@@ -336,9 +298,9 @@ def _monotone_decreasing(r: np.ndarray, m_values: tuple,
     return np.where((r >= 0.5) & (previous >= 0) & rises, 0, 1)
 
 
-def run_sweep_modccr(config: RunConfig) -> SweepResult:
+def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
     cutoff = FockCutoff(config.cutoff)
-    grid, epsilon = np.array(config.r_grid.values), np.array(config.epsilon_values)
+    grid, epsilon = np.array(config.r_grid), np.array(config.epsilon_values)
     analytic = uncertainty_modccr_analytic(grid[:, None], epsilon)
     points = zip(np.repeat(grid, epsilon.size).tolist(),
                  np.tile(epsilon, grid.size).tolist(), analytic.ratio.ravel().tolist())
@@ -364,7 +326,7 @@ def run_sweep_modccr(config: RunConfig) -> SweepResult:
                        columns, gnuplot)
 
 
-def run_phase_mc(config: RunConfig) -> SweepResult:
+def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     cutoff = FockCutoff(config.cutoff)
     state = estimator.four_mode_input(
         SqueezeParams(config.r), CoherentInput(config.mu), cutoff)
@@ -425,7 +387,7 @@ def _check(name, observed, tolerance) -> CheckResult:
                        float(observed), float(tolerance))
 
 
-def run_validate(config: RunConfig) -> tuple:
+def run_validate(config: SimpleNamespace) -> tuple:
     """Run the cross-module consistency suite; returns (exit_code, checks).
 
     The optional fault injection (``fault = relaxation_sign_flip``) flips
@@ -537,7 +499,7 @@ def run_validate(config: RunConfig) -> tuple:
 # gnuplot script emission.
 # ---------------------------------------------------------------------------
 
-def csv_basename(config: RunConfig) -> str:
+def csv_basename(config: SimpleNamespace) -> str:
     return os.path.basename(config.out) if config.out else "output.csv"
 
 
@@ -587,7 +549,7 @@ def _write(path: str, text: str) -> None:
         raise HolosimError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _emit(result: SweepResult, config: RunConfig) -> None:
+def _emit(result: SweepResult, config: SimpleNamespace) -> None:
     text = result.to_csv()
     if config.out:
         _write(config.out, text)
@@ -607,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="typed key-value config file")
         p.add_argument("--out", help="output CSV (or report) path")
         p.add_argument("--seed", type=int, help="override random seed")
-        if "cutoff" in _MODE_KEYS[mode]:
+        if "cutoff" in _DEFAULTS[mode]:
             p.add_argument("--cutoff", type=int, help="override occupation cutoff")
     return parser
 

@@ -52,7 +52,6 @@ from .modccr import _check_epsilon, deformed_variance_coefficient
 DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
 MIN_SAMPLES = 1000
-ORACLE_MAX_EPSILON = 0.1
 DEFAULT_ORACLE_CUTOFF = 64
 PLANCK_MASS_GEV = 1.22e19  # PDG rounded value
 EV_PER_GEV = 1e9
@@ -314,9 +313,9 @@ def uncertainty_modccr_fock(r: float, epsilon: float,
     denominator is the undeformed quadrature correlator on the same twin
     beam, consistent with first order.  Support is the twin beam's:
     ``CutoffTooSmall`` where its tail above the cutoff exceeds 1e-10, and
-    ``AmplitudeTooLarge`` for |epsilon| > 0.1.
+    ``AmplitudeTooLarge`` for |epsilon| > 0.2.
     """
-    _check_epsilon(epsilon, ORACLE_MAX_EPSILON)
+    _check_epsilon(epsilon)
     SqueezeParams(r)  # a negative r would pass the tail check
     twb_tail(r, cutoff)
     if epsilon == 0.0:

@@ -31,10 +31,10 @@ from .fock import (
 MAX_EPSILON = 0.2
 
 
-def _check_epsilon(epsilon: float, cap: float = MAX_EPSILON) -> None:
+def _check_epsilon(epsilon: float) -> None:
     """The one guard on a deformation strength; rejects NaN as well."""
-    if not abs(epsilon) <= cap:
-        raise AmplitudeTooLarge(f"|epsilon| must be <= {cap}, got {epsilon!r}")
+    if not abs(epsilon) <= MAX_EPSILON:
+        raise AmplitudeTooLarge(f"|epsilon| must be <= {MAX_EPSILON}, got {epsilon!r}")
 
 
 def auxiliary_mode_map(epsilon: float) -> np.ndarray:
@@ -54,13 +54,6 @@ def auxiliary_mode_map(epsilon: float) -> np.ndarray:
     ])
 
 
-def _single_mode_ladder(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
 def deformed_commutator_check(epsilon: float, cutoff: FockCutoff) -> float:
     """Max deviation of ([a1,a2], [a1,a2'], [ai,ai']) from (eps, eps, 1+eps).
 
@@ -74,7 +67,7 @@ def deformed_commutator_check(epsilon: float, cutoff: FockCutoff) -> float:
             "commutator check needs n_max >= 4 to guard the truncation edge")
     mode_map = auxiliary_mode_map(epsilon)
     d = cutoff.dim
-    a = _single_mode_ladder(d)
+    a = _apply_ladder(np.eye(d), 0, False)
     eye = np.eye(d)
     basis = [np.kron(a, eye), np.kron(eye, a),
              np.kron(a.T, eye), np.kron(eye, a.T)]

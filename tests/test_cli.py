@@ -139,12 +139,12 @@ def test_modccr_sweep_marks_unsupported_oracle_points(tmp_path):
         assert row[3] == "nan" and row[4] == "nan"
         assert row[6] == "none"
 
-    rows = sweep("0.4, 1.4", "0.05, 0.15", 48)
+    rows = sweep("0.4, 1.4", "0.05, 0.25", 48)
     assert len(rows) == 4
     supported = rows[(0.4, 0.05)]
     assert supported[6] == "fock_oracle"
     assert float(supported[4]) < 1e-6
-    for key in ((0.4, 0.15), (1.4, 0.05), (1.4, 0.15)):
+    for key in ((0.4, 0.25), (1.4, 0.05), (1.4, 0.25)):
         assert_unsupported(rows[key])
     # The cutoff decides support: the twin-beam tail at r = 1.15 exceeds
     # 1e-10 at cutoff 48, while cutoff 96 holds r = 1.21.
@@ -293,6 +293,47 @@ def test_stdout_mode_and_seed_override(tmp_path, capsys):
     assert "# seed=777" in stdout
     assert "lambda_tau,M,ratio_full" in stdout
     assert len(data_lines(stdout)) == 3  # header + 2 rows
+
+
+def header_lines(text):
+    return [line for line in text.splitlines()
+            if line.startswith("# ") and not line.startswith("# generated_at=")]
+
+
+def test_metadata_echo_is_pinned(tmp_path):
+    # A grid echoes as grid[a;b], a list as a;b, a scalar as str(v); keys
+    # are sorted after tool, version and mode, and out is never echoed.
+    cfg = write_config(tmp_path, """\
+        [sweep-modccr]
+        r_grid = linspace(0.4, 0.8, 3)
+        epsilon_values = 0.05, 0.1
+        cutoff = 32
+
+        [phase-mc]
+        r = 0.3
+        mu = 0.5
+        samples = 2000
+        cutoff = 8
+        """)
+    out = tmp_path / "modccr.csv"
+    assert cli.main(["sweep-modccr", "--config", cfg, "--out", str(out)]) == 0
+    assert header_lines(out.read_text(encoding="utf-8")) == [
+        "# tool=holosim", "# version=0.1.0", "# mode=sweep-modccr",
+        "# cutoff=32", "# epsilon_values=0.05;0.1",
+        "# r_grid=grid[0.4;0.6000000000000001;0.8]", "# seed=1234",
+        "# backend=analytic_modccr+fock_oracle"]
+    out = tmp_path / "mc.csv"
+    assert cli.main(["phase-mc", "--config", cfg, "--out", str(out),
+                     "--seed", "7"]) == 0
+    header = header_lines(out.read_text(encoding="utf-8"))
+    assert header[:12] == [
+        "# tool=holosim", "# version=0.1.0", "# mode=phase-mc", "# cutoff=8",
+        "# mu=0.5", "# r=0.3", "# rho=0.5", "# samples=2000", "# seed=7",
+        "# sigma1=0.01", "# sigma2=0.01", "# backend=fock_oracle"]
+    # The receipts after the echo are computed values, checked elsewhere.
+    assert [line[2:].split("=")[0] for line in header[12:]] == [
+        "discarded_tail", "table_residual_p2", "table_residual_p4",
+        "e_par_exact", "e_perp_exact", "z_par", "z_perp"]
 
 
 # ---------------------------------------------------------------------------

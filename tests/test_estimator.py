@@ -471,12 +471,16 @@ def test_modccr_oracle_agrees_with_analytic():
     res = uncertainty_modccr_fock(0.8, 0.05, FockCutoff(48))
     assert res.backend is Backend.FOCK_ORACLE
     assert res.ratio == pytest.approx(MODCCR_R08, rel=1e-12)
+    # The oracle's ratio is exactly linear in eps, so it holds the map's
+    # whole range |eps| <= 0.2.
+    res = uncertainty_modccr_fock(0.8, 0.15, FockCutoff(48))
+    assert res.ratio == pytest.approx(8 * 0.8 * 0.15 / math.sinh(1.6), rel=1e-8, abs=0)
 
 
 def test_modccr_oracle_guards():
     with pytest.raises(CutoffTooSmall):
         uncertainty_modccr_fock(1.3, 0.05)
-    for eps in (0.15, math.nan):
+    for eps in (0.25, math.nan):
         with pytest.raises(AmplitudeTooLarge):
             uncertainty_modccr_fock(1.0, eps)
     # A negative r would pass the twin-beam tail check.

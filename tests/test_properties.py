@@ -21,6 +21,7 @@ from holosim import (  # noqa: E402
 )
 from holosim import cli  # noqa: E402
 from holosim._propagators import apply_exponential, beam_splitter_blocks  # noqa: E402
+from holosim.errors import ConfigError  # noqa: E402
 from holosim.estimator import _output_moments, _PhaseFourierTable  # noqa: E402
 from test_estimator import cross_difference  # noqa: E402
 
@@ -108,3 +109,65 @@ def test_thermal_sweeps_exit_0_or_2(tmp_path_factory, mode, fixed, grid, m_value
     lines = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
              if not line.startswith("#")][1:]
     assert [(float(line[2]), float(line[3])) for line in lines] == rows
+
+
+# Config bodies: a section for the mode run and one for another mode, each
+# of random lines of that mode's keys and values, junk values included, and
+# at most one junk line anywhere.  A span's point count stays small:
+# parsing allocates the grid.
+NUMBER = (st.integers(-5, 99).map(str) | st.floats(-1e3, 1e3).map(repr)
+          | st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+NUMBERS = st.lists(NUMBER | st.sampled_from(["", "x"]), min_size=1,
+                   max_size=4).map(", ".join)
+SPAN = st.builds("{}({}, {}, {})".format,
+                 st.sampled_from(["linspace", "logspace", "geomspace"]), NUMBER,
+                 NUMBER, st.integers(-2, 40).map(str) | st.sampled_from(["2.5", "1e3"]))
+VALUE = (NUMBER | NUMBERS | SPAN | st.text(max_size=12)
+         | st.sampled_from(["none", "relaxation_sign_flip"]))
+JUNK_LINE = st.sampled_from(["no equals sign", "[no-such-mode]", "bogus = 1",
+                             "r = 1"])
+
+
+@st.composite
+def config_bodies(draw):
+    def section(mode):
+        line = st.builds("{} = {}".format,
+                         st.sampled_from(list(cli._mode_defaults(mode))), VALUE)
+        return [f"[{mode}]",
+                *draw(st.lists(line | st.sampled_from(["# note", ""]), max_size=4))]
+
+    mode, other = draw(st.sampled_from(cli.MODES)), draw(st.sampled_from(cli.MODES))
+    lines = [*section(mode), *section(other)]
+    junk = draw(st.none() | JUNK_LINE)
+    if junk is not None:
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return mode, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=config_bodies())
+@example(case=("sweep-modccr", "[sweep-modccr]\nr_grid = linspace(0.5, 1, 3)\n"
+               "epsilon_values = 0.1, 0.2\ncutoff = 40\nseed = 3\nout = x.csv\n"
+               "[validate]\nfault = x\n"))
+@example(case=("phase-mc", "[sweep-env-coupling]\nr = x\n[phase-mc]\nr = 1\n"))
+@example(case=("validate", "[validate]\nseed = -1\n"))
+def test_config_parse_raises_only_config_error(tmp_path_factory, case):
+    mode, body = case
+    path = tmp_path_factory.getbasetemp() / "parse.cfg"
+    path.write_text(body, encoding="utf-8")
+    try:
+        config = cli.resolve_config(mode, cli.parse_config_file(str(path), mode), {})
+    except ConfigError:
+        return
+    defaults = cli._mode_defaults(mode)
+    assert vars(config).keys() == {"mode", *defaults}
+    # Every value has its default's kind: int, float, str, float list or grid.
+    for key, default in defaults.items():
+        value = getattr(config, key)
+        assert type(value) is type(default)
+        if isinstance(value, tuple):
+            assert len(value) >= (2 if isinstance(value, cli.Grid) else 1)
+            assert all(type(v) is float and math.isfinite(v) for v in value)
+        elif isinstance(value, float):
+            assert math.isfinite(value)
+    assert config.seed >= 0
