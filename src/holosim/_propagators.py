@@ -12,11 +12,13 @@ a quantum number, so they block-diagonalize into short tridiagonal chains:
 
 For a chain matrix A with A[k+1,k] = t_k, A[k,k+1] = -t_k, the Hermitian
 matrix iA becomes real symmetric tridiagonal after conjugation with
-D = diag(i^k), so each block is solved once with numpy.linalg.eigh on its
+D = diag(i^k), so each block is solved with numpy.linalg.eigh on its
 dense tridiagonal matrix and exp(theta*A) = D V exp(-i*theta*w) V^T D* is
-assembled from real spectra.  The truncated generator is exactly
-antisymmetric, hence every truncated exponential built here is exactly
-unitary (to rounding).
+assembled from real spectra.  A chain's spectrum is built the first time
+it is needed and cached under (kind, dim, label), and an exponential acts
+only on the chains its input occupies: every other chain's rows stay
+exact zeros.  The truncated generator is exactly antisymmetric, hence
+every truncated exponential built here is exactly unitary (to rounding).
 """
 
 from __future__ import annotations
@@ -37,40 +39,26 @@ class _Chain:
             np.diag(couplings, 1) + np.diag(couplings, -1))
 
 
-def _squeeze_chains(dim):
-    """Chains of G = A1'A2' - A1 A2 over flat indices n1*dim + n2."""
-    chains = []
-    for q in range(-(dim - 1), dim):
-        k = np.arange(dim - abs(q))
-        if q >= 0:
-            n1, n2 = k + q, k
-        else:
-            n1, n2 = k, k - q
-        idx = n1 * dim + n2
-        t = np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))
-        chains.append(_Chain(idx, t))
-    return chains
+def _squeeze_chain(dim, q):
+    """Chain q = n1 - n2 of G = A1'A2' - A1 A2 over flat indices n1*dim + n2."""
+    k = np.arange(dim - abs(q))
+    n1, n2 = (k + q, k) if q >= 0 else (k, k - q)
+    return _Chain(n1 * dim + n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0)))
 
 
-def _beam_splitter_chains(dim):
-    """Chains of K = (a'b - b'a)/2 over flat indices na*dim + nb."""
-    chains = []
-    for s in range(2 * dim - 1):
-        lo, hi = max(0, s - (dim - 1)), min(s, dim - 1)
-        k = np.arange(lo, hi + 1)
-        idx = k * dim + (s - k)
-        t = 0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1]))
-        chains.append(_Chain(idx, t))
-    return chains
+def _beam_splitter_chain(dim, s):
+    """Chain s = na + nb of K = (a'b - b'a)/2 over flat indices na*dim + nb."""
+    k = np.arange(max(0, s - (dim - 1)), min(s, dim - 1) + 1)
+    return _Chain(k * dim + (s - k), 0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1])))
 
 
-_BUILDERS = {"squeeze": _squeeze_chains, "beam_splitter": _beam_splitter_chains}
+_BUILDERS = {"squeeze": _squeeze_chain, "beam_splitter": _beam_splitter_chain}
 
 
-def get_chains(kind, dim):
-    key = (kind, dim)
+def _chain(kind, dim, label):
+    key = (kind, dim, label)
     if key not in _CHAIN_CACHE:
-        _CHAIN_CACHE[key] = _BUILDERS[kind](dim)
+        _CHAIN_CACHE[key] = _BUILDERS[kind](dim, label)
     return _CHAIN_CACHE[key]
 
 
@@ -85,7 +73,8 @@ def _complete_spectra(dim):
     if key not in _CHAIN_CACHE:
         vecs = np.tile(np.eye(dim, dtype=complex), (dim, 1, 1))
         eigs = np.zeros((dim, dim))
-        for s, ch in enumerate(get_chains("beam_splitter", dim)[:dim]):
+        for s in range(dim):
+            ch = _chain("beam_splitter", dim, s)
             vecs[s, :s + 1, :s + 1] = ch.phases[:, None] * ch.vecs
             eigs[s, :s + 1] = ch.eigs
         _CHAIN_CACHE[key] = vecs, eigs
@@ -107,14 +96,21 @@ def apply_exponential(kind, dim, theta, flat):
 
     ``flat`` may carry a trailing batch axis: shape (dim*dim,) or
     (dim*dim, batch).  Never materializes the dense exponential, so it
-    stays cheap in time and memory even for long chains.
+    stays cheap in time and memory even for long chains, and only the
+    chains holding a non-zero row of some batch column are exponentiated.
     """
     vec = np.asarray(flat, dtype=complex)
     squeeze_out = vec.ndim == 1
     if squeeze_out:
         vec = vec[:, None]
     out = np.zeros_like(vec)
-    for ch in get_chains(kind, dim):
+    n1, n2 = np.divmod(np.flatnonzero(vec.any(axis=1)), dim)
+    # Labels q = n1 - n2 run from 1 - dim, labels s = n1 + n2 from 0.
+    low = 1 - dim if kind == "squeeze" else 0
+    occupied = np.zeros(2 * dim - 1, dtype=bool)
+    occupied[(n1 - n2 if kind == "squeeze" else n1 + n2) - low] = True
+    for label in np.flatnonzero(occupied) + low:
+        ch = _chain(kind, dim, int(label))
         x = np.conj(ch.phases)[:, None] * vec[ch.indices]
         y = ch.vecs @ (np.exp(-1j * theta * ch.eigs)[:, None] * (ch.vecs.T @ x))
         out[ch.indices] = ch.phases[:, None] * y

@@ -64,6 +64,12 @@ VERSION = __version__
 _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\)$")
 
 
+# Bounds checked while parsing, before anything is allocated: a span's point
+# count, and each Fock mode's cutoff (phase-mc holds (cutoff+1)**4 amplitudes).
+MAX_GRID_POINTS = 100_000
+MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
+
+
 class Grid(tuple):
     """Swept-parameter grid of floats, from a span or an explicit list."""
 
@@ -71,6 +77,8 @@ class Grid(tuple):
 def _span_grid(scale: str, start: float, stop: float, points: int) -> Grid:
     if points < 2:
         raise ConfigError(f"grid needs at least 2 points, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"grid allows at most {MAX_GRID_POINTS} points, got {points}")
     if not stop > start:
         raise ConfigError(f"grid needs stop > start, got [{start}, {stop}]")
     if scale == "logspace":
@@ -186,6 +194,9 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> SimpleNames
               **{key: val for key, val in overrides.items() if val is not None}}
     if values["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {values['seed']}")
+    if "cutoff" in values and values["cutoff"] > MAX_CUTOFF[mode]:
+        raise ConfigError(f"cutoff must be <= {MAX_CUTOFF[mode]} for [{mode}], "
+                          f"got {values['cutoff']}")
     return SimpleNamespace(mode=mode, **values)
 
 

@@ -350,6 +350,8 @@ def test_metadata_echo_is_pinned(tmp_path):
      "line 2: grid needs at least 2 points"),
     ("[sweep-env-coupling]\nlambda_tau_grid = logspace(0, 1e-3, 4)\n",
      "line 2: logspace grids need start > 0"),
+    ("[sweep-env-coupling]\nlambda_tau_grid = linspace(1e-6, 1e-3, 1000000000000000)\n",
+     "line 2: grid allows at most 100000 points, got 1000000000000000"),
     ("[sweep-env-coupling]\nr = nan\n", "line 2: value 'nan' is not finite"),
     ("[sweep-env-coupling]\nm_values = 0.0, inf\n",
      "line 2: value 'inf' is not finite"),
@@ -422,8 +424,9 @@ def test_import_loads_neither_scipy_nor_thread_pools():
      "missing/dir/x.csv"),
     ("validate", None, ["--out", "missing/dir/v.txt"], "missing/dir/v.txt"),
     ("validate", b"[validate]\nfault = \xff\n", [], "run.cfg"),
+    ("phase-mc", None, ["--cutoff", "1000000"], "cutoff must be <= 40"),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
-        "validate-out-missing-dir", "config-not-utf8"])
+        "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:

@@ -20,7 +20,7 @@ def test_fokker_planck_reference_points():
 
 def test_planck_coupling_estimate():
     val = planck_coupling_estimate(1.0)
-    assert val == pytest.approx(1e-9 / 1.22e19, rel=1e-14)
+    assert val == pytest.approx(1e-9 / 1.22e19, rel=1e-14, abs=0)
     assert 5e-29 < val < 1e-28
     assert planck_coupling_estimate(0.0) == 0.0
     with pytest.raises(NegativeParameter):

@@ -125,7 +125,7 @@ def test_classical_uncertainty_values():
     assert classical_uncertainty(2.0) == pytest.approx(math.sqrt(2.0) / 4.0,
                                                        rel=1e-15)
     assert classical_uncertainty(1000.0) == pytest.approx(1.4142135623730951e-06,
-                                                          rel=1e-12)
+                                                          rel=1e-12, abs=0)
     with pytest.raises(ZeroAmplitude):
         classical_uncertainty(0.0)
     with pytest.raises(ParameterOutOfRange):

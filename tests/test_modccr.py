@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from holosim._propagators import apply_exponential
+from holosim import _propagators
+from holosim._propagators import apply_exponential, beam_splitter_blocks
 from holosim.errors import AmplitudeTooLarge, CutoffTooSmall, NegativeParameter
 from holosim.fock import FockCutoff, SqueezeParams, _apply_ladder, build_twb
 from holosim.modccr import (
@@ -96,6 +97,34 @@ def test_duhamel_matches_closed_form():
     duh = duhamel_first_order(0.4, perturbation_generator_action(0.4, cut), cut)
     closed = closed_form_correction(0.4, cut)
     assert np.max(np.abs(duh.amplitudes - closed.amplitudes)) < 1e-8
+
+
+def _duhamel_at_80():
+    cut = FockCutoff(80)
+    return duhamel_first_order(0.8, perturbation_generator_action(0.8, cut), cut)
+
+
+@pytest.mark.parametrize("build,eigh_calls", [
+    (lambda: closed_form_correction(0.8, FockCutoff(64)), 3),
+    (_duhamel_at_80, 3),
+    (lambda: beam_splitter_blocks(17, 0.3), 17),
+], ids=["closed-form-64", "duhamel-80", "blocks-17"])
+def test_chain_spectra_are_built_on_first_use(monkeypatch, build, eigh_calls):
+    # The deformed-sector vectors occupy the squeeze chains q = 0, +-2 only,
+    # and the complete beam-splitter blocks are the chains s < dim.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(_propagators, "_CHAIN_CACHE", {})
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    build()
+    assert len(calls) == eigh_calls
+    build()
+    assert len(calls) == eigh_calls
 
 
 def test_duhamel_reduces_to_strength_derivative():

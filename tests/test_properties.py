@@ -23,6 +23,7 @@ from holosim import cli  # noqa: E402
 from holosim._propagators import apply_exponential, beam_splitter_blocks  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
 from holosim.estimator import _output_moments, _PhaseFourierTable  # noqa: E402
+from holosim.fock import _apply_ladder  # noqa: E402
 from test_estimator import cross_difference  # noqa: E402
 
 PHASE = st.floats(-math.pi, math.pi)
@@ -54,6 +55,49 @@ def test_chain_exponentials_preserve_the_norm(kind, dim, theta, seed):
     vec = rng.standard_normal((dim * dim, 2)) @ np.array([1.0, 1j])
     out = apply_exponential(kind, dim, theta, vec)
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(vec), rel=1e-12)
+
+
+def _dense_exponential(kind, dim, theta):
+    """exp(theta * G) from numpy's eigh of iG, with G built by the ladder stencil."""
+    basis = np.eye(dim * dim).reshape(dim, dim, dim * dim)
+
+    def pair(first, second, dagger_first, dagger_second):
+        # The product (mode ``first``)(mode ``second``), applied right to left.
+        inner = _apply_ladder(basis, second, dagger_second)
+        return _apply_ladder(inner, first, dagger_first)
+
+    if kind == "squeeze":  # G = A1'A2' - A1 A2
+        gen = pair(0, 1, True, True) - pair(0, 1, False, False)
+    else:  # K = (a'b - b'a)/2
+        gen = 0.5 * (pair(0, 1, True, False) - pair(1, 0, True, False))
+    gen = gen.reshape(dim * dim, dim * dim)
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["squeeze", "beam_splitter"]), dim=st.integers(1, 24),
+       theta=ANGLE, seed=st.integers(0, 2**32 - 1))
+def test_chain_exponentials_act_only_on_occupied_chains(kind, dim, theta, seed):
+    rng = np.random.default_rng(seed)
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    label = n1 - n2 if kind == "squeeze" else n1 + n2
+    # Per batch column, x lives on a random subset of the chains and y on a
+    # random subset of the others, so the columns' supports differ.
+    chains = np.unique(label)
+    on_x = np.stack([np.isin(label, chains[rng.random(chains.size) < 0.5])
+                     for _ in range(3)], axis=1)
+    on_y = ~on_x & np.isin(label, chains[rng.random(chains.size) < 0.5])[:, None]
+
+    def draw(mask):
+        return mask * (rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape))
+
+    x, y = draw(on_x), draw(on_y)
+    out = apply_exponential(kind, dim, theta, x)
+    assert np.all(out[~on_x] == 0)
+    assert np.array_equal(out[on_x], apply_exponential(kind, dim, theta, x + y)[on_x])
+    reference = _dense_exponential(kind, dim, theta) @ x
+    assert np.max(np.abs(out - reference), initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(x))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -113,15 +157,17 @@ def test_thermal_sweeps_exit_0_or_2(tmp_path_factory, mode, fixed, grid, m_value
 
 # Config bodies: a section for the mode run and one for another mode, each
 # of random lines of that mode's keys and values, junk values included, and
-# at most one junk line anywhere.  A span's point count stays small:
-# parsing allocates the grid.
+# at most one junk line anywhere.  A span's point count stays small or is
+# past the bound, which parsing rejects before it allocates the grid.
+BIG = st.sampled_from([str(cli.MAX_GRID_POINTS + 1), "401", "1000000000000000"])
 NUMBER = (st.integers(-5, 99).map(str) | st.floats(-1e3, 1e3).map(repr)
-          | st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+          | st.sampled_from(["nan", "inf", "-inf", "1e400"]) | BIG)
 NUMBERS = st.lists(NUMBER | st.sampled_from(["", "x"]), min_size=1,
                    max_size=4).map(", ".join)
 SPAN = st.builds("{}({}, {}, {})".format,
                  st.sampled_from(["linspace", "logspace", "geomspace"]), NUMBER,
-                 NUMBER, st.integers(-2, 40).map(str) | st.sampled_from(["2.5", "1e3"]))
+                 NUMBER, st.integers(-2, 40).map(str) | st.sampled_from(["2.5", "1e3"])
+                 | BIG)
 VALUE = (NUMBER | NUMBERS | SPAN | st.text(max_size=12)
          | st.sampled_from(["none", "relaxation_sign_flip"]))
 JUNK_LINE = st.sampled_from(["no equals sign", "[no-such-mode]", "bogus = 1",
@@ -151,6 +197,9 @@ def config_bodies(draw):
                "[validate]\nfault = x\n"))
 @example(case=("phase-mc", "[sweep-env-coupling]\nr = x\n[phase-mc]\nr = 1\n"))
 @example(case=("validate", "[validate]\nseed = -1\n"))
+@example(case=("sweep-env-squeezing",
+               "[sweep-env-squeezing]\nr_grid = linspace(0, 1, 1000000000000000)\n"))
+@example(case=("phase-mc", "[phase-mc]\ncutoff = 41\n"))
 def test_config_parse_raises_only_config_error(tmp_path_factory, case):
     mode, body = case
     path = tmp_path_factory.getbasetemp() / "parse.cfg"
@@ -167,7 +216,9 @@ def test_config_parse_raises_only_config_error(tmp_path_factory, case):
         assert type(value) is type(default)
         if isinstance(value, tuple):
             assert len(value) >= (2 if isinstance(value, cli.Grid) else 1)
+            assert len(value) <= cli.MAX_GRID_POINTS
             assert all(type(v) is float and math.isfinite(v) for v in value)
         elif isinstance(value, float):
             assert math.isfinite(value)
     assert config.seed >= 0
+    assert getattr(config, "cutoff", 0) <= cli.MAX_CUTOFF.get(mode, 0)
