@@ -14,54 +14,43 @@ For a chain matrix A with A[k+1,k] = t_k, A[k,k+1] = -t_k, the Hermitian
 matrix iA becomes real symmetric tridiagonal after conjugation with
 D = diag(i^k), so each block is solved with numpy.linalg.eigh on its
 dense tridiagonal matrix and exp(theta*A) = D V exp(-i*theta*w) V^T D* is
-assembled from real spectra.  A chain's spectrum is built the first time
-it is needed and cached under (kind, dim, label), and an exponential acts
-only on the chains its input occupies: every other chain's rows stay
-exact zeros.  The truncated generator is exactly antisymmetric, hence
-every truncated exponential built here is exactly unitary (to rounding).
+assembled from real spectra.  Each chain builder is cached per (dim,
+label), so a chain's spectrum is built the first time it is needed, and
+an exponential acts only on the chains its input occupies: every other
+chain's rows stay exact zeros.  The truncated generator is exactly
+antisymmetric, hence every truncated exponential built here is exactly
+unitary (to rounding).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-_CHAIN_CACHE: dict = {}
+
+def _spectrum(indices, couplings):
+    """(indices, phases, eigs, vecs) of the chain over these flat indices."""
+    eigs, vecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
+    return indices, np.power(1j, np.arange(len(indices))), eigs, vecs
 
 
-class _Chain:
-    __slots__ = ("indices", "phases", "vecs", "eigs")
-
-    def __init__(self, indices, couplings):
-        self.indices = np.asarray(indices, dtype=np.intp)
-        n = len(indices)
-        self.phases = np.power(1j, np.arange(n))
-        self.eigs, self.vecs = np.linalg.eigh(
-            np.diag(couplings, 1) + np.diag(couplings, -1))
-
-
+@functools.lru_cache(maxsize=None)
 def _squeeze_chain(dim, q):
     """Chain q = n1 - n2 of G = A1'A2' - A1 A2 over flat indices n1*dim + n2."""
     k = np.arange(dim - abs(q))
     n1, n2 = (k + q, k) if q >= 0 else (k, k - q)
-    return _Chain(n1 * dim + n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0)))
+    return _spectrum(n1 * dim + n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0)))
 
 
+@functools.lru_cache(maxsize=None)
 def _beam_splitter_chain(dim, s):
     """Chain s = na + nb of K = (a'b - b'a)/2 over flat indices na*dim + nb."""
     k = np.arange(max(0, s - (dim - 1)), min(s, dim - 1) + 1)
-    return _Chain(k * dim + (s - k), 0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1])))
+    return _spectrum(k * dim + (s - k), 0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1])))
 
 
-_BUILDERS = {"squeeze": _squeeze_chain, "beam_splitter": _beam_splitter_chain}
-
-
-def _chain(kind, dim, label):
-    key = (kind, dim, label)
-    if key not in _CHAIN_CACHE:
-        _CHAIN_CACHE[key] = _BUILDERS[kind](dim, label)
-    return _CHAIN_CACHE[key]
-
-
+@functools.lru_cache(maxsize=None)
 def _complete_spectra(dim):
     """Padded stacks (W, w) of the beam-splitter chains s = 0..dim-1.
 
@@ -69,16 +58,13 @@ def _complete_spectra(dim):
     on |k, s-k>, k = 0..s, with eigenvectors W[s] = D V and eigenvalues
     w[s]; rows and columns past s are the identity with eigenvalue 0.
     """
-    key = ("beam_splitter_blocks", dim)
-    if key not in _CHAIN_CACHE:
-        vecs = np.tile(np.eye(dim, dtype=complex), (dim, 1, 1))
-        eigs = np.zeros((dim, dim))
-        for s in range(dim):
-            ch = _chain("beam_splitter", dim, s)
-            vecs[s, :s + 1, :s + 1] = ch.phases[:, None] * ch.vecs
-            eigs[s, :s + 1] = ch.eigs
-        _CHAIN_CACHE[key] = vecs, eigs
-    return _CHAIN_CACHE[key]
+    vecs = np.tile(np.eye(dim, dtype=complex), (dim, 1, 1))
+    eigs = np.zeros((dim, dim))
+    for s in range(dim):
+        _, phases, chain_eigs, chain_vecs = _beam_splitter_chain(dim, s)
+        vecs[s, :s + 1, :s + 1] = phases[:, None] * chain_vecs
+        eigs[s, :s + 1] = chain_eigs
+    return vecs, eigs
 
 
 def beam_splitter_blocks(dim, theta):
@@ -106,12 +92,12 @@ def apply_exponential(kind, dim, theta, flat):
     out = np.zeros_like(vec)
     n1, n2 = np.divmod(np.flatnonzero(vec.any(axis=1)), dim)
     # Labels q = n1 - n2 run from 1 - dim, labels s = n1 + n2 from 0.
-    low = 1 - dim if kind == "squeeze" else 0
+    chain, low = (_squeeze_chain, 1 - dim) if kind == "squeeze" else (_beam_splitter_chain, 0)
     occupied = np.zeros(2 * dim - 1, dtype=bool)
     occupied[(n1 - n2 if kind == "squeeze" else n1 + n2) - low] = True
     for label in np.flatnonzero(occupied) + low:
-        ch = _chain(kind, dim, int(label))
-        x = np.conj(ch.phases)[:, None] * vec[ch.indices]
-        y = ch.vecs @ (np.exp(-1j * theta * ch.eigs)[:, None] * (ch.vecs.T @ x))
-        out[ch.indices] = ch.phases[:, None] * y
+        indices, phases, eigs, vecs = chain(dim, int(label))
+        x = np.conj(phases)[:, None] * vec[indices]
+        y = vecs @ (np.exp(-1j * theta * eigs)[:, None] * (vecs.T @ x))
+        out[indices] = phases[:, None] * y
     return out[:, 0] if squeeze_out else out

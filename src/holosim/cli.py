@@ -24,7 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, estimator, gaussian
-from .errors import AmplitudeTooLarge, ConfigError, CutoffTooSmall, HolosimError
+from .errors import (AmplitudeTooLarge, ConfigError, CutoffTooSmall,
+                     DegenerateDenominator, HolosimError)
 from .estimator import (
     DEFAULT_ORACLE_CUTOFF,
     PhaseNoiseModel,
@@ -65,9 +66,11 @@ _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^
 
 
 # Bounds checked while parsing, before anything is allocated: a span's point
-# count, and each Fock mode's cutoff (phase-mc holds (cutoff+1)**4 amplitudes).
+# count, each Fock mode's cutoff (phase-mc holds (cutoff+1)**4 amplitudes),
+# and phase-mc's sample count (its chunk seeds are listed before any draw).
 MAX_GRID_POINTS = 100_000
 MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
+MAX_SAMPLES = 100_000_000
 
 
 class Grid(tuple):
@@ -197,6 +200,8 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> SimpleNames
     if "cutoff" in values and values["cutoff"] > MAX_CUTOFF[mode]:
         raise ConfigError(f"cutoff must be <= {MAX_CUTOFF[mode]} for [{mode}], "
                           f"got {values['cutoff']}")
+    if values.get("samples", 0) > MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {values['samples']}")
     return SimpleNamespace(mode=mode, **values)
 
 
@@ -320,7 +325,7 @@ def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
         r, eps, ratio = point
         try:
             oracle = uncertainty_modccr_fock(r, eps, cutoff)
-        except (CutoffTooSmall, AmplitudeTooLarge):
+        except (CutoffTooSmall, AmplitudeTooLarge, DegenerateDenominator):
             fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
         else:
             fock_val = oracle.ratio

@@ -148,7 +148,11 @@ _DENOMINATOR_MONOMIALS = (
 
 
 def required_monomials() -> tuple:
-    """Every ordered monomial the uncertainty ratio is assembled from."""
+    """The monomials of the quadrature correlator and of (N1 - N2)^2, ^4.
+
+    No ratio is assembled from them; they are the set on which ``validate``
+    check 2 and acceptance criterion 2 cross-check the moment routes.
+    """
     monos = dict.fromkeys(_DENOMINATOR_MONOMIALS)
     for power in (2, 4):
         for mono in difference_power_terms(power):

@@ -17,6 +17,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,13 @@ class TwoModeGaussianState:
         """<a1 a2> = <a1' a2'>."""
         return (self.sigma_plus - self.sigma_minus) / 4.0
 
+    @functools.cached_property
+    def kernel(self) -> tuple:
+        """Ordered second moments K[i][j] = <o_i o_j> over (a1', a1, a2', a2)."""
+        n, c = self.mean_occupancy(), self.pair_correlation()
+        return ((0.0, n, c, 0.0), (n + 1.0, 0.0, 0.0, c),
+                (c, 0.0, 0.0, n), (0.0, c, n + 1.0, 0.0))
+
 
 def from_squeezing(params: SqueezeParams) -> TwoModeGaussianState:
     """Pure twin-beam state of squeeze strength r: widths e^{2r}, e^{-2r}."""
@@ -135,24 +143,6 @@ def relax_width(width, m_thermal, decay):
     return asymptotic_width(m_thermal) * (1.0 - decay) + width * decay
 
 
-def _pair_kernel(state: TwoModeGaussianState):
-    """Ordered second moments K[(op_i, op_j)] = <op_i op_j>."""
-    nbar = state.mean_occupancy()
-    c = state.pair_correlation()
-    kern = {}
-    for mode in (0, 1):
-        kern[((mode, False), (mode, True))] = nbar + 1.0
-        kern[((mode, True), (mode, False))] = nbar
-        kern[((mode, False), (mode, False))] = 0.0
-        kern[((mode, True), (mode, True))] = 0.0
-    for da in (False, True):
-        for db in (False, True):
-            val = c if da == db else 0.0
-            kern[((0, da), (1, db))] = val
-            kern[((1, da), (0, db))] = val
-    return kern
-
-
 def isserlis_moment(state: TwoModeGaussianState,
                     monomial: WignerMonomial) -> complex:
     """Ordered moment by Gaussian pairwise factorization.
@@ -163,12 +153,8 @@ def isserlis_moment(state: TwoModeGaussianState,
     between (a, a') and (a', a) carries all commutator corrections, so no
     separate reordering pass is needed.
     """
-    ops = as_ladder_sequence(monomial)
-    if not ops:
-        return 1.0 + 0.0j
-    kern = _pair_kernel(state)
-    kc = [[kern[(a, b)] for b in ops] for a in ops]
-    n = len(ops)
+    rows = [2 * mode + (not dagger) for mode, dagger in as_ladder_sequence(monomial)]
+    kc = [[state.kernel[a][b] for b in rows] for a in rows]
     memo = {0: 1.0 + 0.0j}
 
     def rec(mask: int) -> complex:
@@ -185,7 +171,7 @@ def isserlis_moment(state: TwoModeGaussianState,
         memo[mask] = total
         return total
 
-    return rec((1 << n) - 1)
+    return rec((1 << len(rows)) - 1)
 
 
 def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:

@@ -156,6 +156,11 @@ def test_modccr_sweep_marks_unsupported_oracle_points(tmp_path):
     rows = sweep("0.4, 0.8", "0, 0.05", 48)
     for r in (0.4, 0.8):
         assert rows[(r, 0.0)][6] == "fock_oracle" and rows[(r, 0.0)][4] == "nan"
+    # At r = 1e-10 the analytic ratio is a finite 4|eps|, but the oracle's
+    # quadrature correlator 2e-10 lies below its 1e-8 floor.
+    tiny = sweep("1e-10, 0.5", "0.1", 48)[(1e-10, 0.1)]
+    assert float(tiny[2]) == pytest.approx(0.4, rel=1e-12, abs=0)
+    assert_unsupported(tiny)
 
 
 def test_squeezing_sweep_monotone_diagnostic(tmp_path):
@@ -350,6 +355,8 @@ def test_metadata_echo_is_pinned(tmp_path):
      "line 2: grid needs at least 2 points"),
     ("[sweep-env-coupling]\nlambda_tau_grid = logspace(0, 1e-3, 4)\n",
      "line 2: logspace grids need start > 0"),
+    ("[sweep-env-coupling]\nlambda_tau_grid = linspace(1e-3, 1e-3, 4)\n",
+     "line 2: grid needs stop > start, got [0.001, 0.001]"),
     ("[sweep-env-coupling]\nlambda_tau_grid = linspace(1e-6, 1e-3, 1000000000000000)\n",
      "line 2: grid allows at most 100000 points, got 1000000000000000"),
     ("[sweep-env-coupling]\nr = nan\n", "line 2: value 'nan' is not finite"),
@@ -425,8 +432,12 @@ def test_import_loads_neither_scipy_nor_thread_pools():
     ("validate", None, ["--out", "missing/dir/v.txt"], "missing/dir/v.txt"),
     ("validate", b"[validate]\nfault = \xff\n", [], "run.cfg"),
     ("phase-mc", None, ["--cutoff", "1000000"], "cutoff must be <= 40"),
+    ("phase-mc", "[phase-mc]\nsamples = 1000000000000000\n", [],
+     "samples must be <= 100000000"),
+    ("sweep-modccr", "[sweep-modccr]\nr_grid = 0, 0.5\n", [], "vanishes at r = 0"),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
-        "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff"])
+        "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
+        "oversized-samples", "modccr-r-zero"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:

@@ -24,6 +24,7 @@ from holosim.errors import (
     CutoffTooSmall,
     DegenerateDenominator,
     DegreeTooHigh,
+    InvalidModeIndex,
     NegativeParameter,
     ParameterOutOfRange,
     ZeroAmplitude,
@@ -193,11 +194,15 @@ def test_uncorrelated_scale_matrix_is_diagonal():
     assert np.array_equal(noise.scale_matrix(), np.diag([0.01, 0.01]))
 
 
-@pytest.mark.parametrize("widths", [(math.nan, 0.01), (0.01, math.inf)],
-                         ids=["nan-sigma1", "inf-sigma2"])
-def test_noise_model_rejects_non_finite_widths(widths):
-    with pytest.raises(ParameterOutOfRange):
-        PhaseNoiseModel(*widths)
+@pytest.mark.parametrize("args,error", [
+    ((math.nan, 0.01), ParameterOutOfRange),
+    ((0.01, math.inf), ParameterOutOfRange),
+    ((0.01, -0.01), NegativeParameter),
+    ((0.01, 0.01, 1.5), NegativeParameter),
+], ids=["nan-sigma1", "inf-sigma2", "negative-sigma2", "rho-above-1"])
+def test_noise_model_rejects_non_finite_widths(args, error):
+    with pytest.raises(error):
+        PhaseNoiseModel(*args)
 
 
 def test_paired_average_reference_run(state4):
@@ -287,6 +292,8 @@ def test_phase_table_rejects_an_unprojected_box_state():
     box = tensor_product(twb, port, port)
     with pytest.raises(CutoffTooSmall, match=r"weight \d\.\d+e-\d+ lies outside"):
         _PhaseFourierTable(box, (2,))
+    with pytest.raises(InvalidModeIndex, match="four-mode input, got 2 modes"):
+        _PhaseFourierTable(twb, (2,))
 
 
 def test_power_guard_precedes_any_work(state8, monkeypatch):
@@ -487,3 +494,8 @@ def test_modccr_oracle_guards():
     with pytest.raises(NegativeParameter):
         uncertainty_modccr_fock(-0.5, 0.05)
     assert uncertainty_modccr_fock(0.8, 0.0).ratio == 0.0
+    with pytest.raises(DegenerateDenominator, match="vanishes at r = 0"):
+        uncertainty_modccr_fock(0.0, 0.05)
+    # The correlator 2e-9 at r = 1e-9 lies below the 1e-8 floor.
+    with pytest.raises(DegenerateDenominator, match="below floor 1e-08"):
+        uncertainty_modccr_fock(1e-9, 0.05)

@@ -11,6 +11,7 @@ from holosim.errors import (
     DegreeTooHigh,
     InvalidModeIndex,
     ParameterOutOfRange,
+    UnsupportedPhase,
 )
 from holosim.fock import (
     CoherentInput,
@@ -68,6 +69,8 @@ def test_twb_quadrature_correlator():
 def test_twb_tail_guard():
     with pytest.raises(CutoffTooSmall):
         build_twb(SqueezeParams(1.5), FockCutoff(40))
+    with pytest.raises(CutoffTooSmall, match="positive integer"):
+        FockCutoff(0)
 
 
 @pytest.mark.parametrize("mu, mean", [(0.0, 0.0), (1.0, 1.0), (0.5 + 0.5j, 0.5)])
@@ -142,6 +145,8 @@ def test_beam_splitter_mode_validation():
         apply_beam_splitter(state, 0, 0, 1.0)
     with pytest.raises(InvalidModeIndex):
         apply_beam_splitter(state, 0, 2, 1.0)
+    with pytest.raises(UnsupportedPhase):
+        apply_beam_splitter(state, 0, 1, math.inf)
 
 
 def test_expectation_vacuum():
@@ -180,6 +185,8 @@ def test_number_difference_on_basis_states():
         basis_state((3, 1, 0, 2), FockCutoff(4)), 2) == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(InvalidModeIndex):
         number_difference_moment(basis_state((1,), FockCutoff(4)), 2)
+    with pytest.raises(CutoffTooSmall, match="outside 0..4"):
+        basis_state((5, 0), FockCutoff(4))
 
 
 def test_tensor_product_preserves_marginals():
@@ -192,3 +199,7 @@ def test_tensor_product_preserves_marginals():
     assert combined.mode_count == 3
     assert occ_twb == pytest.approx(occ_before, abs=1e-12)
     assert occ_port == pytest.approx(0.64, abs=1e-8)
+    with pytest.raises(InvalidModeIndex, match="common cutoff"):
+        tensor_product(twb, build_coherent(CoherentInput(0.8), FockCutoff(11)))
+    with pytest.raises(InvalidModeIndex, match="expected"):
+        MultiModeFockState(2, FockCutoff(10), np.zeros((11, 12), dtype=complex))

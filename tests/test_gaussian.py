@@ -221,3 +221,7 @@ def test_degree_caps():
         isserlis_moment(state, WignerMonomial(3, 3, 2, 1))
     with pytest.raises(DegreeTooHigh):
         glauber_moment(state, WignerMonomial(3, 3, 2, 1))
+    with pytest.raises(DegreeTooHigh, match="non-negative"):
+        WignerMonomial(1, -1, 0, 0)
+    # The empty product has expectation 1 on every state.
+    assert isserlis_moment(state, WignerMonomial(0, 0, 0, 0)) == 1

@@ -119,7 +119,9 @@ def test_chain_spectra_are_built_on_first_use(monkeypatch, build, eigh_calls):
         calls.append(len(matrix))
         return eigh(matrix)
 
-    monkeypatch.setattr(_propagators, "_CHAIN_CACHE", {})
+    for builder in (_propagators._squeeze_chain, _propagators._beam_splitter_chain,
+                    _propagators._complete_spectra):
+        builder.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", counted)
     build()
     assert len(calls) == eigh_calls

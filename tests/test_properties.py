@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,15 @@ from holosim import cli  # noqa: E402
 from holosim._propagators import apply_exponential, beam_splitter_blocks  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
 from holosim.estimator import _output_moments, _PhaseFourierTable  # noqa: E402
-from holosim.fock import _apply_ladder  # noqa: E402
+from holosim.fock import _apply_ladder, build_twb, expectation  # noqa: E402
+from holosim.gaussian import (  # noqa: E402
+    WignerMonomial,
+    as_ladder_sequence,
+    evolve,
+    from_squeezing,
+    glauber_moment,
+    isserlis_moment,
+)
 from test_estimator import cross_difference  # noqa: E402
 
 PHASE = st.floats(-math.pi, math.pi)
@@ -45,6 +54,30 @@ def test_phase_table_is_exact_off_grid(r, mu, phi1, phi2):
     derivative = table.mixed_derivatives[0]
     assert derivative == pytest.approx(cross_difference(state), rel=1e-8,
                                        abs=1e-12 * np.abs(table.coeffs[0]).sum())
+
+
+# Every ordered monomial of degree <= 8: 495 of them.
+MONOMIALS = [WignerMonomial(*p) for p in itertools.product(range(9), repeat=4)
+             if sum(p) <= 8]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(r=st.floats(0.0, 1.0), mono=st.sampled_from(MONOMIALS),
+       m_thermal=st.floats(0.0, 2.0), lambda_t=st.floats(0.0, 1.0))
+def test_moment_routes_agree(r, mono, m_thermal, lambda_t):
+    # The pair factorization against two routes that share none of its
+    # kernel: the occupation-basis oracle and phase-space quadrature.
+    def deviation(state, other):
+        wick = isserlis_moment(state, mono)
+        return abs(other - wick) / max(1.0, abs(wick))
+
+    state = from_squeezing(SqueezeParams(r))
+    oracle = expectation(build_twb(SqueezeParams(r), FockCutoff(64)),
+                         as_ladder_sequence(mono))
+    assert deviation(state, oracle) <= 1e-9
+    assert deviation(state, glauber_moment(state, mono)) <= 1e-12
+    evolved = evolve(state, m_thermal, lambda_t)
+    assert deviation(evolved, glauber_moment(evolved, mono)) <= 1e-12
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -200,6 +233,7 @@ def config_bodies(draw):
 @example(case=("sweep-env-squeezing",
                "[sweep-env-squeezing]\nr_grid = linspace(0, 1, 1000000000000000)\n"))
 @example(case=("phase-mc", "[phase-mc]\ncutoff = 41\n"))
+@example(case=("phase-mc", "[phase-mc]\nsamples = 1000000000000000\n"))
 def test_config_parse_raises_only_config_error(tmp_path_factory, case):
     mode, body = case
     path = tmp_path_factory.getbasetemp() / "parse.cfg"
@@ -222,3 +256,4 @@ def test_config_parse_raises_only_config_error(tmp_path_factory, case):
             assert math.isfinite(value)
     assert config.seed >= 0
     assert getattr(config, "cutoff", 0) <= cli.MAX_CUTOFF.get(mode, 0)
+    assert getattr(config, "samples", 0) <= cli.MAX_SAMPLES
