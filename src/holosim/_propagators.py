@@ -78,17 +78,15 @@ def beam_splitter_blocks(dim, theta):
 
 
 def apply_exponential(kind, dim, theta, flat):
-    """Return exp(theta * generator) @ flat for a two-mode flat vector.
+    """Return exp(theta * generator) applied to two-mode amplitudes ``flat``.
 
-    ``flat`` may carry a trailing batch axis: shape (dim*dim,) or
-    (dim*dim, batch).  Never materializes the dense exponential, so it
-    stays cheap in time and memory even for long chains, and only the
-    chains holding a non-zero row of some batch column are exponentiated.
+    ``flat`` is indexed by (n1, n2), as a (dim, dim) array or flat over
+    n1*dim + n2, with an optional trailing batch axis; the result has its
+    shape.  Never materializes the dense exponential, and exponentiates only
+    the chains holding a non-zero row of some batch column.
     """
-    vec = np.asarray(flat, dtype=complex)
-    squeeze_out = vec.ndim == 1
-    if squeeze_out:
-        vec = vec[:, None]
+    shape = np.shape(flat)
+    vec = np.asarray(flat, dtype=complex).reshape(dim * dim, -1)
     out = np.zeros_like(vec)
     n1, n2 = np.divmod(np.flatnonzero(vec.any(axis=1)), dim)
     # Labels q = n1 - n2 run from 1 - dim, labels s = n1 + n2 from 0.
@@ -100,4 +98,4 @@ def apply_exponential(kind, dim, theta, flat):
         x = np.conj(phases)[:, None] * vec[indices]
         y = vecs @ (np.exp(-1j * theta * eigs)[:, None] * (vecs.T @ x))
         out[indices] = phases[:, None] * y
-    return out[:, 0] if squeeze_out else out
+    return out.reshape(shape)

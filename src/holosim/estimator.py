@@ -320,7 +320,6 @@ def uncertainty_modccr_fock(r: float, epsilon: float,
     ``AmplitudeTooLarge`` for |epsilon| > 0.2.
     """
     _check_epsilon(epsilon)
-    SqueezeParams(r)  # a negative r would pass the tail check
     twb_tail(r, cutoff)
     if epsilon == 0.0:
         return UncertaintyResult(0.0, Backend.FOCK_ORACLE)
@@ -394,7 +393,7 @@ def _trig_basis(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return basis.T
 
 
-class _PhaseFourierTable:
+def _phase_table(state: MultiModeFockState, powers: tuple) -> list:
     """Trigonometric-polynomial tables of number-difference moments.
 
     In the Heisenberg picture the output number operators are quadratic
@@ -410,61 +409,48 @@ class _PhaseFourierTable:
     complete-chain blocks ``beam_splitter_blocks``: the grid takes 9
     rotations of interferometer 1 and 81 of interferometer 2.  Each
     power's coefficients are folded once into a real matrix R over the
-    basis (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), so a Monte-Carlo
-    evaluation is a small real contraction instead of a pair of
-    beam-splitter applications, and the mixed derivative d^2/dphi1 dphi2
-    at (0, 0) is ``slope @ R @ slope`` with the basis slopes k on the
-    sin(k phi) rows.
+    basis (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), so a moment at
+    (phi1, phi2) is b(phi1)^T R b(phi2), a small real contraction instead
+    of a pair of beam-splitter applications.  Returns one R per power.
     """
-
-    def __init__(self, state: MultiModeFockState, powers: tuple):
-        for power in powers:
-            _check_difference_power(power)
-        if state.mode_count != 4:
-            raise InvalidModeIndex(
-                f"the phase table needs a four-mode input, got {state.mode_count} modes")
-        d = state.cutoff.dim
-        # Label (s, k) is |n_a = k, n_b = s - k> of one interferometer, s <= n_max.
-        s, k = np.tril_indices(d)
-        amp = state.amplitudes
-        pairs = amp[k[:, None], k, (s - k)[:, None], s - k]  # [c1, c2]
-        lost = float(np.vdot(amp, amp).real - np.vdot(pairs, pairs).real)
-        if lost > _LAYOUT_TOL:
-            raise CutoffTooSmall(
-                f"weight {lost:.3e} lies outside s1, s2 <= n_max={state.cutoff.n_max}, "
-                "where the table is not exact; build the input with four_mode_input")
-        n = _BASIS_SIZE
-        grid = 2.0 * math.pi * np.arange(n) / n
-        blocks = [beam_splitter_blocks(d, phi) for phi in grid]
-        # weights[i][k2, c1] = (k1 - k2)^p with k1 the n_a1 of label c1.
-        weights = [(k - np.arange(d)[:, None]).astype(float) ** p for p in powers]
-        state1 = np.zeros((d, d, k.size), dtype=complex)
-        state1[s, k] = pairs  # x[s1, k1, c2]
-        state2 = np.zeros_like(state1)
-        values = np.empty((len(powers), n, n))
-        for j, first in enumerate(blocks):
-            state2[s, k] = (first @ state1)[s, k].T  # x[s2, k2, c1]
-            for jj, second in enumerate(blocks):
-                out = second @ state2
-                prob = (out.real ** 2 + out.imag ** 2).sum(axis=0)
-                for i, weight in enumerate(weights):
-                    values[i, j, jj] = np.vdot(weight, prob)
-        # FFT index order (0, 1, ..., 4, -4, ..., -1): e^{i h phi} = fold @ basis.
-        fold = np.zeros((n, n), dtype=complex)
-        fold[0, 0] = 1.0
-        for k in range(1, _TABLE_HARMONICS + 1):
-            fold[[k, n - k], 2 * k - 1] = 1.0
-            fold[[k, n - k], 2 * k] = (1j, -1j)
-        self.coeffs = [(fold.T @ (np.fft.fft2(v) / (n * n)) @ fold).real
-                       for v in values]
-        slope = np.zeros(n)
-        slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
-        self.mixed_derivatives = [float(slope @ r @ slope) for r in self.coeffs]
-
-    def evaluate(self, phi1: np.ndarray, phi2: np.ndarray) -> list:
-        """Each tabulated moment at the phase samples, one array per power."""
-        b1, b2 = _trig_basis(phi1), _trig_basis(phi2)
-        return [((b1 @ r) * b2).sum(axis=1) for r in self.coeffs]
+    for power in powers:
+        _check_difference_power(power)
+    if state.mode_count != 4:
+        raise InvalidModeIndex(
+            f"the phase table needs a four-mode input, got {state.mode_count} modes")
+    d = state.cutoff.dim
+    # Label (s, k) is |n_a = k, n_b = s - k> of one interferometer, s <= n_max.
+    s, k = np.tril_indices(d)
+    amp = state.amplitudes
+    pairs = amp[k[:, None], k, (s - k)[:, None], s - k]  # [c1, c2]
+    lost = float(np.vdot(amp, amp).real - np.vdot(pairs, pairs).real)
+    if lost > _LAYOUT_TOL:
+        raise CutoffTooSmall(
+            f"weight {lost:.3e} lies outside s1, s2 <= n_max={state.cutoff.n_max}, "
+            "where the table is not exact; build the input with four_mode_input")
+    n = _BASIS_SIZE
+    grid = 2.0 * math.pi * np.arange(n) / n
+    blocks = [beam_splitter_blocks(d, phi) for phi in grid]
+    # weights[i][k2, c1] = (k1 - k2)^p with k1 the n_a1 of label c1.
+    weights = [(k - np.arange(d)[:, None]).astype(float) ** p for p in powers]
+    state1 = np.zeros((d, d, k.size), dtype=complex)
+    state1[s, k] = pairs  # x[s1, k1, c2]
+    state2 = np.zeros_like(state1)
+    values = np.empty((len(powers), n, n))
+    for j, first in enumerate(blocks):
+        state2[s, k] = (first @ state1)[s, k].T  # x[s2, k2, c1]
+        for jj, second in enumerate(blocks):
+            out = second @ state2
+            prob = (out.real ** 2 + out.imag ** 2).sum(axis=0)
+            for i, weight in enumerate(weights):
+                values[i, j, jj] = np.vdot(weight, prob)
+    # FFT index order (0, 1, ..., 4, -4, ..., -1): e^{i h phi} = fold @ basis.
+    fold = np.zeros((n, n), dtype=complex)
+    fold[0, 0] = 1.0
+    for k in range(1, _TABLE_HARMONICS + 1):
+        fold[[k, n - k], 2 * k - 1] = 1.0
+        fold[[k, n - k], 2 * k] = (1j, -1j)
+    return [(fold.T @ (np.fft.fft2(v) / (n * n)) @ fold).real for v in values]
 
 
 def _chunk_seeds(samples: int, seed: int):
@@ -489,7 +475,6 @@ class PairedAverages:
     se_perp: float
     mean_diff: float
     se_diff: float
-    samples: int
     table_residual: float
     mixed_derivative: float
     exact_par: float
@@ -544,7 +529,7 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
     perp = PhaseNoiseModel(noise.sigma1, noise.sigma2)
     scales = (noise.scale_matrix(), perp.scale_matrix())
-    table = _PhaseFourierTable(state, powers)
+    coeffs = _phase_table(state, powers)
     # The direct receipt goes first: its box-sized temporaries are freed
     # before the chunk buffers are allocated, which lowers the peak RSS.
     phi1, phi2 = noise.sigma1, noise.sigma2
@@ -566,7 +551,7 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
         np.random.default_rng(seq).standard_normal(out=z)
         b1, *b2s = (_trig_basis(np.matmul(z, row, out=phi), out=basis)
                     for row, basis in zip(rows, bases))
-        for i, r in enumerate(table.coeffs):
+        for i, r in enumerate(coeffs):
             np.matmul(b1, r, out=left)
             for b2, v in zip(b2s, vals):
                 np.einsum("sb,sb->s", left, b2, out=v)
@@ -574,18 +559,21 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
             for k, v in enumerate(vals):
                 sums[i, k] += float(v.sum())
                 sq_sums[i, k] += float(v @ v)
-    tabulated = table.evaluate(np.array([phi1]), np.array([phi2]))
+    b1, b2 = _trig_basis(np.array([phi1])), _trig_basis(np.array([phi2]))
+    # The basis slopes at 0: k on the sin(k phi) rows, so d^2/dphi1 dphi2 at
+    # (0, 0) of b(phi1)^T R b(phi2) is slope @ R @ slope.
+    slope = np.zeros(_BASIS_SIZE)
+    slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
     covariances = [scale @ scale.T for scale in scales]
     results = []
-    for total, total_sq, exact, approx, derivative, r in zip(
-            sums, sq_sums, direct, tabulated, table.mixed_derivatives, table.coeffs):
+    for total, total_sq, exact, r in zip(sums, sq_sums, direct, coeffs):
         stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
         level = _ROUNDING_TOL * float(np.abs(r).sum())
-        residual = (abs(float(approx[0]) - exact) / abs(exact)
-                    if abs(exact) > level else math.nan)
+        approx = float(((b1 @ r) * b2).sum(axis=1)[0])
+        residual = abs(approx - exact) / abs(exact) if abs(exact) > level else math.nan
         averages = [noise_average(r, cov) for cov in covariances]
-        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], samples,
-                                      residual, derivative, *averages, level))
+        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], residual,
+                                      float(slope @ r @ slope), *averages, level))
     return tuple(results)
 
 

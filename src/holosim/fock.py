@@ -104,9 +104,11 @@ def twb_tail(r: float, cutoff: FockCutoff,
              tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> float:
     """Exact out-of-cutoff weight tanh(r)^(2*(n_max+1)) of the twin-beam state.
 
-    This is the one support check of every twin-beam construction: raises
-    ``CutoffTooSmall`` if the weight exceeds ``tail_tol``.
+    This is the one guard of every twin-beam construction: it checks r as
+    ``SqueezeParams`` does, then raises ``CutoffTooSmall`` if the weight
+    exceeds ``tail_tol``.
     """
+    SqueezeParams(r)  # NaN would pass the tail test: tanh(nan)**k > tol is False
     tail = math.tanh(r) ** (2 * (cutoff.n_max + 1))
     if tail > tail_tol:
         raise CutoffTooSmall(
@@ -128,7 +130,7 @@ def build_twb(params: SqueezeParams, cutoff: FockCutoff,
     diag = (np.tanh(params.r) ** n) * (1.0 / np.cosh(params.r))
     amp = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     amp[n, n] = diag
-    amp /= np.linalg.norm(amp.ravel())
+    amp /= np.linalg.norm(amp)
     return MultiModeFockState(2, cutoff, amp, discarded_tail=tail)
 
 
@@ -198,11 +200,9 @@ def apply_beam_splitter(state: MultiModeFockState, mode_a: int, mode_b: int,
         raise InvalidModeIndex("beam splitter requires two distinct modes")
     if not math.isfinite(phi):
         raise UnsupportedPhase("beam-splitter angle must be finite")
-    d = state.cutoff.dim
     amp = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
-    rest = amp.shape[2:]
-    amp = apply_exponential("beam_splitter", d, phi, amp.reshape(d * d, -1))
-    amp = np.moveaxis(amp.reshape((d, d) + rest), (0, 1), (mode_a, mode_b))
+    amp = apply_exponential("beam_splitter", state.cutoff.dim, phi, amp)
+    amp = np.moveaxis(amp, (0, 1), (mode_a, mode_b))
     return MultiModeFockState(state.mode_count, state.cutoff, amp,
                               discarded_tail=state.discarded_tail)
 
@@ -246,6 +246,11 @@ def _check_difference_power(power) -> None:
             f"difference power must be an integer in 1..{MAX_DIFFERENCE_POWER}")
 
 
+def _occupation_difference(dim: int) -> np.ndarray:
+    """N1 - N2 as a diagonal weight on two-mode amplitude tensors."""
+    return (np.arange(dim)[:, None] - np.arange(dim)[None, :]).astype(float)
+
+
 def number_difference_moment(state: MultiModeFockState, power: int) -> float:
     """<(N_0 - N_1)^power> on the first two modes of a state.
 
@@ -256,9 +261,7 @@ def number_difference_moment(state: MultiModeFockState, power: int) -> float:
     _check_difference_power(power)
     if state.mode_count < 2:
         raise InvalidModeIndex("number-difference moments need at least two modes")
-    d = state.cutoff.dim
-    n = np.arange(d, dtype=float)
-    weight = ((n[:, None] - n[None, :]) ** power).reshape(
-        (d, d) + (1,) * (state.mode_count - 2))
+    weight = (_occupation_difference(state.cutoff.dim) ** power).reshape(
+        (state.cutoff.dim,) * 2 + (1,) * (state.mode_count - 2))
     prob = np.abs(state.amplitudes) ** 2
     return float(np.sum(weight * prob))

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DegreeTooHigh, NegativeParameter
 from .fock import MAX_MONOMIAL_DEGREE, SqueezeParams
 
-MAX_MOMENT_DEGREE = MAX_MONOMIAL_DEGREE  # every monomial stays checkable by fock.expectation
-
 
 @dataclass(frozen=True)
 class WignerMonomial:
@@ -42,9 +40,9 @@ class WignerMonomial:
         for p in self.powers:
             if not isinstance(p, (int, np.integer)) or p < 0:
                 raise DegreeTooHigh(f"powers must be non-negative integers, got {p!r}")
-        if self.degree > MAX_MOMENT_DEGREE:
+        if self.degree > MAX_MONOMIAL_DEGREE:
             raise DegreeTooHigh(
-                f"total degree {self.degree} exceeds {MAX_MOMENT_DEGREE}")
+                f"total degree {self.degree} exceeds {MAX_MONOMIAL_DEGREE}")
 
     @property
     def powers(self) -> tuple:
@@ -89,7 +87,12 @@ class TwoModeGaussianState:
 
     @functools.cached_property
     def kernel(self) -> tuple:
-        """Ordered second moments K[i][j] = <o_i o_j> over (a1', a1, a2', a2)."""
+        """Ordered second moments K[i][j] = <o_i o_j> over (a1', a1, a2', a2).
+
+        ``isserlis_moment`` reads only the entries with i <= j.  The n + 1
+        entries and the lower c entries are kept for products in another
+        operator order, which no caller forms yet.
+        """
         n, c = self.mean_occupancy(), self.pair_correlation()
         return ((0.0, n, c, 0.0), (n + 1.0, 0.0, 0.0, c),
                 (c, 0.0, 0.0, n), (0.0, c, n + 1.0, 0.0))
@@ -149,9 +152,11 @@ def isserlis_moment(state: TwoModeGaussianState,
 
     The ordered product expectation of zero-mean Gaussian mode operators
     obeys the recursion <o1 o2 ... ok> = sum_j K(1, j) <rest without j>,
-    where K is the ordered second-moment kernel; the kernel's asymmetry
-    between (a, a') and (a', a) carries all commutator corrections, so no
-    separate reordering pass is needed.
+    where K is the ordered second-moment kernel ``state.kernel``.  Each
+    operator pairs only with later ones, so a ``WignerMonomial``, which
+    lists a1 before a2 and daggers first, reads only K[i][j] with i <= j;
+    the kernel's asymmetry between (a, a') and (a', a) would carry the
+    commutator corrections only for products in another order.
     """
     rows = [2 * mode + (not dagger) for mode, dagger in as_ladder_sequence(monomial)]
     kc = [[state.kernel[a][b] for b in rows] for a in rows]
@@ -202,7 +207,7 @@ def glauber_moment(state: TwoModeGaussianState,
     density using a tensor-product Gauss-Hermite rule in the four
     statistically independent rotated quadratures (x1+x2, y1+y2, x1-x2,
     y1-y2), each rescaled to its own width.  The kernels are polynomials
-    of degree at most MAX_MOMENT_DEGREE, so the fixed 12-node rule (exact
+    of degree at most MAX_MONOMIAL_DEGREE, so the fixed 12-node rule (exact
     through degree 23) integrates them exactly.
     """
     # Built per call: at import it would start LAPACK in processes that never

@@ -18,12 +18,13 @@ import math
 import numpy as np
 
 from ._propagators import apply_exponential
-from .errors import AmplitudeTooLarge, CutoffTooSmall, NegativeParameter
+from .errors import AmplitudeTooLarge, CutoffTooSmall
 from .fock import (
     FockCutoff,
     MultiModeFockState,
     SqueezeParams,
     _apply_ladder,
+    _occupation_difference,
     build_twb,
     twb_tail,
 )
@@ -75,9 +76,8 @@ def deformed_commutator_check(epsilon: float, cutoff: FockCutoff) -> float:
     a2 = sum(c * op for c, op in zip(mode_map[1], basis))
     eye2 = np.eye(d * d)
 
-    occ = np.arange(d)
-    keep = ((occ[:, None] <= cutoff.n_max - 2)
-            & (occ[None, :] <= cutoff.n_max - 2)).ravel()
+    guard = np.arange(d) <= cutoff.n_max - 2
+    keep = np.kron(guard, guard)  # both occupations guarded, in the kron basis
 
     def guarded_dev(mat: np.ndarray, expected: float) -> float:
         block = (mat - expected * eye2)[np.ix_(keep, keep)]
@@ -99,71 +99,62 @@ def _sum_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
     return _apply_ladder(psi, 0, dagger) + _apply_ladder(psi, 1, dagger)
 
 
-def squeeze_generator_action(r: float, cutoff: FockCutoff):
-    """Action of the squeeze generator r*(A1'A2' - A1A2) on flat vectors."""
-    d = cutoff.dim
-
-    def act(flat: np.ndarray) -> np.ndarray:
-        psi = flat.reshape(d, d)
-        return (r * (_pair_ladder(psi, True) - _pair_ladder(psi, False))).ravel()
-
-    return act
+def squeeze_generator_action(r: float):
+    """Action of the squeeze generator r*(A1'A2' - A1A2) on (d, d) amplitudes."""
+    return lambda psi: r * (_pair_ladder(psi, True) - _pair_ladder(psi, False))
 
 
-def perturbation_generator_action(r: float, cutoff: FockCutoff):
-    """First-order generator perturbation per unit epsilon.
+def perturbation_generator_action(r: float):
+    """First-order generator perturbation per unit epsilon, on (d, d) amplitudes.
 
     Expanding the squeeze generator written in deformed modes around
     eps = 0 gives the perturbation r*((X'^2 - X^2)/2 - 1) with
     X = A1 + A2; it commutes with the unperturbed generator, which is what
     collapses the Duhamel integral to a closed form.
     """
-    d = cutoff.dim
-
-    def act(flat: np.ndarray) -> np.ndarray:
-        psi = flat.reshape(d, d)
+    def act(psi: np.ndarray) -> np.ndarray:
         up2 = _sum_ladder(_sum_ladder(psi, True), True)
         down2 = _sum_ladder(_sum_ladder(psi, False), False)
-        return (r * (0.5 * (up2 - down2) - psi)).ravel()
+        return r * (0.5 * (up2 - down2) - psi)
 
     return act
 
 
-def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> MultiModeFockState:
+def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> np.ndarray:
     """First-order response vector e^A Int_0^1 e^{-uA} B e^{uA} du |0>.
 
     A is the squeeze generator with strength r; ``b_pert`` is the
-    perturbing operator, a callable on flat vectors of the two-mode space.
+    perturbing operator, a callable on (d, d) two-mode amplitudes.
     The u-integral uses a fixed 16-node Gauss-Legendre rule; the integrand
-    is analytic in u, so convergence is rapid.  The result is a correction
-    vector, not a normalized state.  Its support is the twin beam's: raises
-    ``CutoffTooSmall`` where ``build_twb`` would at the default tolerance.
+    is analytic in u, so convergence is rapid.  The result is the (d, d)
+    correction vector, not a normalized state.  Its support is the twin
+    beam's: ``twb_tail`` checks r and raises ``CutoffTooSmall`` where
+    ``build_twb`` would at the default tolerance.
     """
-    if not r >= 0.0:
-        raise NegativeParameter(f"squeeze strength must be >= 0, got {r!r}")
     twb_tail(r, cutoff)
     d = cutoff.dim
-    vac = np.zeros(d * d, dtype=complex)
-    vac[0] = 1.0
+    vac = np.zeros((d, d), dtype=complex)
+    vac[0, 0] = 1.0
     x, w = np.polynomial.legendre.leggauss(16)
     u_nodes, u_weights = (x + 1.0) / 2.0, w / 2.0
-    integral = np.zeros(d * d, dtype=complex)
+    integral = np.zeros((d, d), dtype=complex)
     for u, wu in zip(u_nodes, u_weights):
-        v = apply_exponential("squeeze", d, u * r, vac)
-        v = b_pert(v)
+        v = b_pert(apply_exponential("squeeze", d, u * r, vac))
         integral += wu * apply_exponential("squeeze", d, -u * r, v)
-    out = apply_exponential("squeeze", d, r, integral)
-    return MultiModeFockState(2, cutoff, out.reshape(d, d))
+    return apply_exponential("squeeze", d, r, integral)
 
 
-def closed_form_correction(r: float, cutoff: FockCutoff) -> MultiModeFockState:
-    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>."""
+def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
+    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>, as (d, d).
+
+    Not a normalized state; its support and guards are ``duhamel_first_order``'s.
+    """
+    twb_tail(r, cutoff)
     d = cutoff.dim
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
     seed = 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
-    out = r * apply_exponential("squeeze", d, r, seed.ravel())
-    return MultiModeFockState(2, cutoff, out.reshape(d, d))
+    return r * apply_exponential("squeeze", d, r, seed)
 
 
 def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
@@ -172,32 +163,26 @@ def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
 
     Returns the renormalized |TWB> + eps * r * e^{rA}((X'^2)/2 - 1)|0>;
     renormalization shifts moments only at second order in epsilon.
+    ``tail_tol`` loosens only the twin beam's own check: a nonzero
+    correction keeps ``closed_form_correction``'s default support.
     """
     _check_epsilon(epsilon)
     twb = build_twb(SqueezeParams(r), cutoff, tail_tol=tail_tol)
     if epsilon == 0.0 or r == 0.0:
         return twb
-    corr = closed_form_correction(r, cutoff)
-    amp = twb.amplitudes + epsilon * corr.amplitudes
-    amp = amp / np.linalg.norm(amp.ravel())
+    amp = twb.amplitudes + epsilon * closed_form_correction(r, cutoff)
+    amp = amp / np.linalg.norm(amp)
     return MultiModeFockState(2, cutoff, amp, discarded_tail=twb.discarded_tail)
 
 
-def _occupation_difference(dim: int) -> np.ndarray:
-    """N1 - N2 as a diagonal weight on two-mode amplitude tensors."""
-    return (np.arange(dim)[:, None] - np.arange(dim)[None, :]).astype(float)
-
-
-def deformed_number_difference_action(epsilon: float, cutoff: FockCutoff):
-    """Action of the deformed-mode number difference, to first order.
+def deformed_number_difference_action(epsilon: float):
+    """First-order action of the deformed number difference on (d, d) amplitudes.
 
     Through the auxiliary-mode map, a1'a1 - a2'a2 equals
     (1+eps)(N1 - N2) - eps(A1A2 + A1'A2') up to O(eps^2) terms.
     """
-    occ_diff = _occupation_difference(cutoff.dim)
-
     def act(psi: np.ndarray) -> np.ndarray:
-        return ((1.0 + epsilon) * occ_diff * psi
+        return ((1.0 + epsilon) * _occupation_difference(len(psi)) * psi
                 - epsilon * (_pair_ladder(psi, False) + _pair_ladder(psi, True)))
 
     return act
@@ -220,5 +205,5 @@ def deformed_variance_coefficient(r: float, cutoff: FockCutoff) -> float:
     has norm 1.
     """
     occ_diff = _occupation_difference(cutoff.dim)
-    corr = closed_form_correction(r, cutoff).amplitudes
+    corr = closed_form_correction(r, cutoff)
     return float(np.linalg.norm(occ_diff * (occ_diff * corr)) ** 2)

@@ -7,7 +7,12 @@ import pytest
 
 from holosim import _propagators
 from holosim._propagators import apply_exponential, beam_splitter_blocks
-from holosim.errors import AmplitudeTooLarge, CutoffTooSmall, NegativeParameter
+from holosim.errors import (
+    AmplitudeTooLarge,
+    CutoffTooSmall,
+    NegativeParameter,
+    ParameterOutOfRange,
+)
 from holosim.fock import FockCutoff, SqueezeParams, _apply_ladder, build_twb
 from holosim.modccr import (
     auxiliary_mode_map,
@@ -23,8 +28,8 @@ from holosim.modccr import (
 
 
 def flat_basis(n1, n2, dim):
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[n1 * dim + n2] = 1.0
+    vec = np.zeros((dim, dim), dtype=complex)
+    vec[n1, n2] = 1.0
     return vec
 
 
@@ -61,11 +66,11 @@ def test_commutator_check_needs_guard_room():
 
 def test_squeeze_generator_on_basis_states():
     cut = FockCutoff(6)
-    act = squeeze_generator_action(0.7, cut)
-    out = act(flat_basis(0, 0, cut.dim)).reshape(cut.dim, cut.dim)
+    act = squeeze_generator_action(0.7)
+    out = act(flat_basis(0, 0, cut.dim))
     assert out[1, 1] == pytest.approx(0.7, abs=1e-15)
     assert np.count_nonzero(out) == 1
-    out = act(flat_basis(1, 1, cut.dim)).reshape(cut.dim, cut.dim)
+    out = act(flat_basis(1, 1, cut.dim))
     assert out[2, 2] == pytest.approx(1.4, abs=1e-14)
     assert out[0, 0] == pytest.approx(-0.7, abs=1e-15)
 
@@ -73,8 +78,8 @@ def test_squeeze_generator_on_basis_states():
 def test_perturbation_generator_on_vacuum():
     cut = FockCutoff(6)
     r = 0.9
-    act = perturbation_generator_action(r, cut)
-    out = act(flat_basis(0, 0, cut.dim)).reshape(cut.dim, cut.dim)
+    act = perturbation_generator_action(r)
+    out = act(flat_basis(0, 0, cut.dim))
     assert out[2, 0] == pytest.approx(r * math.sqrt(2.0) / 2.0, abs=1e-14)
     assert out[0, 2] == pytest.approx(r * math.sqrt(2.0) / 2.0, abs=1e-14)
     assert out[1, 1] == pytest.approx(r, abs=1e-14)
@@ -84,24 +89,23 @@ def test_perturbation_generator_on_vacuum():
 def test_deformed_difference_on_basis_state():
     cut = FockCutoff(6)
     eps = 0.05
-    act = deformed_number_difference_action(eps, cut)
-    psi = np.zeros((cut.dim, cut.dim), dtype=complex)
-    psi[2, 0] = 1.0
-    out = act(psi)
+    act = deformed_number_difference_action(eps)
+    out = act(flat_basis(2, 0, cut.dim))
     assert out[2, 0] == pytest.approx(2.0 * (1.0 + eps), abs=1e-14)
     assert out[3, 1] == pytest.approx(-eps * math.sqrt(3.0), abs=1e-14)
 
 
 def test_duhamel_matches_closed_form():
     cut = FockCutoff(48)
-    duh = duhamel_first_order(0.4, perturbation_generator_action(0.4, cut), cut)
+    duh = duhamel_first_order(0.4, perturbation_generator_action(0.4), cut)
     closed = closed_form_correction(0.4, cut)
-    assert np.max(np.abs(duh.amplitudes - closed.amplitudes)) < 1e-8
+    assert duh.shape == closed.shape == (cut.dim, cut.dim)
+    assert np.max(np.abs(duh - closed)) < 1e-8
 
 
 def _duhamel_at_80():
     cut = FockCutoff(80)
-    return duhamel_first_order(0.8, perturbation_generator_action(0.8, cut), cut)
+    return duhamel_first_order(0.8, perturbation_generator_action(0.8), cut)
 
 
 @pytest.mark.parametrize("build,eigh_calls", [
@@ -134,20 +138,30 @@ def test_duhamel_reduces_to_strength_derivative():
     # r * d/dr of the squeezed-pair state; checked by central differencing.
     r, h = 0.6, 1e-4
     cut = FockCutoff(60)
-    duh = duhamel_first_order(r, squeeze_generator_action(r, cut), cut)
+    duh = duhamel_first_order(r, squeeze_generator_action(r), cut)
     plus = build_twb(SqueezeParams(r + h), cut)
     minus = build_twb(SqueezeParams(r - h), cut)
     fd = r * (plus.amplitudes - minus.amplitudes) / (2.0 * h)
-    assert np.max(np.abs(duh.amplitudes - fd)) < 1e-6
+    assert np.max(np.abs(duh - fd)) < 1e-6
 
 
 def test_duhamel_guards():
     cut = FockCutoff(16)
-    pert = perturbation_generator_action(0.5, cut)
+    pert = perturbation_generator_action(0.5)
     with pytest.raises(CutoffTooSmall):
         duhamel_first_order(1.6, pert, cut)
     with pytest.raises(NegativeParameter):
         duhamel_first_order(-0.2, pert, cut)
+    # Both correction vectors share the twin beam's guard, and through the
+    # closed form so does the variance coefficient.
+    for build in (lambda r, c: duhamel_first_order(r, pert, c),
+                  closed_form_correction, deformed_variance_coefficient):
+        for r, cutoff, error in ((math.nan, cut, NegativeParameter),
+                                 (-0.5, cut, NegativeParameter),
+                                 (math.inf, cut, ParameterOutOfRange),
+                                 (3.0, FockCutoff(10), CutoffTooSmall)):
+            with pytest.raises(error):
+                build(r, cutoff)
 
 
 def test_pair_mode_conjugation_identity():
@@ -229,14 +243,14 @@ def test_deformed_difference_first_order_structure():
     twb = build_twb(SqueezeParams(r), cut)
     seed = np.zeros((d, d), dtype=complex)
     seed[2, 0], seed[0, 2] = 1.0, -1.0
-    rotated = apply_exponential("squeeze", d, r, seed.ravel()).reshape(d, d)
+    rotated = apply_exponential("squeeze", d, r, seed)
     amp = twb.amplitudes
     pair_part = (_apply_ladder(_apply_ladder(amp, 1, False), 0, False)
                  + _apply_ladder(_apply_ladder(amp, 1, True), 0, True))
     residuals = {}
     for eps in (1e-4, 2e-4):
         prime = build_twb_prime(r, eps, cut)
-        moved = deformed_number_difference_action(eps, cut)(prime.amplitudes)
+        moved = deformed_number_difference_action(eps)(prime.amplitudes)
         first_order = eps * (math.sqrt(2.0) * r * rotated - pair_part)
         residuals[eps] = float(np.linalg.norm(moved - first_order))
         assert residuals[eps] < 30.0 * eps * eps
@@ -253,7 +267,7 @@ def test_variance_coefficient_matches_finite_epsilon():
 
     def variance(eps):
         state = build_twb_prime(r, eps, cut)
-        observable = deformed_number_difference_action(eps, cut)
+        observable = deformed_number_difference_action(eps)
         once = observable(state.amplitudes)
         twice = observable(once)
         m2 = float(np.vdot(once, once).real)
@@ -279,3 +293,9 @@ def test_twb_prime_guards():
             build_twb_prime(0.5, eps, cut)
     with pytest.raises(NegativeParameter):
         build_twb_prime(-0.5, 0.1, cut)
+    # A looser tail_tol admits the twin beam (tail 4.6e-8 at r = 1, cutoff 30)
+    # but not its correction, whose support is checked at the default 1e-10.
+    loose = FockCutoff(30)
+    build_twb_prime(1.0, 0.0, loose, tail_tol=1e-6)
+    with pytest.raises(CutoffTooSmall):
+        build_twb_prime(1.0, 0.05, loose, tail_tol=1e-6)

@@ -23,7 +23,7 @@ from holosim import (  # noqa: E402
 from holosim import cli  # noqa: E402
 from holosim._propagators import apply_exponential, beam_splitter_blocks  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
-from holosim.estimator import _output_moments, _PhaseFourierTable  # noqa: E402
+from holosim.estimator import _output_moments, _phase_table  # noqa: E402
 from holosim.fock import _apply_ladder, build_twb, expectation  # noqa: E402
 from holosim.gaussian import (  # noqa: E402
     WignerMonomial,
@@ -33,7 +33,7 @@ from holosim.gaussian import (  # noqa: E402
     glauber_moment,
     isserlis_moment,
 )
-from test_estimator import cross_difference  # noqa: E402
+from test_estimator import cross_difference, mixed_derivative, tabulate  # noqa: E402
 
 PHASE = st.floats(-math.pi, math.pi)
 ANGLE = st.floats(-20.0, 20.0)
@@ -44,16 +44,15 @@ ANGLE = st.floats(-20.0, 20.0)
 def test_phase_table_is_exact_off_grid(r, mu, phi1, phi2):
     # Cutoff 8 holds r <= 0.5 (tail below 1e-6) and |mu|^2 <= 2.
     state = four_mode_input(SqueezeParams(r), CoherentInput(mu), FockCutoff(8))
-    table = _PhaseFourierTable(state, (2, 4))
+    table = _phase_table(state, (2, 4))
     direct = _output_moments(state, phi1, phi2, (2, 4))
-    tabulated = table.evaluate(np.array([phi1]), np.array([phi2]))
-    for coeffs, exact, approx in zip(table.coeffs, direct, tabulated):
+    tabulated = tabulate(table, np.array([phi1]), np.array([phi2]))
+    for coeffs, exact, approx in zip(table, direct, tabulated):
         # Each basis function is bounded by 1, so sum |R| bounds the moment.
         scale = np.abs(coeffs).sum()
         assert abs(approx[0] - exact) <= 1e-12 * scale
-    derivative = table.mixed_derivatives[0]
-    assert derivative == pytest.approx(cross_difference(state), rel=1e-8,
-                                       abs=1e-12 * np.abs(table.coeffs[0]).sum())
+    assert mixed_derivative(state) == pytest.approx(
+        cross_difference(state), rel=1e-8, abs=1e-12 * np.abs(table[0]).sum())
 
 
 # Every ordered monomial of degree <= 8: 495 of them.
@@ -127,6 +126,14 @@ def test_chain_exponentials_act_only_on_occupied_chains(kind, dim, theta, seed):
 
     x, y = draw(on_x), draw(on_y)
     out = apply_exponential(kind, dim, theta, x)
+    # The shape contract: (dim, dim, batch) and one (dim, dim) column give
+    # the flat result reshaped, bit for bit.
+    square = apply_exponential(kind, dim, theta, x.reshape(dim, dim, -1))
+    assert square.shape == (dim, dim, 3)
+    assert np.array_equal(square, out.reshape(dim, dim, -1))
+    flat_column = apply_exponential(kind, dim, theta, x[:, 1])
+    column = apply_exponential(kind, dim, theta, x[:, 1].reshape(dim, dim))
+    assert np.array_equal(column, flat_column.reshape(dim, dim))
     assert np.all(out[~on_x] == 0)
     assert np.array_equal(out[on_x], apply_exponential(kind, dim, theta, x + y)[on_x])
     reference = _dense_exponential(kind, dim, theta) @ x
