@@ -50,33 +50,6 @@ def _beam_splitter_chain(dim, s):
     return _spectrum(k * dim + (s - k), 0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1])))
 
 
-@functools.lru_cache(maxsize=None)
-def _complete_spectra(dim):
-    """Padded stacks (W, w) of the beam-splitter chains s = 0..dim-1.
-
-    These are the chains the per-mode box holds completely.  Block s acts
-    on |k, s-k>, k = 0..s, with eigenvectors W[s] = D V and eigenvalues
-    w[s]; rows and columns past s are the identity with eigenvalue 0.
-    """
-    vecs = np.tile(np.eye(dim, dtype=complex), (dim, 1, 1))
-    eigs = np.zeros((dim, dim))
-    for s in range(dim):
-        _, phases, chain_eigs, chain_vecs = _beam_splitter_chain(dim, s)
-        vecs[s, :s + 1, :s + 1] = phases[:, None] * chain_vecs
-        eigs[s, :s + 1] = chain_eigs
-    return vecs, eigs
-
-
-def beam_splitter_blocks(dim, theta):
-    """exp(theta * K) on the complete chains s = 0..dim-1, shape (dim, dim, dim).
-
-    Block s maps the amplitudes x[s, k] of |k, s-k> to ``blocks[s] @ x[s]``
-    and is the identity past k = s, so every block is exactly unitary.
-    """
-    vecs, eigs = _complete_spectra(dim)
-    return (vecs * np.exp(-1j * theta * eigs)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-
-
 def apply_exponential(kind, dim, theta, flat):
     """Return exp(theta * generator) applied to two-mode amplitudes ``flat``.
 

@@ -64,7 +64,7 @@ _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^
 
 
 # Bounds checked while parsing, before anything is allocated: a span's point
-# count, each Fock mode's cutoff (phase-mc holds (cutoff+1)**4 amplitudes),
+# count, each Fock mode's cutoff (phase-mc's receipt holds (cutoff+1)**4 amplitudes),
 # and phase-mc's sample count (its chunk seeds are listed before any draw).
 MAX_GRID_POINTS = 100_000
 MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
@@ -341,12 +341,17 @@ def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
 
 
 def run_phase_mc(config: SimpleNamespace) -> SweepResult:
-    cutoff = FockCutoff(config.cutoff)
-    state = estimator.four_mode_input(
-        SqueezeParams(config.r), CoherentInput(config.mu), cutoff)
+    squeeze, coherent = SqueezeParams(config.r), CoherentInput(config.mu)
     noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho)
-    quad, quartic = estimator.paired_phase_average(
-        noise, state, config.samples, config.seed, powers=(2, 4))
+    powers = (2, 4)
+    # The Fock receipt goes first: its four-mode state is freed before the
+    # table and the chunk buffers are allocated, which lowers the peak RSS.
+    tail, direct = estimator.fock_receipt(squeeze, coherent, FockCutoff(config.cutoff),
+                                          config.sigma1, config.sigma2, powers)
+    table = estimator.phase_table(squeeze, coherent, powers)
+    residuals = estimator.table_residuals(table, config.sigma1, config.sigma2, direct)
+    quad, quartic = estimator.paired_phase_average(noise, table, config.samples,
+                                                   config.seed)
     denom = quad.mixed_derivative
     covariance = correlation_estimate(quad.mean_par, quad.mean_perp, denom)
     covariance_se = quad.se_diff / abs(denom)
@@ -360,10 +365,9 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     row = (config.samples, quad.mean_par, quad.se_par, quad.mean_perp,
            quad.se_perp, denom, covariance, covariance_se, injected,
            delta_e, delta_e_cl, delta_e / delta_e_cl)
-    meta = _metadata(config, "fock_oracle")
-    meta["discarded_tail"] = state.discarded_tail
-    meta["table_residual_p2"] = quad.table_residual
-    meta["table_residual_p4"] = quartic.table_residual
+    meta = _metadata(config, "gaussian+fock_oracle")
+    meta["discarded_tail"] = tail
+    meta["table_residual_p2"], meta["table_residual_p4"] = residuals
     meta["e_par_exact"] = quad.exact_par
     meta["e_perp_exact"] = quad.exact_perp
     level = quad.rounding_level

@@ -2,7 +2,8 @@
 
 Builds the measurable pieces of the two-interferometer scheme: the
 output photon-number-difference statistics as a function of the two
-interferometer phases, their Monte-Carlo averages over correlated
+interferometer phases, tabulated from Gaussian moments with an
+occupation-basis receipt, their Monte-Carlo averages over correlated
 (parallel) and uncorrelated (orthogonal) phase noise, the correlation
 estimator with its mixed-derivative denominator, and the closed-form
 entanglement-enhanced uncertainty ratios for the thermal-environment and
@@ -19,11 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._propagators import beam_splitter_blocks
 from .errors import (
-    CutoffTooSmall,
     DegenerateDenominator,
-    InvalidModeIndex,
     NegativeParameter,
     ParameterOutOfRange,
     ZeroAmplitude,
@@ -46,7 +44,7 @@ from .fock import (
     tensor_product,
     twb_tail,
 )
-from .gaussian import WignerMonomial, relax_width
+from .gaussian import WignerMonomial, from_squeezing, ordered_moment, relax_width
 from .modccr import _check_epsilon, deformed_variance_coefficient
 
 DENOM_FLOOR = 1e-8
@@ -57,7 +55,6 @@ PLANCK_MASS_GEV = 1.22e19  # PDG rounded value
 EV_PER_GEV = 1e9
 _TABLE_HARMONICS = MAX_DIFFERENCE_POWER  # the table is exact only up to its order
 _BASIS_SIZE = 2 * _TABLE_HARMONICS + 1
-_LAYOUT_TOL = 1e-12  # input weight the total-photon layout may leave out
 # The table's rounding relative to sum |R|, which bounds the moment: its
 # distance from direct evaluation stays below this on random inputs.
 _ROUNDING_TOL = 1e-12
@@ -339,7 +336,7 @@ def uncertainty_modccr_fock(r: float, epsilon: float,
 def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
                     cutoff: FockCutoff = FockCutoff(DEFAULT_FOUR_MODE_CUTOFF),
                     ) -> MultiModeFockState:
-    """Input state TWB x |mu> x |mu> on modes (a1, a2, b1, b2).
+    """Input state TWB x |mu> x |mu> on modes (a1, a2, b1, b2), for ``fock_receipt``.
 
     Interferometer i mixes signal mode a_i with its coherent port b_i, that
     is modes (0, 2) and (1, 3), and each beam splitter conserves its photon
@@ -374,6 +371,15 @@ def _output_moments(state: MultiModeFockState, phi1: float, phi2: float,
     return [number_difference_moment(out, power) for power in powers]
 
 
+def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCutoff,
+                 phi1: float, phi2: float, powers: tuple) -> tuple:
+    """(discarded_tail, moments) of ``four_mode_input`` at (phi1, phi2): the
+    occupation-basis route, which shares no step with ``phase_table``.  The
+    four-mode state is freed on return."""
+    state = four_mode_input(squeeze, coherent, cutoff)
+    return state.discarded_tail, _output_moments(state, phi1, phi2, powers)
+
+
 def _trig_basis(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), one per phase.
 
@@ -393,57 +399,40 @@ def _trig_basis(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return basis.T
 
 
-def _phase_table(state: MultiModeFockState, powers: tuple) -> list:
-    """Trigonometric-polynomial tables of number-difference moments.
+def phase_table(squeeze: SqueezeParams, coherent: CoherentInput, powers: tuple) -> list:
+    """Tables R of <(N_c1 - N_c2)^p>, one per power: b(phi1)^T R b(phi2).
 
-    In the Heisenberg picture the output number operators are quadratic
-    polynomials in the input modes with coefficients of trigonometric
-    degree one per interferometer phase, so <(N_c1 - N_c2)^p> is a trig
-    polynomial of harmonic order p in each phase.  That holds exactly on
-    states made of complete beam-splitter chains, as ``four_mode_input``
-    builds them; weight outside s1, s2 <= n_max raises ``CutoffTooSmall``.
-    The moments are sampled on a (2*4+1)^2 phase grid and interpolated by
-    their 2-D FFT, every power from the same rotated states.  The state is
-    held in each interferometer's total-photon labels (s, k = n_a), as
-    x[s1, k1, (s2, k2)], so a beam splitter is one batched matmul of the
-    complete-chain blocks ``beam_splitter_blocks``: the grid takes 9
-    rotations of interferometer 1 and 81 of interferometer 2.  Each
-    power's coefficients are folded once into a real matrix R over the
-    basis (1, cos phi, sin phi, ..., cos 4phi, sin 4phi), so a moment at
-    (phi1, phi2) is b(phi1)^T R b(phi2), a small real contraction instead
-    of a pair of beam-splitter applications.  Returns one R per power.
+    The input TWB x |mu> x |mu> is Gaussian and the beam splitters are
+    passive, so each moment is a finite Wick sum (``ordered_moment``) over
+    alpha = (a1', a1, a2', a2, b1', b1, b2', b2), with no cutoff.
+    Interferometer i outputs c_i = cos(phi_i/2) a_i + sin(phi_i/2) b_i,
+    ``fock.apply_beam_splitter``'s Heisenberg rule.  N_c1 and N_c2 commute,
+    so (N_c1 - N_c2)^p is a binomial sum of ordered products.  The moment
+    is a trig polynomial of order p in each phase, so its values on a
+    (2*4+1)^2 grid, the recursion's batch axis, fix it through their 2-D
+    FFT, folded into R over the basis (1, cos phi, sin phi, ..., sin 4phi).
     """
     for power in powers:
         _check_difference_power(power)
-    if state.mode_count != 4:
-        raise InvalidModeIndex(
-            f"the phase table needs a four-mode input, got {state.mode_count} modes")
-    d = state.cutoff.dim
-    # Label (s, k) is |n_a = k, n_b = s - k> of one interferometer, s <= n_max.
-    s, k = np.tril_indices(d)
-    amp = state.amplitudes
-    pairs = amp[k[:, None], k, (s - k)[:, None], s - k]  # [c1, c2]
-    lost = float(np.vdot(amp, amp).real - np.vdot(pairs, pairs).real)
-    if lost > _LAYOUT_TOL:
-        raise CutoffTooSmall(
-            f"weight {lost:.3e} lies outside s1, s2 <= n_max={state.cutoff.n_max}, "
-            "where the table is not exact; build the input with four_mode_input")
+    kernel = np.zeros((8, 8))
+    kernel[:4, :4] = from_squeezing(squeeze).kernel
+    kernel[5, 4] = kernel[7, 6] = 1.0  # a vacuum block per port: <b b'> = 1
+    mu = complex(coherent.mu)
+    means = np.array([0, 0, 0, 0, mu.conjugate(), mu, mu.conjugate(), mu])
     n = _BASIS_SIZE
-    grid = 2.0 * math.pi * np.arange(n) / n
-    blocks = [beam_splitter_blocks(d, phi) for phi in grid]
-    # weights[i][k2, c1] = (k1 - k2)^p with k1 the n_a1 of label c1.
-    weights = [(k - np.arange(d)[:, None]).astype(float) ** p for p in powers]
-    state1 = np.zeros((d, d, k.size), dtype=complex)
-    state1[s, k] = pairs  # x[s1, k1, c2]
-    state2 = np.zeros_like(state1)
-    values = np.empty((len(powers), n, n))
-    for j, first in enumerate(blocks):
-        state2[s, k] = (first @ state1)[s, k].T  # x[s2, k2, c1]
-        for jj, second in enumerate(blocks):
-            out = second @ state2
-            prob = (out.real ** 2 + out.imag ** 2).sum(axis=0)
-            for i, weight in enumerate(weights):
-                values[i, j, jj] = np.vdot(weight, prob)
+    half = math.pi * np.arange(n) / n  # phi/2 at the grid phases 2 pi j / n
+    cos, sin = np.cos(half), np.sin(half)
+    # number[i, d] is the form of c_i' (d = 0) or c_i (d = 1) on the (phi1, phi2) grid.
+    number = np.zeros((2, 2, 8, n, n))
+    for d in range(2):
+        number[0, d, d], number[0, d, 4 + d] = cos[:, None], sin[:, None]
+        number[1, d, 2 + d], number[1, d, 6 + d] = cos, sin
+    values = []
+    for p in powers:
+        terms = [(-1) ** k * math.comb(p, k) * ordered_moment(
+                     kernel, means, number[[0] * (p - k) + [1] * k].reshape(2 * p, 8, n, n))
+                 for k in range(p + 1)]
+        values.append(sum(terms).real)
     # FFT index order (0, 1, ..., 4, -4, ..., -1): e^{i h phi} = fold @ basis.
     fold = np.zeros((n, n), dtype=complex)
     fold[0, 0] = 1.0
@@ -451,6 +440,19 @@ def _phase_table(state: MultiModeFockState, powers: tuple) -> list:
         fold[[k, n - k], 2 * k - 1] = 1.0
         fold[[k, n - k], 2 * k] = (1j, -1j)
     return [(fold.T @ (np.fft.fft2(v) / (n * n)) @ fold).real for v in values]
+
+
+def table_residuals(table: list, phi1: float, phi2: float, direct: list) -> list:
+    """|table - direct| / |direct| at (phi1, phi2) per R, for ``direct`` from
+    another route; NaN where |direct| is within the table's rounding level
+    1e-12 sum |R|, which bounds the moment (each basis function is <= 1)."""
+    b1, b2 = _trig_basis(np.array([phi1])), _trig_basis(np.array([phi2]))
+    residuals = []
+    for r, exact in zip(table, direct):
+        level = _ROUNDING_TOL * float(np.abs(r).sum())
+        approx = float(((b1 @ r) * b2).sum(axis=1)[0])
+        residuals.append(abs(approx - exact) / abs(exact) if abs(exact) > level else math.nan)
+    return residuals
 
 
 def _chunk_seeds(samples: int, seed: int):
@@ -475,7 +477,6 @@ class PairedAverages:
     se_perp: float
     mean_diff: float
     se_diff: float
-    table_residual: float
     mixed_derivative: float
     exact_par: float
     exact_perp: float
@@ -501,9 +502,8 @@ def noise_average(coeffs: np.ndarray, covariance: np.ndarray) -> float:
     return float(np.sum(coeffs * moments))
 
 
-def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
-                         samples: int, seed: int,
-                         powers: tuple = (2,)) -> tuple:
+def paired_phase_average(noise: PhaseNoiseModel, table: list, samples: int,
+                         seed: int) -> tuple:
     """Monte-Carlo averages of <(N_c1 - N_c2)^p> over phase noise.
 
     Phases are drawn from the bivariate Gaussian noise model centered at
@@ -514,29 +514,21 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
     reduced variance; per-sample differences give the standard error of
     the difference directly.  Draws come in fixed chunks from spawned
     seed sequences and are accumulated in chunk order, so the result is
-    deterministic for a given seed.  Returns one ``PairedAverages`` per
-    entry of ``powers``, in order.  Each carries ``rounding_level``, the
-    table's rounding scale 1e-12 sum |R|; ``table_residual``, the
-    relative deviation |table - direct| / |direct| of the interpolation
-    table from direct beam-splitter evaluation at the off-grid point
-    (sigma1, sigma2), NaN where the direct moment is within the rounding
-    level of 0; ``mixed_derivative``, the table's exact d^2/dphi1 dphi2
-    at (0, 0); and ``exact_par``/``exact_perp``, the table's noise
-    averages in closed form (``noise_average``), which the Monte-Carlo
-    means estimate.
+    deterministic for a given seed.  ``table`` is ``phase_table``'s list
+    of R, one per power; returns one ``PairedAverages`` per R, in order.
+    Each carries ``rounding_level``, the table's rounding scale
+    1e-12 sum |R|; ``mixed_derivative``, the table's exact
+    d^2/dphi1 dphi2 at (0, 0); and ``exact_par``/``exact_perp``, the
+    table's noise averages in closed form (``noise_average``), which the
+    Monte-Carlo means estimate.
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
     perp = PhaseNoiseModel(noise.sigma1, noise.sigma2)
     scales = (noise.scale_matrix(), perp.scale_matrix())
-    coeffs = _phase_table(state, powers)
-    # The direct receipt goes first: its box-sized temporaries are freed
-    # before the chunk buffers are allocated, which lowers the peak RSS.
-    phi1, phi2 = noise.sigma1, noise.sigma2
-    direct = _output_moments(state, phi1, phi2, powers)
     # Per power: running sums for the parallel, orthogonal and difference series.
-    sums = np.zeros((len(powers), 3))
-    sq_sums = np.zeros((len(powers), 3))
+    sums = np.zeros((len(table), 3))
+    sq_sums = np.zeros((len(table), 3))
     # Row 0 of both scale matrices is (sigma1, 0): phi1 is shared.
     rows = (scales[0][0], scales[0][1], scales[1][1])
     z = None
@@ -551,7 +543,7 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
         np.random.default_rng(seq).standard_normal(out=z)
         b1, *b2s = (_trig_basis(np.matmul(z, row, out=phi), out=basis)
                     for row, basis in zip(rows, bases))
-        for i, r in enumerate(coeffs):
+        for i, r in enumerate(table):
             np.matmul(b1, r, out=left)
             for b2, v in zip(b2s, vals):
                 np.einsum("sb,sb->s", left, b2, out=v)
@@ -559,21 +551,18 @@ def paired_phase_average(noise: PhaseNoiseModel, state: MultiModeFockState,
             for k, v in enumerate(vals):
                 sums[i, k] += float(v.sum())
                 sq_sums[i, k] += float(v @ v)
-    b1, b2 = _trig_basis(np.array([phi1])), _trig_basis(np.array([phi2]))
     # The basis slopes at 0: k on the sin(k phi) rows, so d^2/dphi1 dphi2 at
     # (0, 0) of b(phi1)^T R b(phi2) is slope @ R @ slope.
     slope = np.zeros(_BASIS_SIZE)
     slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
     covariances = [scale @ scale.T for scale in scales]
     results = []
-    for total, total_sq, exact, r in zip(sums, sq_sums, direct, coeffs):
+    for total, total_sq, r in zip(sums, sq_sums, table):
         stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
-        level = _ROUNDING_TOL * float(np.abs(r).sum())
-        approx = float(((b1 @ r) * b2).sum(axis=1)[0])
-        residual = abs(approx - exact) / abs(exact) if abs(exact) > level else math.nan
         averages = [noise_average(r, cov) for cov in covariances]
-        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], residual,
-                                      float(slope @ r @ slope), *averages, level))
+        results.append(PairedAverages(*stats[0], *stats[1], *stats[2],
+                                      float(slope @ r @ slope), *averages,
+                                      _ROUNDING_TOL * float(np.abs(r).sum())))
     return tuple(results)
 
 

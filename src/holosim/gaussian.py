@@ -3,10 +3,12 @@
 States are parametrized by the widths (sigma_plus, sigma_minus) of the
 correlated quadrature combinations (x1+x2)/(y1-y2) and (y1+y2)/(x1-x2);
 every state is centered at the origin.  The closed-form thermal-channel
-evolution acts directly on the widths.  Ordered ladder-operator moments are computed
-two independent ways: an exact Gaussian moment factorization with
-commutator bookkeeping (`isserlis_moment`) and direct numerical quadrature
-of the phase-space Laguerre-kernel formula (`glauber_moment`).
+evolution acts directly on the widths.  Ordered moments are computed two
+independent ways: one Gaussian pairwise factorization with commutator
+bookkeeping, for ordered products of linear forms with means
+(`ordered_moment`, which `isserlis_moment` applies to two-mode
+monomials), and direct numerical quadrature of the phase-space
+Laguerre-kernel formula (`glauber_moment`).
 
 Normalization is fixed by the vacuum: sigma_plus = sigma_minus = 1 gives
 Var(x) = Var(y) = 1/4 per mode with a = x + i*y, which reproduces
@@ -89,9 +91,9 @@ class TwoModeGaussianState:
     def kernel(self) -> tuple:
         """Ordered second moments K[i][j] = <o_i o_j> over (a1', a1, a2', a2).
 
-        ``isserlis_moment`` reads only the entries with i <= j.  The n + 1
-        entries and the lower c entries are kept for products in another
-        operator order, which no caller forms yet.
+        Every entry is read: a product in normal order reads the entries
+        with i <= j, and one in another order, such as a1 a1', also reads
+        the n + 1 entries and the lower c entries (``ordered_moment``).
         """
         n, c = self.mean_occupancy(), self.pair_correlation()
         return ((0.0, n, c, 0.0), (n + 1.0, 0.0, 0.0, c),
@@ -146,37 +148,64 @@ def relax_width(width, m_thermal, decay):
     return asymptotic_width(m_thermal) * (1.0 - decay) + width * decay
 
 
-def isserlis_moment(state: TwoModeGaussianState,
-                    monomial: WignerMonomial) -> complex:
-    """Ordered moment by Gaussian pairwise factorization.
+def _pairwise(lin, pair):
+    """The recursion of ``ordered_moment`` on the contractions of its forms.
 
-    The ordered product expectation of zero-mean Gaussian mode operators
-    obeys the recursion <o1 o2 ... ok> = sum_j K(1, j) <rest without j>,
-    where K is the ordered second-moment kernel ``state.kernel``.  Each
-    operator pairs only with later ones, so a ``WignerMonomial``, which
-    lists a1 before a2 and daggers first, reads only K[i][j] with i <= j;
-    the kernel's asymmetry between (a, a') and (a', a) would carry the
-    commutator corrections only for products in another order.
+    lin[k] = w_k.m, or None where every mean vanishes, and pair[k][j] =
+    w_k G w_j, as Python numbers or as batch arrays.
     """
-    rows = [2 * mode + (not dagger) for mode, dagger in as_ladder_sequence(monomial)]
-    kc = [[state.kernel[a][b] for b in rows] for a in rows]
-    memo = {0: 1.0 + 0.0j}
+    memo = {0: 1.0}
 
-    def rec(mask: int) -> complex:
+    def rec(mask):
         if mask in memo:
             return memo[mask]
         first = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << first)
-        total = 0.0 + 0.0j
+        total = 0.0 if lin is None else lin[first] * rec(rest)
         sub = rest
         while sub:
             j = (sub & -sub).bit_length() - 1
-            total += kc[first][j] * rec(rest & ~(1 << j))
+            total = total + pair[first][j] * rec(rest & ~(1 << j))
             sub &= sub - 1
         memo[mask] = total
         return total
 
-    return rec((1 << len(rows)) - 1)
+    return rec((1 << len(pair)) - 1)
+
+
+def ordered_moment(kernel, means, forms):
+    """<(w_1.alpha)(w_2.alpha)...(w_k.alpha)> of a Gaussian state, in that order.
+
+    ``kernel`` is the ordered covariance G[i][j] = <da_i da_j> of the mode
+    operators alpha (da = alpha - <alpha>), ``means`` their means m, and
+    row k of ``forms`` the coefficients w_k; a trailing batch axis on
+    ``forms`` gives one moment per batch column.  Pairwise factorization
+    gives the recursion over the set S of forms still in the product
+
+        f(S) = (w_first.m) f(S - first) + sum_j (w_first G w_j) f(S - {first, j}),
+
+    memoized on bitmasks.  G keeps the operator order, so the commutator
+    bookkeeping holds for products in any order.  One product runs on
+    Python numbers, which beat numpy at this size.
+    """
+    forms = np.asarray(forms)
+    lin = np.einsum("kn...,n->k...", forms, means)
+    pair = np.einsum("in...,nm,jm...->ij...", forms, kernel, forms)
+    if forms.ndim == 2:
+        lin, pair = lin.tolist(), pair.tolist()
+    return _pairwise(lin if np.any(means) else None, pair)
+
+
+def isserlis_moment(state: TwoModeGaussianState,
+                    monomial: WignerMonomial) -> complex:
+    """Ordered moment of a zero-mean two-mode state by pairwise factorization.
+
+    The recursion of ``ordered_moment`` with each operator of the monomial
+    as a unit form over (a1', a1, a2', a2), whose contractions are entries
+    of ``state.kernel``: read off directly, cheaper than numpy at this size.
+    """
+    rows = [2 * mode + (not dagger) for mode, dagger in as_ladder_sequence(monomial)]
+    return complex(_pairwise(None, [[state.kernel[a][b] for b in rows] for a in rows]))
 
 
 def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:

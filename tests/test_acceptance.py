@@ -16,8 +16,8 @@ from holosim import (
     FockCutoff,
     PhaseNoiseModel,
     SqueezeParams,
-    four_mode_input,
     paired_phase_average,
+    phase_table,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
@@ -166,14 +166,14 @@ def test_acceptance_7_deformed_sector_consistency():
 def test_acceptance_8_phase_noise_recovery():
     with criterion(8, "correlated phase noise is recovered from paired "
                       "averages", 300.0):
-        state = four_mode_input(SqueezeParams(0.6), CoherentInput(0.8))
+        table = phase_table(SqueezeParams(0.6), CoherentInput(0.8), (2,))
         noise = PhaseNoiseModel(1e-2, 1e-2, rho=0.5)
-        (res,) = paired_phase_average(noise, state, 100_000, seed=7)
+        (res,) = paired_phase_average(noise, table, 100_000, seed=7)
         recovered = correlation_estimate(res.mean_par, res.mean_perp,
                                          res.mixed_derivative)
         injected = 0.5 * 1e-2 * 1e-2
         assert abs(recovered - injected) / injected <= 0.10
-        (again,) = paired_phase_average(noise, state, 100_000, seed=7)
+        (again,) = paired_phase_average(noise, table, 100_000, seed=7)
         assert again == res
 
 

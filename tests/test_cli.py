@@ -334,7 +334,7 @@ def test_metadata_echo_is_pinned(tmp_path):
     assert header[:12] == [
         "# tool=holosim", "# version=0.1.0", "# mode=phase-mc", "# cutoff=8",
         "# mu=0.5", "# r=0.3", "# rho=0.5", "# samples=2000", "# seed=7",
-        "# sigma1=0.01", "# sigma2=0.01", "# backend=fock_oracle"]
+        "# sigma1=0.01", "# sigma2=0.01", "# backend=gaussian+fock_oracle"]
     # The receipts after the echo are computed values, checked elsewhere.
     assert [line[2:].split("=")[0] for line in header[12:]] == [
         "discarded_tail", "table_residual_p2", "table_residual_p4",

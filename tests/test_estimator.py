@@ -1,5 +1,6 @@
 """Uncertainty ratios, interferometer statistics, and phase-noise averaging."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from holosim import (
     HolosimError,
     PhaseNoiseModel,
     SqueezeParams,
-    four_mode_input,
     paired_phase_average,
+    phase_table,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
@@ -24,7 +25,6 @@ from holosim.errors import (
     CutoffTooSmall,
     DegenerateDenominator,
     DegreeTooHigh,
-    InvalidModeIndex,
     NegativeParameter,
     ParameterOutOfRange,
     ZeroAmplitude,
@@ -32,22 +32,17 @@ from holosim.errors import (
 from holosim.estimator import (
     Backend,
     _output_moments,
-    _phase_table,
     _trig_basis,
     classical_uncertainty,
     correlation_estimate,
+    fock_receipt,
+    four_mode_input,
     noise_average,
     required_monomials,
+    table_residuals,
 )
-from holosim.fock import (
-    DEFAULT_FOUR_MODE_TAIL_TOL,
-    MultiModeFockState,
-    build_coherent,
-    build_twb,
-    expectation,
-    tensor_product,
-)
-from holosim.gaussian import WignerMonomial, evolve, from_squeezing
+from holosim.fock import expectation
+from holosim.gaussian import WignerMonomial, evolve, from_squeezing, ordered_moment
 
 # Independently derived anchors (hyperbolic closed forms and high-precision
 # reference runs frozen at module-creation time).
@@ -56,10 +51,10 @@ RATIO_R2_M1 = 0.08339275355461528         # same with (2M+1) = 3
 MODCCR_R1 = 0.11028822590871327           # 8 * 1 * 0.05 / sinh(2)
 MODCCR_R08 = 0.13470462908413722          # 8 * 0.8 * 0.05 / sinh(1.6)
 DELTA_N_REF = 0.011930345372360728        # r=0.6, mu=0.8, phi=(0.2, 0.2)
-DENOM_REF = -0.4830276337318953           # analytic mixed derivative at (0, 0)
-MC_MEAN_PAR = 5.4240998382217586e-05      # seed=7, 1e5 samples, sigma=0.01
-MC_MEAN_PERP = 7.8519208814477e-05
-MC_MEAN_DIFF = -2.427821043225943e-05
+DENOM_REF = -0.4830276337318953           # -mu^2 sinh(2r)/2 at r=0.6, mu=0.8
+MC_MEAN_PAR = 5.424100905343062e-05       # seed=7, 1e5 samples, sigma=0.01
+MC_MEAN_PERP = 7.851922404913538e-05
+MC_MEAN_DIFF = -2.427821499570475e-05
 INJECTED_COV = 5e-05                      # rho * sigma1 * sigma2
 
 
@@ -69,9 +64,14 @@ def state4():
 
 
 @pytest.fixture(scope="module")
-def state8():
-    """A cutoff-8 input for tests that pin no cutoff-16 value."""
-    return four_mode_input(SqueezeParams(0.3), CoherentInput(0.5), FockCutoff(8))
+def table4():
+    return phase_table(SqueezeParams(0.6), CoherentInput(0.8), (2, 4))
+
+
+@pytest.fixture(scope="module")
+def table3():
+    """A weaker input's table, for tests that pin no value."""
+    return phase_table(SqueezeParams(0.3), CoherentInput(0.5), (2, 4))
 
 
 def delta_n_squared(state, phi1, phi2):
@@ -96,9 +96,31 @@ def tabulate(coeffs, phi1, phi2):
     return [np.einsum("si,ij,sj->s", b1, r, b2) for r in coeffs]
 
 
-def mixed_derivative(state):
+def mixed_derivative(table):
     noise = PhaseNoiseModel(0.01, 0.01)
-    return paired_phase_average(noise, state, 1000, seed=1)[0].mixed_derivative
+    return paired_phase_average(noise, table, 1000, seed=1)[0].mixed_derivative
+
+
+def gaussian_moments(r, mu, phi1, phi2, powers):
+    """<(N_c1 - N_c2)^p> at one phase pair from ``ordered_moment``.
+
+    Sums the 2^p signed ordered products of N_c1 and N_c2 as written,
+    without the table's binomial sum, grid or FFT.
+    """
+    kernel = np.zeros((8, 8))
+    kernel[:4, :4] = from_squeezing(SqueezeParams(r)).kernel
+    kernel[5, 4] = kernel[7, 6] = 1.0
+    mu = complex(mu)
+    means = np.array([0, 0, 0, 0, mu.conjugate(), mu, mu.conjugate(), mu])
+    number = np.zeros((2, 2, 8))  # (c_i', c_i) over (a1', a1, a2', a2, b1', b1, b2', b2)
+    for i, phi in enumerate((phi1, phi2)):
+        for d in range(2):
+            number[i, d, 2 * i + d] = math.cos(phi / 2.0)
+            number[i, d, 4 + 2 * i + d] = math.sin(phi / 2.0)
+    return [sum((-1) ** sum(picks) * ordered_moment(kernel, means,
+                                                      number[list(picks)].reshape(-1, 8))
+                for picks in itertools.product((0, 1), repeat=p)).real
+            for p in powers]
 
 
 def heisenberg_delta_n_squared(state, phi1, phi2):
@@ -168,28 +190,35 @@ def test_delta_n_matches_heisenberg_expansion(state4):
     assert via_splitters == pytest.approx(DELTA_N_REF, abs=1e-9)
 
 
-def test_mixed_derivative_reference(state4):
-    denom = mixed_derivative(state4)
-    assert denom == pytest.approx(cross_difference(state4), rel=1e-12)
-    assert denom == pytest.approx(DENOM_REF, abs=1e-6)
+def test_mixed_derivative_reference(table4):
+    # d^2/dphi1 dphi2 of -2 <N_c1 N_c2> at (0, 0) is -Re(mu^2) <a1 a2>, with
+    # <a1 a2> = sinh(2r)/2 on the twin beam.
+    denom = mixed_derivative(table4)
+    assert denom == pytest.approx(-0.64 * math.sinh(1.2) / 2.0, rel=1e-12, abs=0.0)
+    assert denom == pytest.approx(DENOM_REF, rel=1e-12, abs=0.0)
 
 
-def test_mixed_derivative_interferometer_swap(state4):
-    swapped = MultiModeFockState(
-        4, state4.cutoff, np.transpose(state4.amplitudes, (1, 0, 3, 2)))
-    assert mixed_derivative(state4) == pytest.approx(
-        mixed_derivative(swapped), rel=1e-12)
+def test_mixed_derivative_interferometer_swap(table4):
+    # Swapping the interferometers maps N_c1 - N_c2 to its negative at
+    # swapped phases; the input is symmetric, so each even power's R is a
+    # symmetric matrix, and both interferometers enter the slope alike.
+    for r in table4:
+        assert np.max(np.abs(r - r.T)) <= 1e-12 * np.abs(r).sum()
+    assert gaussian_moments(0.6, 0.8, 0.2, 0.7, (2, 4)) == pytest.approx(
+        gaussian_moments(0.6, 0.8, 0.7, 0.2, (2, 4)), rel=1e-12)
+    assert mixed_derivative(table4) == pytest.approx(
+        mixed_derivative([r.T for r in table4]), rel=1e-12)
 
 
 def test_mixed_derivative_degenerate_guard():
-    vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
+    vac = phase_table(SqueezeParams(0.0), CoherentInput(0.0), (2,))
     with pytest.raises(DegenerateDenominator):
         correlation_estimate(0.0, 0.0, mixed_derivative(vac))
 
 
-def test_uncorrelated_noise_has_identical_configurations(state8):
+def test_uncorrelated_noise_has_identical_configurations(table3):
     noise = PhaseNoiseModel(0.01, 0.02, rho=0.0)
-    (res,) = paired_phase_average(noise, state8, 2000, seed=11)
+    (res,) = paired_phase_average(noise, table3[:1], 2000, seed=11)
     assert res.mean_par == res.mean_perp
     assert res.mean_diff == 0.0
     assert res.se_diff == 0.0
@@ -211,12 +240,10 @@ def test_noise_model_rejects_non_finite_widths(args, error):
         PhaseNoiseModel(*args)
 
 
-def test_paired_average_reference_run(state4):
+def test_paired_average_reference_run(table4):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    (res,) = paired_phase_average(noise, state4, 100_000, seed=7)
-    # The pins predate the total-photon table build, which moved the means
-    # by 2.6e-12 (par) and 1.8e-12 (perp) relative: rounding of the 9x9
-    # table, which 5e-12 allows and nothing more.
+    (res,) = paired_phase_average(noise, table4[:1], 100_000, seed=7)
+    # 5e-12 allows the rounding of the 9x9 table and nothing more.
     assert res.mean_par == pytest.approx(MC_MEAN_PAR, rel=5e-12, abs=0.0)
     assert res.mean_perp == pytest.approx(MC_MEAN_PERP, rel=5e-12, abs=0.0)
     assert res.mean_diff == pytest.approx(MC_MEAN_DIFF, rel=5e-12, abs=0.0)
@@ -226,27 +253,26 @@ def test_paired_average_reference_run(state4):
     assert recovered == pytest.approx(INJECTED_COV, rel=0.1)
 
 
-def test_paired_average_deterministic_for_a_seed(state8):
+def test_paired_average_deterministic_for_a_seed(table3):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    first = paired_phase_average(noise, state8, 5000, seed=21)
-    assert paired_phase_average(noise, state8, 5000, seed=21) == first
-    other = paired_phase_average(noise, state8, 5000, seed=22)
+    first = paired_phase_average(noise, table3[:1], 5000, seed=21)
+    assert paired_phase_average(noise, table3[:1], 5000, seed=21) == first
+    other = paired_phase_average(noise, table3[:1], 5000, seed=22)
     assert other[0].mean_par != first[0].mean_par
     assert other[0].mean_diff != first[0].mean_diff
 
 
-def test_paired_average_powers_share_draws(state8):
+def test_paired_average_powers_share_draws(table3):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    joint = paired_phase_average(noise, state8, 5000, seed=5, powers=(2, 4))
-    separate = tuple(paired_phase_average(noise, state8, 5000, seed=5,
-                                          powers=(p,))[0] for p in (2, 4))
+    joint = paired_phase_average(noise, table3, 5000, seed=5)
+    separate = tuple(paired_phase_average(noise, [r], 5000, seed=5)[0] for r in table3)
     assert joint == separate
 
 
-def test_sample_floor(state4):
+def test_sample_floor(table4):
     noise = PhaseNoiseModel(0.01, 0.01)
     with pytest.raises(NegativeParameter):
-        paired_phase_average(noise, state4, 999, seed=1)
+        paired_phase_average(noise, table4, 999, seed=1)
 
 
 def test_trig_basis_matches_cos_and_sin():
@@ -259,49 +285,44 @@ def test_trig_basis_matches_cos_and_sin():
         assert np.max(np.abs(basis[:, 2 * k] - np.sin(k * phi))) <= 1e-13
 
 
-def test_phase_table_reproduces_grid_nodes(state8, state4):
+def test_phase_table_reproduces_grid_nodes(table3, table4):
     nodes = 2.0 * math.pi * np.arange(9) / 9
     grid = [g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij")]
-    # Off the grid the table is exact only because the input holds
-    # complete beam-splitter chains.
     off_grid = [np.array([0.2, -1.3, 2.9, 0.01]), np.array([0.35, 0.7, -2.2, 0.01])]
-    for st, phases in ((state8, (grid, off_grid)), (state4, (off_grid,))):
-        coeffs = _phase_table(st, (2, 4))
-        for phi1, phi2 in phases:
-            direct = np.array([_output_moments(st, a, b, (2, 4))
+    for (r, mu), table in (((0.3, 0.5), table3), ((0.6, 0.8), table4)):
+        for phi1, phi2 in (grid, off_grid):
+            direct = np.array([gaussian_moments(r, mu, a, b, (2, 4))
                                for a, b in zip(phi1, phi2)]).T
-            tabulated = tabulate(coeffs, phi1, phi2)
-            for values, approx in zip(direct, tabulated):
-                scale = np.max(np.abs(values))
-                assert np.max(np.abs(approx - values)) <= 1e-12 * scale
-    # The last pass is state4 off the grid; its first point is (0.2, 0.35).
-    assert tabulated[0][0] == pytest.approx(direct[0][0], rel=1e-12)
+            for values, approx in zip(direct, tabulate(table, phi1, phi2)):
+                assert np.max(np.abs(approx - values)) <= 1e-12 * np.max(np.abs(values))
+    # The last pass is table4 off the grid; its first point is (0.2, 0.35).
+    assert approx[0] == pytest.approx(values[0], rel=1e-12)
+    # At r = 0.3, mu = 0.5 the occupation basis holds the input to 3e-13
+    # at cutoff 16, so the two routes agree off the grid.
+    state = four_mode_input(SqueezeParams(0.3), CoherentInput(0.5))
+    for a, b in zip(*off_grid):
+        fock = _output_moments(state, a, b, (2, 4))
+        assert fock == pytest.approx(gaussian_moments(0.3, 0.5, a, b, (2, 4)), rel=1e-11)
 
 
-def test_table_residual_receipt(state8):
-    noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    quad, quartic = paired_phase_average(noise, state8, 1000, seed=1,
-                                         powers=(2, 4))
-    for res in (quad, quartic):
-        assert math.isfinite(res.table_residual) and res.table_residual > 0.0
-    vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
-    (res,) = paired_phase_average(noise, vac, 1000, seed=1)
-    assert math.isnan(res.table_residual)
+def test_table_residual_receipt(table4):
+    # |table - Fock| / |Fock| at (sigma1, sigma2) is the Fock route's
+    # truncation: about 2e-7 at cutoff 16, and it shrinks with the cutoff.
+    squeeze, coherent = SqueezeParams(0.6), CoherentInput(0.8)
+    residuals = []
+    for n_max in (16, 24):
+        tail, direct = fock_receipt(squeeze, coherent, FockCutoff(n_max), 0.01, 0.01, (2, 4))
+        assert 0.0 < tail < 1e-6
+        residuals.append(table_residuals(table4, 0.01, 0.01, direct))
+    assert all(1e-8 < res < 1e-6 for res in residuals[0])
+    assert all(b < a / 100.0 for a, b in zip(*residuals))
+    vac = phase_table(SqueezeParams(0.0), CoherentInput(0.0), (2,))
+    _, direct = fock_receipt(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6),
+                             0.01, 0.01, (2,))
+    assert math.isnan(table_residuals(vac, 0.01, 0.01, direct)[0])
 
 
-def test_phase_table_rejects_an_unprojected_box_state():
-    # The per-mode box keeps chains with s = n_a + n_b > n_max in part.
-    cutoff = FockCutoff(16)
-    twb = build_twb(SqueezeParams(0.6), cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
-    port = build_coherent(CoherentInput(0.8), cutoff)
-    box = tensor_product(twb, port, port)
-    with pytest.raises(CutoffTooSmall, match=r"weight \d\.\d+e-\d+ lies outside"):
-        _phase_table(box, (2,))
-    with pytest.raises(InvalidModeIndex, match="four-mode input, got 2 modes"):
-        _phase_table(twb, (2,))
-
-
-def test_power_guard_precedes_any_work(state8, monkeypatch):
+def test_power_guard_precedes_any_work(monkeypatch):
     calls = []
 
     def counted(name, fn):
@@ -310,15 +331,14 @@ def test_power_guard_precedes_any_work(state8, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("apply_beam_splitter", "beam_splitter_blocks", "_chunk_seeds"):
+    for name in ("from_squeezing", "ordered_moment"):
         monkeypatch.setattr(estimator, name, counted(name, getattr(estimator, name)))
-    noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
     with pytest.raises(DegreeTooHigh):
-        paired_phase_average(noise, state8, 1000, seed=1, powers=(5,))
+        phase_table(SqueezeParams(0.3), CoherentInput(0.5), (2, 5))
     assert calls == []
     # The counters see the work of a valid power.
-    paired_phase_average(noise, state8, 1000, seed=1, powers=(4,))
-    assert set(calls) == {"apply_beam_splitter", "beam_splitter_blocks", "_chunk_seeds"}
+    phase_table(SqueezeParams(0.3), CoherentInput(0.5), (4,))
+    assert set(calls) == {"from_squeezing", "ordered_moment"}
 
 
 @pytest.mark.parametrize("noise, cancel", [
@@ -328,21 +348,20 @@ def test_power_guard_precedes_any_work(state8, monkeypatch):
     # routes round at that scale.
     (PhaseNoiseModel(0.01, 0.01, rho=0.5), 1e-12),
 ], ids=["correlated", "anticorrelated", "narrow"])
-def test_noise_average_matches_gauss_hermite(state8, noise, cancel):
+def test_noise_average_matches_gauss_hermite(table3, noise, cancel):
     nodes, weights = np.polynomial.hermite_e.hermegauss(40)
     z1, z2 = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
     w = np.outer(weights, weights).ravel() / (2.0 * math.pi)
     scale = noise.scale_matrix()
     phi1, phi2 = scale @ np.array([z1, z2])
-    table = _phase_table(state8, (2, 4))
-    for coeffs, values in zip(table, tabulate(table, phi1, phi2)):
+    for coeffs, values in zip(table3, tabulate(table3, phi1, phi2)):
         assert noise_average(coeffs, scale @ scale.T) == pytest.approx(
             float(w @ values), rel=1e-12, abs=cancel * np.abs(coeffs).sum())
 
 
-def test_noise_average_z_scores_at_reference_run(state4):
+def test_noise_average_z_scores_at_reference_run(table4):
     noise = PhaseNoiseModel(0.01, 0.01, rho=0.5)
-    for res in paired_phase_average(noise, state4, 100_000, seed=7, powers=(2, 4)):
+    for res in paired_phase_average(noise, table4, 100_000, seed=7):
         assert abs(res.mean_par - res.exact_par) <= 4.0 * res.se_par
         assert abs(res.mean_perp - res.exact_perp) <= 4.0 * res.se_perp
 

@@ -1,7 +1,9 @@
 """Analytic backend: width evolution, moment factorization, quadrature."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from holosim.errors import DegreeTooHigh, NegativeParameter, ParameterOutOfRange
@@ -18,6 +20,7 @@ from holosim.gaussian import (
     from_squeezing,
     glauber_moment,
     isserlis_moment,
+    ordered_moment,
 )
 
 E4 = 54.598150033144236                  # exp(4)
@@ -225,3 +228,38 @@ def test_degree_caps():
         WignerMonomial(1, -1, 0, 0)
     # The empty product has expectation 1 on every state.
     assert isserlis_moment(state, WignerMonomial(0, 0, 0, 0)) == 1
+
+
+# (mode, dagger) of each row of TwoModeGaussianState.kernel: a1', a1, a2', a2.
+KERNEL_OPS = ((0, True), (0, False), (1, True), (1, False))
+
+
+@pytest.mark.parametrize("rows", [
+    *itertools.product(range(4), repeat=2),
+    (1, 0, 3, 2),  # a1 a1' a2 a2'
+    (3, 0, 1, 2),  # a2 a1' a1 a2'
+], ids=lambda rows: "".join("a{}{}".format(KERNEL_OPS[i][0] + 1, "'" * KERNEL_OPS[i][1])
+                            for i in rows))
+def test_ordered_moment_reads_every_kernel_entry(rows):
+    # The 16 products o_i o_j read each kernel entry once; the two of
+    # degree 4 are not normally ordered, so the recursion reads the n + 1
+    # and the lower c entries as well.
+    state = from_squeezing(SqueezeParams(0.5))
+    wick = ordered_moment(state.kernel, np.zeros(4), np.eye(4)[list(rows)])
+    oracle = expectation(build_twb(SqueezeParams(0.5), FockCutoff(40)),
+                         [KERNEL_OPS[i] for i in rows])
+    assert abs(wick - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def test_ordered_moment_batch_axis_matches_single_products():
+    # A trailing batch axis on the forms gives one moment per column, with
+    # means, as separate calls on Python numbers do.
+    rng = np.random.default_rng(5)
+    kernel = from_squeezing(SqueezeParams(0.4)).kernel
+    means = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    forms = rng.standard_normal((5, 4, 3))
+    batch = ordered_moment(kernel, means, forms)
+    assert batch.shape == (3,)
+    for col in range(3):
+        single = ordered_moment(kernel, means, forms[:, :, col])
+        assert batch[col] == pytest.approx(single, rel=1e-13)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holosim import _propagators
-from holosim._propagators import apply_exponential, beam_splitter_blocks
+from holosim._propagators import apply_exponential
 from holosim.errors import (
     AmplitudeTooLarge,
     CutoffTooSmall,
@@ -111,11 +111,9 @@ def _duhamel_at_80():
 @pytest.mark.parametrize("build,eigh_calls", [
     (lambda: closed_form_correction(0.8, FockCutoff(64)), 3),
     (_duhamel_at_80, 3),
-    (lambda: beam_splitter_blocks(17, 0.3), 17),
-], ids=["closed-form-64", "duhamel-80", "blocks-17"])
+], ids=["closed-form-64", "duhamel-80"])
 def test_chain_spectra_are_built_on_first_use(monkeypatch, build, eigh_calls):
-    # The deformed-sector vectors occupy the squeeze chains q = 0, +-2 only,
-    # and the complete beam-splitter blocks are the chains s < dim.
+    # The deformed-sector vectors occupy the squeeze chains q = 0, +-2 only.
     calls = []
     eigh = np.linalg.eigh
 
@@ -123,8 +121,7 @@ def test_chain_spectra_are_built_on_first_use(monkeypatch, build, eigh_calls):
         calls.append(len(matrix))
         return eigh(matrix)
 
-    for builder in (_propagators._squeeze_chain, _propagators._beam_splitter_chain,
-                    _propagators._complete_spectra):
+    for builder in (_propagators._squeeze_chain, _propagators._beam_splitter_chain):
         builder.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", counted)
     build()

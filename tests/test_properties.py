@@ -16,14 +16,14 @@ from holosim import (  # noqa: E402
     FockCutoff,
     HolosimError,
     SqueezeParams,
-    four_mode_input,
+    phase_table,
     uncertainty_env_approx,
     uncertainty_env_full,
 )
 from holosim import cli  # noqa: E402
-from holosim._propagators import apply_exponential, beam_splitter_blocks  # noqa: E402
+from holosim._propagators import apply_exponential  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
-from holosim.estimator import _output_moments, _phase_table  # noqa: E402
+from holosim.estimator import _output_moments, four_mode_input  # noqa: E402
 from holosim.fock import _apply_ladder, build_twb, expectation  # noqa: E402
 from holosim.gaussian import (  # noqa: E402
     WignerMonomial,
@@ -33,26 +33,54 @@ from holosim.gaussian import (  # noqa: E402
     glauber_moment,
     isserlis_moment,
 )
-from test_estimator import cross_difference, mixed_derivative, tabulate  # noqa: E402
+from test_estimator import (  # noqa: E402
+    cross_difference,
+    gaussian_moments,
+    mixed_derivative,
+    tabulate,
+)
 
 PHASE = st.floats(-math.pi, math.pi)
 ANGLE = st.floats(-20.0, 20.0)
 
 
+# The largest deviation of the occupation-basis route from the Gaussian one,
+# relative to max(1, sum |R|), per cutoff: 5x the worst seen over 40 random
+# draws and at the corners r = 0.5, |mu| = 1.4 (1.8e-2 and 1.1e-6).
+FOCK_BOUND = {8: 5e-2, 16: 5e-6}
+
+
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(r=st.floats(0.0, 0.5), mu=st.floats(0.0, 1.4), phi1=PHASE, phi2=PHASE)
-def test_phase_table_is_exact_off_grid(r, mu, phi1, phi2):
-    # Cutoff 8 holds r <= 0.5 (tail below 1e-6) and |mu|^2 <= 2.
-    state = four_mode_input(SqueezeParams(r), CoherentInput(mu), FockCutoff(8))
-    table = _phase_table(state, (2, 4))
-    direct = _output_moments(state, phi1, phi2, (2, 4))
+@given(r=st.floats(0.0, 0.5), amplitude=st.floats(0.0, 1.4), angle=PHASE,
+       phi1=PHASE, phi2=PHASE)
+def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
+    # A complex mu: with a real one, dropping the conjugate from the
+    # daggered ports' means would go unseen.
+    mu = amplitude * complex(math.cos(angle), math.sin(angle))
+    table = phase_table(SqueezeParams(r), CoherentInput(mu), (2, 4))
+    exact = gaussian_moments(r, mu, phi1, phi2, (2, 4))
     tabulated = tabulate(table, np.array([phi1]), np.array([phi2]))
-    for coeffs, exact, approx in zip(table, direct, tabulated):
-        # Each basis function is bounded by 1, so sum |R| bounds the moment.
-        scale = np.abs(coeffs).sum()
-        assert abs(approx[0] - exact) <= 1e-12 * scale
-    assert mixed_derivative(state) == pytest.approx(
-        cross_difference(state), rel=1e-8, abs=1e-12 * np.abs(table[0]).sum())
+    # Each basis function is bounded by 1, so sum |R| bounds the moment.
+    scales = [np.abs(coeffs).sum() for coeffs in table]
+    for approx, value, scale in zip(tabulated, exact, scales):
+        assert abs(approx[0] - value) <= 1e-12 * scale
+    # The Fock route truncates, and its deviation shrinks with the cutoff;
+    # its cutoff-8 box holds r <= 0.5 (tail below 1e-6) and |mu|^2 <= 2.
+    deviation = {}
+    for n_max, bound in FOCK_BOUND.items():
+        state = four_mode_input(SqueezeParams(r), CoherentInput(mu), FockCutoff(n_max))
+        fock = _output_moments(state, phi1, phi2, (2, 4))
+        deviation[n_max] = max(abs(f - value) / max(1.0, scale)
+                               for f, value, scale in zip(fock, exact, scales))
+        assert deviation[n_max] <= bound
+    assert deviation[16] <= max(deviation[8], 1e-12)
+    # The mixed derivative is -Re(mu^2) sinh(2r)/2, and the Fock route's
+    # cross difference approaches it.
+    denom = mixed_derivative(table)
+    closed = -(mu * mu).real * math.sinh(2.0 * r) / 2.0
+    assert denom == pytest.approx(closed, rel=1e-12, abs=1e-12 * scales[0])
+    assert cross_difference(state) == pytest.approx(
+        denom, abs=FOCK_BOUND[16] * max(1.0, scales[0]))
 
 
 # Every ordered monomial of degree <= 8: 495 of them.
@@ -138,14 +166,6 @@ def test_chain_exponentials_act_only_on_occupied_chains(kind, dim, theta, seed):
     assert np.array_equal(out[on_x], apply_exponential(kind, dim, theta, x + y)[on_x])
     reference = _dense_exponential(kind, dim, theta) @ x
     assert np.max(np.abs(out - reference), initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(x))
-
-
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(dim=st.integers(1, 24), theta=ANGLE)
-def test_complete_chain_blocks_are_unitary(dim, theta):
-    blocks = beam_splitter_blocks(dim, theta)
-    products = blocks @ blocks.conj().transpose(0, 2, 1)
-    assert np.max(np.abs(products - np.eye(dim))) <= 1e-12
 
 
 # A sweep body of valid values, with at most one special value put in: 0,
@@ -264,3 +284,47 @@ def test_config_parse_raises_only_config_error(tmp_path_factory, case):
     assert config.seed >= 0
     assert getattr(config, "cutoff", 0) <= cli.MAX_CUTOFF.get(mode, 0)
     assert getattr(config, "samples", 0) <= cli.MAX_SAMPLES
+
+
+# Bounded runs of the modes that reach the occupation basis: grids of at
+# most 3 points, cutoffs of at most 12 (or the mode's default) and at most
+# 2,000 samples, with values that are junk, out of range or fine.
+RUN_NUMBER = (st.floats(-1.0, 3.0)
+              | st.sampled_from([0.0, 1e-9, 0.25, 1.3, 400.0, math.nan, math.inf]))
+RUN_LIST = st.lists(RUN_NUMBER, min_size=1, max_size=3).map(
+    lambda values: ", ".join(map(repr, values)))
+RUN_KEYS = {
+    "sweep-modccr": dict(r_grid=RUN_LIST, epsilon_values=RUN_LIST,
+                         cutoff=st.integers(-1, 12)),
+    "phase-mc": dict(r=RUN_NUMBER, mu=RUN_NUMBER, sigma1=RUN_NUMBER, sigma2=RUN_NUMBER,
+                     rho=RUN_NUMBER, samples=st.integers(900, 2000),
+                     cutoff=st.integers(-1, 12)),
+    "validate": dict(cutoff=st.integers(-1, 12),
+                     fault=st.sampled_from(["none", "relaxation_sign_flip", "bogus"])),
+}
+
+
+@st.composite
+def bounded_runs(draw):
+    mode = draw(st.sampled_from(sorted(RUN_KEYS)))
+    lines = [f"{key} = {draw(value)}" for key, value in RUN_KEYS[mode].items()
+             if draw(st.booleans())]
+    return mode, "\n".join([f"[{mode}]", *lines]) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=bounded_runs())
+@example(case=("sweep-modccr", "[sweep-modccr]\nr_grid = 0.5, 1.3\n"
+               "epsilon_values = 0.05, 0.25\ncutoff = 12\n"))
+@example(case=("phase-mc", "[phase-mc]\nr = 0.3\nmu = 0.5\nsamples = 1000\ncutoff = 8\n"))
+@example(case=("validate", "[validate]\nfault = relaxation_sign_flip\n"))
+def test_bounded_runs_exit_0_or_2(tmp_path_factory, case):
+    # A run ends with exit 0, or 2 for bad input, never with a traceback;
+    # validate's negative control exits 1, or 2 if its input is bad.
+    mode, body = case
+    path = tmp_path_factory.getbasetemp() / "run.cfg"
+    path.write_text(body, encoding="utf-8")
+    out = path.with_suffix(".csv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([mode, "--config", str(path), "--out", str(out)])
+    assert code in ((1, 2) if "relaxation_sign_flip" in body else (0, 2))
