@@ -6,8 +6,11 @@ with its oracle column, a self-validation suite, and the phase-noise
 Monte-Carlo pipeline.  Runs are configured by a line-oriented typed
 key-value file with one section per mode, overridable by command-line
 flags; results are emitted as CSV tables with a metadata header plus a
-gnuplot script per sweep.  Identical configuration and seed produce
-byte-identical CSV output (excluding the timestamp header line).
+gnuplot script per sweep.  The CSV is produced in blocks of ``CSV_BLOCK``
+rows, each distinct numeric value formatted once per block; an ``--out``
+file is written block by block, stdout in one write.  Identical
+configuration and seed produce byte-identical CSV output (excluding the
+timestamp header line), through either route.
 """
 
 from __future__ import annotations
@@ -207,6 +210,11 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> SimpleNames
 # Result container and CSV emission.
 # ---------------------------------------------------------------------------
 
+# Rows per CSV block: numeric cells are formatted once per distinct value
+# within a block, and no column's strings are held all at once.
+CSV_BLOCK = 1000
+
+
 @dataclass
 class SweepResult:
     """Named columns plus full metadata echo; renders to CSV and a gnuplot script."""
@@ -215,16 +223,30 @@ class SweepResult:
     columns: dict  # name -> sequence or numpy array, one entry per row
     gnuplot: str = None
 
-    def to_csv(self) -> str:
-        lines = [f"# {key}={value}" for key, value in self.metadata.items()]
-        lines.append(",".join(self.columns))
-        # tolist() turns a numpy column into Python numbers, whose str is
-        # their shortest repr; a numpy scalar's repr reads "np.float64(...)".
-        cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c)
-                 for c in self.columns.values())
-        lines.extend(map(",".join, zip(*cells)))
-        lines.append("")
-        return "\n".join(lines)
+    def csv_blocks(self):
+        """The CSV text: the header, then blocks of up to ``CSV_BLOCK`` rows."""
+        head = [f"# {key}={value}" for key, value in self.metadata.items()]
+        head.append(",".join(self.columns))
+        yield "\n".join(head) + "\n"
+        columns = list(self.columns.values())
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            cells = (_cells(c[start:start + CSV_BLOCK]) for c in columns)
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _cells(values) -> list:
+    """str of each value; a numpy array's distinct values are formatted once.
+
+    Values are keyed by their bits, which keeps -0.0 apart from 0.0 and NaN
+    payloads apart.  tolist() gives Python numbers, whose str is their
+    shortest repr; a numpy scalar's repr reads "np.float64(...)".
+    """
+    if not isinstance(values, np.ndarray):
+        return list(map(str, values))
+    _, first, inverse = np.unique(values.view(f"u{values.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    text = np.array(list(map(str, values[first].tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _metadata(config: SimpleNamespace, backend_note: str) -> dict:
@@ -349,7 +371,8 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     tail, direct = estimator.fock_receipt(squeeze, coherent, FockCutoff(config.cutoff),
                                           config.sigma1, config.sigma2, powers)
     table = estimator.phase_table(squeeze, coherent, powers)
-    residuals = estimator.table_residuals(table, config.sigma1, config.sigma2, direct)
+    residuals = ([math.nan] * len(powers) if direct is None else
+                 estimator.table_residuals(table, config.sigma1, config.sigma2, direct))
     quad, quartic = estimator.paired_phase_average(noise, table, config.samples,
                                                    config.seed)
     denom = quad.mixed_derivative
@@ -365,7 +388,7 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     row = (config.samples, quad.mean_par, quad.se_par, quad.mean_perp,
            quad.se_perp, denom, covariance, covariance_se, injected,
            delta_e, delta_e_cl, delta_e / delta_e_cl)
-    meta = _metadata(config, "gaussian+fock_oracle")
+    meta = _metadata(config, "gaussian" if direct is None else "gaussian+fock_oracle")
     meta["discarded_tail"] = tail
     meta["table_residual_p2"], meta["table_residual_p4"] = residuals
     meta["e_par_exact"] = quad.exact_par
@@ -555,23 +578,26 @@ _RUNNERS = {
 }
 
 
-def _write(path: str, text: str) -> None:
-    """Write one output file; an unwritable path is bad input (exit 2)."""
+def _write(path: str, chunks) -> None:
+    """Write one output file from an iterable of strings; an unwritable path
+    is bad input (exit 2)."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise HolosimError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(result: SweepResult, config: SimpleNamespace) -> None:
-    text = result.to_csv()
     if config.out:
-        _write(config.out, text)
+        _write(config.out, result.csv_blocks())
         if result.gnuplot:
-            _write(os.path.splitext(config.out)[0] + ".gnuplot", result.gnuplot)
+            _write(os.path.splitext(config.out)[0] + ".gnuplot", (result.gnuplot,))
     else:
-        sys.stdout.write(text)
+        # One write of the whole text: when a reader closes the pipe early
+        # (``| head``) the run still exits 0, where block-by-block writes
+        # raise BrokenPipeError.
+        sys.stdout.write("".join(result.csv_blocks()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,14 +625,14 @@ def main(argv=None) -> int:
         config = resolve_config(args.mode, file_values, overrides)
         if config.mode == "validate":
             if config.out:
-                _write(config.out, "")  # fail on an unwritable path before the checks
+                _write(config.out, ())  # fail on an unwritable path before the checks
             exit_code, checks = run_validate(config)
             lines = [c.line() for c in checks]
             passed = sum(c.passed for c in checks)
             lines.append(f"validate: {passed}/{len(checks)} checks passed")
             report = "\n".join(lines) + "\n"
             if config.out:
-                _write(config.out, report)
+                _write(config.out, (report,))
             sys.stdout.write(report)
             return exit_code
         result = _RUNNERS[config.mode](config)

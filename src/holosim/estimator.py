@@ -375,7 +375,13 @@ def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCu
                  phi1: float, phi2: float, powers: tuple) -> tuple:
     """(discarded_tail, moments) of ``four_mode_input`` at (phi1, phi2): the
     occupation-basis route, which shares no step with ``phase_table``.  The
-    four-mode state is freed on return."""
+    four-mode state is freed on return.  Where the twin beam's weight above
+    the cutoff exceeds ``DEFAULT_FOUR_MODE_TAIL_TOL`` the cutoff cannot hold
+    the input: no state is built, and that weight comes back with moments
+    ``None``."""
+    tail = twb_tail(squeeze.r, cutoff, tail_tol=math.inf)
+    if tail > DEFAULT_FOUR_MODE_TAIL_TOL:
+        return tail, None
     state = four_mode_input(squeeze, coherent, cutoff)
     return state.discarded_tail, _output_moments(state, phi1, phi2, powers)
 

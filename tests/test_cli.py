@@ -286,6 +286,80 @@ def test_phase_mc_receipts_are_nan_without_noise(tmp_path):
                         "z_par": "nan", "z_perp": "nan"}
 
 
+def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path):
+    # At r = 0.9 the twin beam's tail above cutoff 16 exceeds the four-mode
+    # tolerance; the table needs no cutoff, so the run goes on without the
+    # occupation-basis receipt.
+    cfg = write_config(tmp_path, """\
+        [phase-mc]
+        r = 0.9
+        samples = 2000
+        """)
+    out = tmp_path / "mc.csv"
+    assert cli.main(["phase-mc", "--config", cfg, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    meta = dict(line[2:].split("=", 1) for line in text.splitlines()
+                if line.startswith("# "))
+    assert meta["backend"] == "gaussian"
+    assert float(meta["discarded_tail"]) == math.tanh(0.9) ** 34
+    assert float(meta["discarded_tail"]) > 1e-6
+    assert (meta["table_residual_p2"], meta["table_residual_p4"]) == ("nan", "nan")
+    header, row = data_lines(text)[:2]
+    named = dict(zip(header.split(","), row.split(",")))
+    closed = -(0.8 ** 2) * math.sinh(1.8) / 2.0
+    assert float(named["denominator"]) == pytest.approx(closed, rel=1e-12, abs=0)
+    # A cutoff that holds the input brings the receipt back.
+    assert cli.main(["phase-mc", "--config", cfg, "--out", str(out),
+                     "--cutoff", "24"]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert "# backend=gaussian+fock_oracle" in text
+    assert "# table_residual_p2=nan" not in text
+
+
+SEVERAL_BLOCKS = """\
+    [sweep-env-coupling]
+    lambda_tau_grid = logspace(1e-6, 1e-2, 1000)
+    """
+
+
+def test_stdout_survives_a_reader_that_closes_early(tmp_path):
+    # 4,000 rows, about 0.5 MB: far more than a pipe buffers.
+    cfg = write_config(tmp_path, SEVERAL_BLOCKS)
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "holosim.cli", "sweep-env-coupling", "--config", cfg],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head.startswith(b"# tool=holosim")
+    assert "Traceback" not in stderr
+
+
+def test_out_file_and_stdout_agree(tmp_path, capsys):
+    cfg = write_config(tmp_path, SEVERAL_BLOCKS)
+    out = tmp_path / "coupling.csv"
+    assert cli.main(["sweep-env-coupling", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["sweep-env-coupling", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    written = out.read_text(encoding="utf-8")
+    rows = len(data_lines(written)) - 1  # below the column names
+    assert rows == 4000 > 3 * cli.CSV_BLOCK
+    assert stdout.endswith("\n") and written.endswith("\n")
+    assert strip_timestamp(stdout) == strip_timestamp(written)
+    # An unwritable path exits 2 and leaves no file, partial or whole.
+    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(["sweep-env-coupling", "--config", cfg, "--out", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+    assert not os.path.exists(f"{tmp_path}.gnuplot")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "coupling.csv", "coupling.gnuplot", "run.cfg"]
+
+
 def test_stdout_mode_and_seed_override(tmp_path, capsys):
     cfg = write_config(tmp_path, """\
         [sweep-env-coupling]

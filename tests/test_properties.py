@@ -328,3 +328,56 @@ def test_bounded_runs_exit_0_or_2(tmp_path_factory, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([mode, "--config", str(path), "--out", str(out)])
     assert code in ((1, 2) if "relaxation_sign_flip" in body else (0, 2))
+
+
+# A quiet NaN with a nonzero payload: its bits differ from math.nan's.
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+                     5e-324, -2.5e-310]))
+CELLS = {"float64": FLOAT_CELLS,
+         "int64": st.integers(-2 ** 63, 2 ** 63 - 1),
+         "list": st.one_of(FLOAT_CELLS, st.sampled_from(["gaussian_full", "none"])),
+         "tuple": st.one_of(FLOAT_CELLS, st.integers())}
+BLOCK = cli.CSV_BLOCK
+
+
+@st.composite
+def csv_columns(draw):
+    # Each column draws its cells from a small pool, so values repeat
+    # within a block as the sweeps' columns do.
+    rows = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        pool = draw(st.lists(CELLS[kind], min_size=1, max_size=12))
+        picks = rng.integers(len(pool), size=rows).tolist()
+        if kind in ("float64", "int64"):
+            columns[f"c{i}"] = np.array(pool, dtype=kind)[picks]
+        else:
+            cells = [pool[k] for k in picks]
+            columns[f"c{i}"] = cells if kind == "list" else tuple(cells)
+    return columns
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(columns=csv_columns())
+@example(columns={"x": np.resize([-0.0, 0.0, 1.5, -0.0], BLOCK + 1)})
+@example(columns={"x": np.array([math.nan, NAN_PAYLOAD, -math.nan] * 3),
+                  "n": np.arange(9), "b": ["none"] * 9})
+def test_csv_blocks_match_per_cell_formatting(columns):
+    # The reference formats each cell on its own; the blocks format each
+    # distinct bit pattern once per block, which must not change a byte.
+    plain = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    expected = "".join(
+        ["# tool=holosim\n", ",".join(columns) + "\n"]
+        + [",".join(map(str, row)) + "\n" for row in zip(*plain)])
+    blocks = list(cli.SweepResult({"tool": "holosim"}, columns).csv_blocks())
+    assert len(blocks) == 1 + math.ceil(len(plain[0]) / BLOCK)
+    # Line by line: a diff of the whole texts would take pytest minutes.
+    got, want = "".join(blocks).split("\n"), expected.split("\n")
+    assert len(got) == len(want)
+    wrong = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert not wrong, wrong[:3]
