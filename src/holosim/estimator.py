@@ -21,6 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    AmplitudeTooLarge,
+    CutoffTooSmall,
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
@@ -375,14 +377,14 @@ def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCu
                  phi1: float, phi2: float, powers: tuple) -> tuple:
     """(discarded_tail, moments) of ``four_mode_input`` at (phi1, phi2): the
     occupation-basis route, which shares no step with ``phase_table``.  The
-    four-mode state is freed on return.  Where the twin beam's weight above
-    the cutoff exceeds ``DEFAULT_FOUR_MODE_TAIL_TOL`` the cutoff cannot hold
-    the input: no state is built, and that weight comes back with moments
-    ``None``."""
-    tail = twb_tail(squeeze.r, cutoff, tail_tol=math.inf)
-    if tail > DEFAULT_FOUR_MODE_TAIL_TOL:
-        return tail, None
-    state = four_mode_input(squeeze, coherent, cutoff)
+    four-mode state is freed on return.  Where the cutoff cannot hold the
+    input (``four_mode_input`` raises for the twin beam's tail or the
+    coherent port's amplitude), the twin beam's weight above the cutoff
+    comes back with moments ``None``."""
+    try:
+        state = four_mode_input(squeeze, coherent, cutoff)
+    except (CutoffTooSmall, AmplitudeTooLarge):
+        return twb_tail(squeeze.r, cutoff, tail_tol=math.inf), None
     return state.discarded_tail, _output_moments(state, phi1, phi2, powers)
 
 

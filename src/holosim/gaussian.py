@@ -185,14 +185,10 @@ def ordered_moment(kernel, means, forms):
         f(S) = (w_first.m) f(S - first) + sum_j (w_first G w_j) f(S - {first, j}),
 
     memoized on bitmasks.  G keeps the operator order, so the commutator
-    bookkeeping holds for products in any order.  One product runs on
-    Python numbers, which beat numpy at this size.
+    bookkeeping holds for products in any order.
     """
-    forms = np.asarray(forms)
     lin = np.einsum("kn...,n->k...", forms, means)
     pair = np.einsum("in...,nm,jm...->ij...", forms, kernel, forms)
-    if forms.ndim == 2:
-        lin, pair = lin.tolist(), pair.tolist()
     return _pairwise(lin if np.any(means) else None, pair)
 
 

@@ -58,35 +58,28 @@ def auxiliary_mode_map(epsilon: float) -> np.ndarray:
 def deformed_commutator_check(epsilon: float, cutoff: FockCutoff) -> float:
     """Max deviation of ([a1,a2], [a1,a2'], [ai,ai']) from (eps, eps, 1+eps).
 
-    The commutators are evaluated as truncated-space matrices.  The
-    expected values hold exactly away from the truncation edge, so the
-    deviation is taken on the guarded subspace with both occupations
-    <= n_max - 2, where quadratic products close.
+    The commutators are those of the truncated-space operators, on the
+    guarded subspace with both occupations <= n_max - 2, where quadratic
+    products close and the expected values hold exactly.  Over the basis
+    B = (A1, A2, A1', A2'), with k' the dagger of k, two real forms u.B and
+    v.B commute to w1 [A1,A1'] x I + w2 I x [A2,A2'], w_k = u_k v_k' - u_k' v_k,
+    and a form's dagger swaps its halves.  The truncated [A,A'] is diagonal,
+    so the deviation is max |w1 c[n1] + w2 c[n2] - expected| over its diagonal c.
     """
     if cutoff.n_max < 4:
         raise CutoffTooSmall(
             "commutator check needs n_max >= 4 to guard the truncation edge")
-    mode_map = auxiliary_mode_map(epsilon)
-    d = cutoff.dim
-    a = _apply_ladder(np.eye(d), 0, False)
-    eye = np.eye(d)
-    basis = [np.kron(a, eye), np.kron(eye, a),
-             np.kron(a.T, eye), np.kron(eye, a.T)]
-    a1 = sum(c * op for c, op in zip(mode_map[0], basis))
-    a2 = sum(c * op for c, op in zip(mode_map[1], basis))
-    eye2 = np.eye(d * d)
-
-    guard = np.arange(d) <= cutoff.n_max - 2
-    keep = np.kron(guard, guard)  # both occupations guarded, in the kron basis
-
-    def guarded_dev(mat: np.ndarray, expected: float) -> float:
-        block = (mat - expected * eye2)[np.ix_(keep, keep)]
-        return float(np.max(np.abs(block)))
-
-    return max(guarded_dev(a1 @ a2 - a2 @ a1, epsilon),
-               guarded_dev(a1 @ a2.T - a2.T @ a1, epsilon),
-               guarded_dev(a1 @ a1.T - a1.T @ a1, 1.0 + epsilon),
-               guarded_dev(a2 @ a2.T - a2.T @ a2, 1.0 + epsilon))
+    a1, a2 = auxiliary_mode_map(epsilon)
+    a = _apply_ladder(np.eye(cutoff.dim), 0, False)
+    c = np.diag(a @ a.T - a.T @ a)[:cutoff.n_max - 1]  # guarded occupations
+    a1_dag, a2_dag = np.roll(a1, 2), np.roll(a2, 2)
+    deviation = 0.0
+    for u, v, expected in ((a1, a2, epsilon), (a1, a2_dag, epsilon),
+                           (a1, a1_dag, 1.0 + epsilon), (a2, a2_dag, 1.0 + epsilon)):
+        w1, w2 = u[:2] * v[2:] - u[2:] * v[:2]
+        deviation = max(deviation, float(np.max(np.abs(
+            w1 * c[:, None] + w2 * c[None, :] - expected))))
+    return deviation
 
 
 def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: configs, sweeps, reports, and exit codes."""
 
+import json
 import math
 import os
 import subprocess
@@ -316,6 +317,30 @@ def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path
     assert "# table_residual_p2=nan" not in text
 
 
+def test_phase_mc_receipt_is_nan_where_the_coherent_port_exceeds_its_cutoff(tmp_path):
+    # |mu|^2 = 9 exceeds n_max/4 = 4 at cutoff 16 but not at cutoff 36; the
+    # table needs no cutoff, so only the receipt differs between the two.
+    cfg = write_config(tmp_path, """\
+        [phase-mc]
+        r = 0.6
+        mu = 3
+        samples = 5000
+        """)
+    texts = {}
+    for cutoff in ("16", "36"):
+        out = tmp_path / f"mc{cutoff}.csv"
+        assert cli.main(["phase-mc", "--config", cfg, "--out", str(out),
+                         "--cutoff", cutoff]) == 0
+        texts[cutoff] = out.read_text(encoding="utf-8")
+    meta = dict(line[2:].split("=", 1) for line in texts["16"].splitlines()
+                if line.startswith("# "))
+    assert meta["backend"] == "gaussian"
+    assert float(meta["discarded_tail"]) == math.tanh(0.6) ** 34
+    assert (meta["table_residual_p2"], meta["table_residual_p4"]) == ("nan", "nan")
+    assert "# backend=gaussian+fock_oracle" in texts["36"]
+    assert data_lines(texts["16"]) == data_lines(texts["36"])
+
+
 SEVERAL_BLOCKS = """\
     [sweep-env-coupling]
     lambda_tau_grid = logspace(1e-6, 1e-2, 1000)
@@ -497,6 +522,39 @@ def test_import_loads_neither_scipy_nor_thread_pools():
     assert done.stdout.strip() == "[]"
 
 
+SMALL_RUNS = """\
+    [sweep-env-coupling]
+    m_values = 0, 1
+    lambda_tau_grid = logspace(1e-5, 1e-3, 3)
+    [sweep-env-squeezing]
+    m_values = 0, 1
+    r_grid = linspace(0.5, 1.5, 3)
+    [sweep-modccr]
+    r_grid = 0.3, 0.6
+    epsilon_values = 0.01, 0.05
+    [phase-mc]
+    samples = 5000
+    """
+
+
+@pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing",
+                                  "sweep-modccr", "phase-mc", "validate"])
+def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
+    # The tracer's probes read arguments by name and position (a state's
+    # amplitudes, a cutoff's n_max), so a signature they no longer fit
+    # kills the traced benchmark run while untraced runs still pass.
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    child = os.path.join(os.path.dirname(src), "bench", "child.py")
+    report = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, child, "--report", str(report), "--trace", "--", mode,
+         "--config", write_config(tmp_path, SMALL_RUNS), "--seed", "3",
+         "--out", str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert {"compute_s", "trace"} <= set(json.loads(report.read_text(encoding="utf-8")))
+
+
 @pytest.mark.parametrize("mode,config,flags,named", [
     ("phase-mc", None, ["--seed", "-1"], None),
     ("sweep-env-squeezing", "[sweep-env-squeezing]\nr_grid = 0.5, 400\n", [],
@@ -509,9 +567,12 @@ def test_import_loads_neither_scipy_nor_thread_pools():
     ("phase-mc", "[phase-mc]\nsamples = 1000000000000000\n", [],
      "samples must be <= 100000000"),
     ("sweep-modccr", "[sweep-modccr]\nr_grid = 0, 0.5\n", [], "vanishes at r = 0"),
+    # The phase table needs no cutoff, so the amplitude's own bound guards it.
+    ("phase-mc", "[phase-mc]\nmu = 1001\n", [], "|mu| must be <= 1000"),
+    ("phase-mc", "[phase-mc]\nmu = 1e300\n", [], "|mu| must be <= 1000"),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
         "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
-        "oversized-samples", "modccr-r-zero"])
+        "oversized-samples", "modccr-r-zero", "oversized-mu", "overflowing-mu"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from holosim import (  # noqa: E402
     uncertainty_env_approx,
     uncertainty_env_full,
 )
-from holosim import cli  # noqa: E402
+from holosim import cli, modccr  # noqa: E402
 from holosim._propagators import apply_exponential  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
 from holosim.estimator import _output_moments, four_mode_input  # noqa: E402
@@ -32,6 +33,11 @@ from holosim.gaussian import (  # noqa: E402
     from_squeezing,
     glauber_moment,
     isserlis_moment,
+)
+from holosim.modccr import (  # noqa: E402
+    MAX_EPSILON,
+    auxiliary_mode_map,
+    deformed_commutator_check,
 )
 from test_estimator import (  # noqa: E402
     cross_difference,
@@ -166,6 +172,54 @@ def test_chain_exponentials_act_only_on_occupied_chains(kind, dim, theta, seed):
     assert np.array_equal(out[on_x], apply_exponential(kind, dim, theta, x + y)[on_x])
     reference = _dense_exponential(kind, dim, theta) @ x
     assert np.max(np.abs(out - reference), initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(x))
+
+
+def _dense_commutator_deviation(mode_map, epsilon, n_max):
+    """The deformed-commutator deviation from (d^2, d^2) kron operators.
+
+    Builds a1 and a2 from the map's rows over (A1, A2, A1', A2'), multiplies
+    the four commutators out and compares them with (eps, eps, 1+eps) on
+    the block with both occupations <= n_max - 2.
+    """
+    d = n_max + 1
+    a, eye = _apply_ladder(np.eye(d), 0, False), np.eye(d)
+    basis = [np.kron(a, eye), np.kron(eye, a), np.kron(a.T, eye), np.kron(eye, a.T)]
+    a1, a2 = (sum(c * op for c, op in zip(row, basis)) for row in mode_map)
+    guard = np.arange(d) <= n_max - 2
+    keep = np.ix_(np.kron(guard, guard), np.kron(guard, guard))
+
+    def dev(mat, expected):
+        return np.max(np.abs((mat - expected * np.eye(d * d))[keep]))
+
+    return max(dev(a1 @ a2 - a2 @ a1, epsilon), dev(a1 @ a2.T - a2.T @ a1, epsilon),
+               dev(a1 @ a1.T - a1.T @ a1, 1.0 + epsilon),
+               dev(a2 @ a2.T - a2.T @ a2, 1.0 + epsilon))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(epsilon=st.floats(-MAX_EPSILON, MAX_EPSILON), n_max=st.integers(4, 12))
+def test_factored_commutator_check_matches_the_dense_algebra(epsilon, n_max):
+    factored = deformed_commutator_check(epsilon, FockCutoff(n_max))
+    dense = _dense_commutator_deviation(auxiliary_mode_map(epsilon), epsilon, n_max)
+    assert abs(factored - dense) <= 1e-13
+    assert factored <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(magnitude=st.floats(2e-3, MAX_EPSILON), sign=st.sampled_from([-1.0, 1.0]),
+       n_max=st.integers(4, 12), entry=st.integers(0, 5))
+def test_factored_commutator_check_sees_a_flipped_coefficient(magnitude, sign, n_max,
+                                                               entry):
+    # Flipping the sign of any of the map's six nonzero coefficients moves a
+    # commutator by |eps|, so both routes must read it.
+    epsilon = sign * magnitude
+    perturbed = auxiliary_mode_map(epsilon)
+    perturbed[tuple(np.argwhere(perturbed)[entry])] *= -1.0
+    with mock.patch.object(modccr, "auxiliary_mode_map", lambda eps: perturbed):
+        factored = deformed_commutator_check(epsilon, FockCutoff(n_max))
+    dense = _dense_commutator_deviation(perturbed, epsilon, n_max)
+    assert abs(factored - dense) <= 1e-13
+    assert factored > 1e-3 and dense > 1e-3
 
 
 # A sweep body of valid values, with at most one special value put in: 0,
