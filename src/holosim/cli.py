@@ -31,6 +31,7 @@ from .errors import (AmplitudeTooLarge, ConfigError, CutoffTooSmall,
                      DegenerateDenominator, HolosimError)
 from .estimator import (
     DEFAULT_ORACLE_CUTOFF,
+    MIN_SAMPLES,
     PhaseNoiseModel,
     classical_uncertainty,
     correlation_estimate,
@@ -49,7 +50,7 @@ from .fock import (
     number_difference_moment,
 )
 from .gaussian import (
-    WignerMonomial,
+    as_ladder_sequence,
     evolve,
     fokker_planck_coefficients,
     from_squeezing,
@@ -68,7 +69,8 @@ _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^
 
 # Bounds checked while parsing, before anything is allocated: a span's point
 # count, each Fock mode's cutoff (phase-mc's receipt holds (cutoff+1)**4 amplitudes),
-# and phase-mc's sample count (its chunk seeds are listed before any draw).
+# and phase-mc's sample count (its chunk seeds are listed before any draw, and
+# below MIN_SAMPLES the Monte Carlo would reject it only after the receipt).
 MAX_GRID_POINTS = 100_000
 MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
 MAX_SAMPLES = 100_000_000
@@ -201,6 +203,8 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> SimpleNames
     if "cutoff" in values and values["cutoff"] > MAX_CUTOFF[mode]:
         raise ConfigError(f"cutoff must be <= {MAX_CUTOFF[mode]} for [{mode}], "
                           f"got {values['cutoff']}")
+    if values.get("samples", MIN_SAMPLES) < MIN_SAMPLES:
+        raise ConfigError(f"samples must be >= {MIN_SAMPLES}, got {values['samples']}")
     if values.get("samples", 0) > MAX_SAMPLES:
         raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {values['samples']}")
     return SimpleNamespace(mode=mode, **values)
@@ -269,53 +273,49 @@ def _metadata(config: SimpleNamespace, backend_note: str) -> dict:
 # Sweep runners.
 # ---------------------------------------------------------------------------
 
+# The backends of a thermal sweep's two ratio columns.
+_THERMAL_BACKENDS = ("gaussian_full", "gaussian_approx")
+
+
 def _thermal_sweep(grid, m_values, r, lambda_tau) -> tuple:
-    """(grid column, M column, full and approx results) of a thermal sweep.
+    """(grid, M, full ratio, approx ratio, backend, backend) columns of a
+    thermal sweep.
 
     The swept argument is passed as ``grid[:, None]``, so rows run over the
     grid, then M, and each ratio is one call over all rows.
     """
     m = np.array(m_values)
-    full = uncertainty_env_full(r, m, lambda_tau)
-    approx = uncertainty_env_approx(r, m, lambda_tau)
-    return np.repeat(grid, m.size), np.tile(m, grid.size), full, approx
-
-
-def _backends(*results) -> list:
-    """One constant backend column per result."""
-    return [[res.backend.value] * res.ratio.size for res in results]
+    full = uncertainty_env_full(r, m, lambda_tau).ravel()
+    approx = uncertainty_env_approx(r, m, lambda_tau).ravel()
+    return (np.repeat(grid, m.size), np.tile(m, grid.size), full, approx,
+            *([backend] * full.size for backend in _THERMAL_BACKENDS))
 
 
 def run_sweep_env_coupling(config: SimpleNamespace) -> SweepResult:
     grid = np.array(config.lambda_tau_grid)
-    lt, m, full, approx = _thermal_sweep(grid, config.m_values, config.r, grid[:, None])
-    ratio_full, ratio_approx = full.ratio.ravel(), approx.ratio.ravel()
-    quotient = np.divide(ratio_full, ratio_approx, where=ratio_approx > 0.0,
-                         out=np.full_like(ratio_full, math.nan))
+    lt, m, full, approx, *backends = _thermal_sweep(grid, config.m_values, config.r,
+                                                    grid[:, None])
+    quotient = np.divide(full, approx, where=approx > 0.0,
+                         out=np.full_like(full, math.nan))
     names = ("lambda_tau", "M", "ratio_full", "ratio_approx",
              "full_over_approx", "backend_full", "backend_approx")
-    columns = dict(zip(names, (lt, m, ratio_full, ratio_approx, quotient,
-                               *_backends(full, approx))))
+    columns = dict(zip(names, (lt, m, full, approx, quotient, *backends)))
     gnuplot = _series_plot_script(csv_basename(config), names,
                                   config.m_values, logx=True)
-    return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"),
-                       columns, gnuplot)
+    return SweepResult(_metadata(config, "+".join(_THERMAL_BACKENDS)), columns, gnuplot)
 
 
 def run_sweep_env_squeezing(config: SimpleNamespace) -> SweepResult:
     grid = np.array(config.r_grid)
-    r, m, full, approx = _thermal_sweep(grid, config.m_values, grid[:, None],
-                                        config.lambda_tau)
-    ratio_full = full.ratio.ravel()
-    flags = _monotone_decreasing(r, config.m_values, ratio_full)
+    r, m, full, approx, *backends = _thermal_sweep(grid, config.m_values, grid[:, None],
+                                                   config.lambda_tau)
+    flags = _monotone_decreasing(r, config.m_values, full)
     names = ("r", "M", "ratio_full", "ratio_approx",
              "monotone_decreasing", "backend_full", "backend_approx")
-    columns = dict(zip(names, (r, m, ratio_full, approx.ratio.ravel(), flags,
-                               *_backends(full, approx))))
+    columns = dict(zip(names, (r, m, full, approx, flags, *backends)))
     gnuplot = _series_plot_script(csv_basename(config), names,
                                   config.m_values, logx=False)
-    return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"),
-                       columns, gnuplot)
+    return SweepResult(_metadata(config, "+".join(_THERMAL_BACKENDS)), columns, gnuplot)
 
 
 def _monotone_decreasing(r: np.ndarray, m_values: tuple,
@@ -339,19 +339,18 @@ def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
     grid, epsilon = np.array(config.r_grid), np.array(config.epsilon_values)
     analytic = uncertainty_modccr_analytic(grid[:, None], epsilon)
     points = zip(np.repeat(grid, epsilon.size).tolist(),
-                 np.tile(epsilon, grid.size).tolist(), analytic.ratio.ravel().tolist())
+                 np.tile(epsilon, grid.size).tolist(), analytic.ravel().tolist())
 
     def evaluate(point):
         r, eps, ratio = point
         try:
-            oracle = uncertainty_modccr_fock(r, eps, cutoff)
+            fock_val = uncertainty_modccr_fock(r, eps, cutoff)
         except (CutoffTooSmall, AmplitudeTooLarge, DegenerateDenominator):
             fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
         else:
-            fock_val = oracle.ratio
             rel_dev = (abs(fock_val - ratio) / ratio if ratio > 0.0 else float("nan"))
-            fock_backend = oracle.backend.value
-        return (r, eps, ratio, fock_val, rel_dev, analytic.backend.value, fock_backend)
+            fock_backend = "fock_oracle"
+        return (r, eps, ratio, fock_val, rel_dev, "analytic_modccr", fock_backend)
 
     names = ("r", "epsilon", "ratio_analytic", "ratio_fock",
              "relative_deviation", "backend_analytic", "backend_fock")
@@ -410,6 +409,14 @@ def _z_score(estimate: float, exact: float, se: float, rounding_level: float) ->
 # Validation suite.
 # ---------------------------------------------------------------------------
 
+# The products that check 2 compares across routes, as powers (n1, m1, n2, m2):
+# the quadrature correlator's four terms, then the normally ordered terms
+# (a1')^k1 a1^k1 (a2')^k2 a2^k2, 0 < k1 + k2 <= 4, of (N1 - N2)^2 and ^4.
+CROSS_CHECK_POWERS = ((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1),
+                      *((k1, k1, k2, k2) for k1 in range(5) for k2 in range(5 - k1)
+                        if k1 + k2))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -459,9 +466,9 @@ def run_validate(config: SimpleNamespace) -> tuple:
     # 2. Occupation-basis oracle vs Gaussian factorization at t=0.
     state0 = from_squeezing(SqueezeParams(0.8))
     dev = 0.0
-    for mono in estimator.required_monomials():
-        oracle = expectation(twb, gaussian.as_ladder_sequence(mono))
-        analytic = isserlis_moment(state0, mono)
+    for powers in CROSS_CHECK_POWERS:
+        ops = as_ladder_sequence(powers)
+        oracle, analytic = expectation(twb, ops), isserlis_moment(state0, ops)
         dev = max(dev, abs(oracle - analytic) / max(1.0, abs(analytic)))
     checks.append(_check("oracle_vs_isserlis_t0", dev, 1e-8))
 
@@ -469,10 +476,9 @@ def run_validate(config: SimpleNamespace) -> tuple:
     m_th = 0.5
     evolved = evolve_fn(state0, m_th, 0.1)
     dev = 0.0
-    for mono in (WignerMonomial(1, 1, 0, 0), WignerMonomial(0, 1, 0, 1),
-                 WignerMonomial(1, 1, 1, 1), WignerMonomial(2, 2, 0, 0)):
-        quad_val = glauber_moment(evolved, mono)
-        wick_val = isserlis_moment(evolved, mono)
+    for powers in ((1, 1, 0, 0), (0, 1, 0, 1), (1, 1, 1, 1), (2, 2, 0, 0)):
+        quad_val = glauber_moment(evolved, powers)
+        wick_val = isserlis_moment(evolved, as_ladder_sequence(powers))
         dev = max(dev, abs(quad_val - wick_val) / max(1.0, abs(wick_val)))
     checks.append(_check("glauber_vs_isserlis", dev, 1e-8))
 
@@ -527,7 +533,7 @@ def run_validate(config: SimpleNamespace) -> tuple:
     full = uncertainty_env_full(2.0, 0.5, 1e-4)
     approx = uncertainty_env_approx(2.0, 0.5, 1e-4)
     checks.append(_check("env_full_vs_approx",
-                         abs(full.ratio / approx.ratio - 1.0), 0.02))
+                         abs(full / approx - 1.0), 0.02))
 
     exit_code = 0 if all(c.passed for c in checks) else 1
     return exit_code, checks

@@ -15,7 +15,8 @@ class CutoffTooSmall(HolosimError):
 
 
 class AmplitudeTooLarge(HolosimError):
-    """Coherent amplitude incompatible with the requested cutoff (|mu|^2 > n_max/4)."""
+    """An amplitude beyond its bound: a coherent |mu|^2 > n_max/4 for the
+    cutoff, |mu| > 1000, or a deformation |epsilon| > 0.2."""
 
 
 class InvalidModeIndex(HolosimError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -46,7 +45,7 @@ from .fock import (
     tensor_product,
     twb_tail,
 )
-from .gaussian import WignerMonomial, from_squeezing, ordered_moment, relax_width
+from .gaussian import from_squeezing, ordered_moment, relax_width
 from .modccr import _check_epsilon, deformed_variance_coefficient
 
 DENOM_FLOOR = 1e-8
@@ -60,26 +59,6 @@ _BASIS_SIZE = 2 * _TABLE_HARMONICS + 1
 # The table's rounding relative to sum |R|, which bounds the moment: its
 # distance from direct evaluation stays below this on random inputs.
 _ROUNDING_TOL = 1e-12
-
-
-class Backend(str, Enum):
-    GAUSSIAN_FULL = "gaussian_full"
-    GAUSSIAN_APPROX = "gaussian_approx"
-    FOCK_ORACLE = "fock_oracle"
-    ANALYTIC_MODCCR = "analytic_modccr"
-
-
-@dataclass(frozen=True)
-class UncertaintyResult:
-    """Normalized uncertainty ratio and the backend that computed it."""
-
-    ratio: float | np.ndarray  # an array for array input
-    backend: Backend
-
-    def __post_init__(self):
-        bad = _offending(np.asarray(self.ratio) >= 0.0, self.ratio)
-        if bad:
-            raise NegativeParameter(f"ratio must be >= 0, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -110,54 +89,6 @@ class PhaseNoiseModel:
             [self.rho * self.sigma2,
              self.sigma2 * math.sqrt(max(0.0, 1.0 - self.rho ** 2))],
         ])
-
-
-# ---------------------------------------------------------------------------
-# Moment bookkeeping: number-difference powers as ordered ladder monomials.
-# ---------------------------------------------------------------------------
-
-# (a'a)^p = sum_k T[p][k] (a')^k a^k  (occupation-number ordering table)
-_POWER_TABLE = {
-    0: {0: 1},
-    1: {1: 1},
-    2: {1: 1, 2: 1},
-    3: {1: 1, 2: 3, 3: 1},
-    4: {1: 1, 2: 7, 3: 6, 4: 1},
-}
-
-
-def difference_power_terms(power: int) -> dict:
-    """(N1 - N2)^power as {WignerMonomial: integer coefficient}."""
-    terms = {}
-    for j in range(power + 1):
-        sign_binom = (-1) ** j * math.comb(power, j)
-        for k1, c1 in _POWER_TABLE[power - j].items():
-            for k2, c2 in _POWER_TABLE[j].items():
-                mono = WignerMonomial(k1, k1, k2, k2)
-                terms[mono] = terms.get(mono, 0) + sign_binom * c1 * c2
-    return terms
-
-
-_DENOMINATOR_MONOMIALS = (
-    WignerMonomial(0, 1, 0, 1),  # a1 a2
-    WignerMonomial(1, 0, 1, 0),  # a1' a2'
-    WignerMonomial(0, 1, 1, 0),  # a1 a2'
-    WignerMonomial(1, 0, 0, 1),  # a1' a2
-)
-
-
-def required_monomials() -> tuple:
-    """The monomials of the quadrature correlator and of (N1 - N2)^2, ^4.
-
-    No ratio is assembled from them; they are the set on which ``validate``
-    check 2 and acceptance criterion 2 cross-check the moment routes.
-    """
-    monos = dict.fromkeys(_DENOMINATOR_MONOMIALS)
-    for power in (2, 4):
-        for mono in difference_power_terms(power):
-            if mono.degree > 0:
-                monos.setdefault(mono)
-    return tuple(monos)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +139,20 @@ def _check_thermal(m_thermal, lambda_tau) -> tuple:
     return m, lt
 
 
-def _result(ratio: np.ndarray, backend: Backend) -> UncertaintyResult:
-    return UncertaintyResult(float(ratio) if ratio.ndim == 0 else ratio, backend)
+def _checked_ratio(ratio):
+    """``ratio`` as a float for scalar input, else as an array; every
+    element must be >= 0, so NaN is rejected too."""
+    bad = _offending(np.asarray(ratio) >= 0.0, ratio)
+    if bad:
+        raise NegativeParameter(f"ratio must be >= 0, got {bad[0]!r}")
+    return float(ratio) if np.ndim(ratio) == 0 else ratio
 
 
-def uncertainty_env_approx(r, m_thermal, lambda_tau) -> UncertaintyResult:
+def uncertainty_env_approx(r, m_thermal, lambda_tau) -> float | np.ndarray:
     """Lowest-order ratio 8 sqrt(lt) sqrt((2M+1)cosh(2r) - 1) / sinh(2r).
 
-    Takes scalars or broadcastable arrays; ``ratio`` has their broadcast
-    shape, and is a float for scalar input.
+    Takes scalars or broadcastable arrays; returns an array of their
+    broadcast shape, or a float for scalar input.
     """
     two_r = 2.0 * _ratio_squeeze(r)
     m, lt = _check_thermal(m_thermal, lambda_tau)
@@ -224,10 +160,10 @@ def uncertainty_env_approx(r, m_thermal, lambda_tau) -> UncertaintyResult:
         ratio = (8.0 * np.sqrt(lt)
                  * np.sqrt((2.0 * m + 1.0) * _each(math.cosh, two_r) - 1.0)
                  / _each(math.sinh, two_r))
-    return _result(ratio, Backend.GAUSSIAN_APPROX)
+    return _checked_ratio(ratio)
 
 
-def uncertainty_env_full(r, m_thermal, lambda_tau) -> UncertaintyResult:
+def uncertainty_env_full(r, m_thermal, lambda_tau) -> float | np.ndarray:
     """Uncertainty ratio from the evolved analytic state.
 
     Numerator: the variance <DN^4> - <DN^2>^2 vanishes on the pure state
@@ -263,7 +199,7 @@ def uncertainty_env_full(r, m_thermal, lambda_tau) -> UncertaintyResult:
         # max(v, 0.0), which keeps -0.0 where np.maximum would not.
         ratio = 2.0 * np.sqrt(np.where(variance_lin < 0.0, 0.0, variance_lin)) / denom
         ratio = np.where(lt == 0.0, 0.0, ratio)
-    return _result(ratio, Backend.GAUSSIAN_FULL)
+    return _checked_ratio(ratio)
 
 
 def planck_coupling_estimate(omega_gamma_ev: float) -> float:
@@ -274,7 +210,7 @@ def planck_coupling_estimate(omega_gamma_ev: float) -> float:
     return (omega_gamma_ev / EV_PER_GEV) / PLANCK_MASS_GEV
 
 
-def uncertainty_modccr_analytic(r, epsilon) -> UncertaintyResult:
+def uncertainty_modccr_analytic(r, epsilon) -> float | np.ndarray:
     """First-order deformed-algebra ratio 8 r |eps| / sinh(2r).
 
     Takes scalars or broadcastable arrays like ``uncertainty_env_approx``.
@@ -284,8 +220,7 @@ def uncertainty_modccr_analytic(r, epsilon) -> UncertaintyResult:
     bad = _offending(np.isfinite(eps), eps)
     if bad:
         raise ParameterOutOfRange(f"epsilon must be finite, got {bad[0]!r}")
-    ratio = 8.0 * r * np.abs(eps) / _each(math.sinh, 2.0 * r)
-    return _result(ratio, Backend.ANALYTIC_MODCCR)
+    return _checked_ratio(8.0 * r * np.abs(eps) / _each(math.sinh, 2.0 * r))
 
 
 @lru_cache
@@ -304,7 +239,7 @@ def _oracle_terms(r: float, cutoff: FockCutoff) -> tuple:
 
 def uncertainty_modccr_fock(r: float, epsilon: float,
                             cutoff: FockCutoff = FockCutoff(DEFAULT_ORACLE_CUTOFF),
-                            ) -> UncertaintyResult:
+                            ) -> float | np.ndarray:
     """Oracle evaluation of the deformed-sector ratio on the truncated basis.
 
     The numerator uses the deformed number-difference observable on the
@@ -321,14 +256,14 @@ def uncertainty_modccr_fock(r: float, epsilon: float,
     _check_epsilon(epsilon)
     twb_tail(r, cutoff)
     if epsilon == 0.0:
-        return UncertaintyResult(0.0, Backend.FOCK_ORACLE)
+        return 0.0
     if r == 0.0:
         raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
     root, denom = _oracle_terms(r, cutoff)
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"quadrature correlator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
-    return UncertaintyResult(2.0 * root * abs(epsilon) / denom, Backend.FOCK_ORACLE)
+    return _checked_ratio(2.0 * root * abs(epsilon) / denom)
 
 
 # ---------------------------------------------------------------------------

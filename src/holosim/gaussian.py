@@ -6,9 +6,10 @@ every state is centered at the origin.  The closed-form thermal-channel
 evolution acts directly on the widths.  Ordered moments are computed two
 independent ways: one Gaussian pairwise factorization with commutator
 bookkeeping, for ordered products of linear forms with means
-(`ordered_moment`, which `isserlis_moment` applies to two-mode
-monomials), and direct numerical quadrature of the phase-space
-Laguerre-kernel formula (`glauber_moment`).
+(`ordered_moment`, which `isserlis_moment` applies to a two-mode ladder
+sequence ((mode, dagger), ...) in any order), and direct numerical
+quadrature of the phase-space Laguerre-kernel formula (`glauber_moment`,
+for the normally ordered powers (n1, m1, n2, m2)).
 
 Normalization is fixed by the vacuum: sigma_plus = sigma_minus = 1 gives
 Var(x) = Var(y) = 1/4 per mode with a = x + i*y, which reproduces
@@ -25,40 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooHigh, NegativeParameter
+from .errors import DegreeTooHigh, InvalidModeIndex, NegativeParameter
 from .fock import MAX_MONOMIAL_DEGREE, SqueezeParams
 
 
-@dataclass(frozen=True)
-class WignerMonomial:
-    """Ordered ladder monomial (a1')^n1 a1^m1 (a2')^n2 a2^m2 (primes = daggers)."""
-
-    n1: int
-    m1: int
-    n2: int
-    m2: int
-
-    def __post_init__(self):
-        for p in self.powers:
-            if not isinstance(p, (int, np.integer)) or p < 0:
-                raise DegreeTooHigh(f"powers must be non-negative integers, got {p!r}")
-        if self.degree > MAX_MONOMIAL_DEGREE:
-            raise DegreeTooHigh(
-                f"total degree {self.degree} exceeds {MAX_MONOMIAL_DEGREE}")
-
-    @property
-    def powers(self) -> tuple:
-        return (self.n1, self.m1, self.n2, self.m2)
-
-    @property
-    def degree(self) -> int:
-        return self.n1 + self.m1 + self.n2 + self.m2
-
-
-def as_ladder_sequence(monomial: WignerMonomial) -> tuple:
-    """The monomial as an ordered ((mode, dagger), ...) sequence, left to right."""
-    return tuple([(0, True)] * monomial.n1 + [(0, False)] * monomial.m1
-                 + [(1, True)] * monomial.n2 + [(1, False)] * monomial.m2)
+def as_ladder_sequence(powers: tuple) -> tuple:
+    """(a1')^n1 a1^m1 (a2')^n2 a2^m2 as a ((mode, dagger), ...) sequence,
+    left to right, for powers (n1, m1, n2, m2)."""
+    n1, m1, n2, m2 = powers
+    return ((0, True),) * n1 + ((0, False),) * m1 + ((1, True),) * n2 + ((1, False),) * m2
 
 
 @dataclass(frozen=True)
@@ -192,15 +168,19 @@ def ordered_moment(kernel, means, forms):
     return _pairwise(lin if np.any(means) else None, pair)
 
 
-def isserlis_moment(state: TwoModeGaussianState,
-                    monomial: WignerMonomial) -> complex:
+def isserlis_moment(state: TwoModeGaussianState, ops) -> complex:
     """Ordered moment of a zero-mean two-mode state by pairwise factorization.
 
-    The recursion of ``ordered_moment`` with each operator of the monomial
-    as a unit form over (a1', a1, a2', a2), whose contractions are entries
-    of ``state.kernel``: read off directly, cheaper than numpy at this size.
+    ``ops`` is a ((mode, dagger), ...) sequence, as ``fock.expectation``
+    reads it, in any order.  The recursion of ``ordered_moment`` with each
+    operator as a unit form over (a1', a1, a2', a2), whose contractions are
+    entries of ``state.kernel``: read off directly, cheaper than numpy here.
     """
-    rows = [2 * mode + (not dagger) for mode, dagger in as_ladder_sequence(monomial)]
+    rows = [2 * int(mode) + (not dagger) for mode, dagger in ops]
+    if len(rows) > MAX_MONOMIAL_DEGREE:
+        raise DegreeTooHigh(f"total degree {len(rows)} exceeds {MAX_MONOMIAL_DEGREE}")
+    if not set(rows) <= {0, 1, 2, 3}:
+        raise InvalidModeIndex(f"two-mode products take modes 0 and 1, got {ops!r}")
     return complex(_pairwise(None, [[state.kernel[a][b] for b in rows] for a in rows]))
 
 
@@ -224,10 +204,10 @@ def _laguerre_kernel(z: np.ndarray, n: int, m: int) -> np.ndarray:
             * _genlaguerre(m, n - m, arg))
 
 
-def glauber_moment(state: TwoModeGaussianState,
-                   monomial: WignerMonomial) -> complex:
-    """Ordered moment by direct phase-space quadrature.
+def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
+    """<(a1')^n1 a1^m1 (a2')^n2 a2^m2> by direct phase-space quadrature.
 
+    Takes the powers (n1, m1, n2, m2) of a normally ordered product.
     Integrates the per-mode Laguerre kernels against the Gaussian Wigner
     density using a tensor-product Gauss-Hermite rule in the four
     statistically independent rotated quadratures (x1+x2, y1+y2, x1-x2,
@@ -235,6 +215,12 @@ def glauber_moment(state: TwoModeGaussianState,
     of degree at most MAX_MONOMIAL_DEGREE, so the fixed 12-node rule (exact
     through degree 23) integrates them exactly.
     """
+    for p in powers:
+        if not isinstance(p, (int, np.integer)) or p < 0:
+            raise DegreeTooHigh(f"powers must be non-negative integers, got {p!r}")
+    if sum(powers) > MAX_MONOMIAL_DEGREE:
+        raise DegreeTooHigh(f"total degree {sum(powers)} exceeds {MAX_MONOMIAL_DEGREE}")
+    n1, m1, n2, m2 = powers
     # Built per call: at import it would start LAPACK in processes that never
     # integrate, and it costs far less than the quadrature itself.
     nodes, weights = np.polynomial.hermite.hermgauss(12)
@@ -246,7 +232,6 @@ def glauber_moment(state: TwoModeGaussianState,
     up, wp, um, wm = np.ix_(*(math.sqrt(2.0 * var) * nodes for var in variances))
     z1 = 0.5 * ((up + um) + 1j * (wp + wm))
     z2 = 0.5 * ((up - um) + 1j * (wp - wm))
-    vals = (_laguerre_kernel(z1, monomial.n1, monomial.m1)
-            * _laguerre_kernel(z2, monomial.n2, monomial.m2))
+    vals = _laguerre_kernel(z1, n1, m1) * _laguerre_kernel(z2, n2, m2)
     w1, w2, w3, w4 = np.ix_(weights, weights, weights, weights)
     return complex(np.sum(w1 * w2 * w3 * w4 * vals))

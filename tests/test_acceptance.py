@@ -23,11 +23,8 @@ from holosim import (
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
 )
-from holosim.estimator import (
-    correlation_estimate,
-    planck_coupling_estimate,
-    required_monomials,
-)
+from holosim.cli import CROSS_CHECK_POWERS
+from holosim.estimator import correlation_estimate, planck_coupling_estimate
 from holosim.fock import build_twb, expectation, number_difference_moment
 from holosim.gaussian import (
     as_ladder_sequence,
@@ -76,11 +73,12 @@ def test_acceptance_2_three_backend_cross_check():
         for r, n_max in ((0.3, 40), (0.8, 48), (1.2, 80)):
             twb = build_twb(SqueezeParams(r), FockCutoff(n_max))
             state = from_squeezing(SqueezeParams(r))
-            for mono in required_monomials():
-                wick = isserlis_moment(state, mono)
+            for powers in CROSS_CHECK_POWERS:
+                ops = as_ladder_sequence(powers)
+                wick = isserlis_moment(state, ops)
                 scale = max(1.0, abs(wick))
-                oracle = expectation(twb, as_ladder_sequence(mono))
-                quad = glauber_moment(state, mono)
+                oracle = expectation(twb, ops)
+                quad = glauber_moment(state, powers)
                 assert abs(oracle - wick) / scale <= 1e-5
                 assert abs(quad - wick) / scale <= 1e-5
 
@@ -88,12 +86,12 @@ def test_acceptance_2_three_backend_cross_check():
 def test_acceptance_3_weak_coupling_closed_form():
     with criterion(3, "evolved ratio matches the weak-coupling closed form",
                    60.0):
-        anchor = uncertainty_env_approx(2.0, 0.0, 1e-3).ratio
+        anchor = uncertainty_env_approx(2.0, 0.0, 1e-3)
         assert anchor == pytest.approx(0.047548148179516546, abs=1e-6)
         for lam_tau, band in ((1e-3, 0.05), (1e-4, 0.02)):
             for m in (0.0, 0.5, 1.0, 2.0):
-                full = uncertainty_env_full(2.0, m, lam_tau).ratio
-                approx = uncertainty_env_approx(2.0, m, lam_tau).ratio
+                full = uncertainty_env_full(2.0, m, lam_tau)
+                approx = uncertainty_env_approx(2.0, m, lam_tau)
                 assert abs(full / approx - 1.0) <= band
 
 
@@ -102,7 +100,7 @@ def test_acceptance_4_environment_ratio_shape():
                       "squeezing", 60.0):
         m_grid = (0.0, 0.5, 1.0, 2.0)
         lt_grid = np.geomspace(1e-6, 1e-2, 25)
-        curves = {m: [uncertainty_env_full(2.0, m, float(lt)).ratio
+        curves = {m: [uncertainty_env_full(2.0, m, float(lt))
                       for lt in lt_grid] for m in m_grid}
         for series in curves.values():
             assert all(b > a for a, b in zip(series, series[1:]))
@@ -110,7 +108,7 @@ def test_acceptance_4_environment_ratio_shape():
             assert all(b > a for a, b in zip(column, column[1:]))
         r_grid = [r for r in np.linspace(0.25, 3.0, 56) if r >= 0.5]
         for m in m_grid:
-            series = [uncertainty_env_full(float(r), m, 1e-3).ratio
+            series = [uncertainty_env_full(float(r), m, 1e-3)
                       for r in r_grid]
             assert all(b < a for a, b in zip(series, series[1:]))
 
@@ -121,13 +119,13 @@ def test_acceptance_5_modccr_backends_and_shape():
         cutoff = FockCutoff(64)
         for r in (0.4, 0.8, 1.2):
             for eps in (0.02, 0.05, 0.1):
-                analytic = uncertainty_modccr_analytic(r, eps).ratio
-                oracle = uncertainty_modccr_fock(r, eps, cutoff).ratio
+                analytic = uncertainty_modccr_analytic(r, eps)
+                oracle = uncertainty_modccr_fock(r, eps, cutoff)
                 assert abs(oracle - analytic) / analytic <= 1e-8
-            double = uncertainty_modccr_analytic(r, 0.04).ratio
-            single = uncertainty_modccr_analytic(r, 0.02).ratio
+            double = uncertainty_modccr_analytic(r, 0.04)
+            single = uncertainty_modccr_analytic(r, 0.02)
             assert double / single == pytest.approx(2.0, rel=1e-12)
-        along_r = [uncertainty_modccr_analytic(r, 0.05).ratio
+        along_r = [uncertainty_modccr_analytic(r, 0.05)
                    for r in (0.4, 0.8, 1.2)]
         assert all(b < a for a, b in zip(along_r, along_r[1:]))
 
@@ -180,6 +178,6 @@ def test_acceptance_8_phase_noise_recovery():
 def test_acceptance_9_benchmark_coupling_magnitude():
     with criterion(9, "benchmark coupling puts the ratio near 1e-14", 1.0):
         coupling = planck_coupling_estimate(1.0)
-        ratio = uncertainty_env_approx(1.0, 0.0, coupling).ratio
+        ratio = uncertainty_env_approx(1.0, 0.0, coupling)
         assert math.floor(math.log10(ratio)) in (-16, -15, -14)
         assert ratio == pytest.approx(3.3189938890841196e-14, rel=1e-12, abs=0)

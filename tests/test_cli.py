@@ -566,13 +566,20 @@ def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
     ("phase-mc", None, ["--cutoff", "1000000"], "cutoff must be <= 40"),
     ("phase-mc", "[phase-mc]\nsamples = 1000000000000000\n", [],
      "samples must be <= 100000000"),
+    # Rejected while parsing, before the cutoff-40 receipt is built.
+    ("phase-mc", "[phase-mc]\nsamples = 10\ncutoff = 40\n", [],
+     "config error: samples must be >= 1000, got 10"),
     ("sweep-modccr", "[sweep-modccr]\nr_grid = 0, 0.5\n", [], "vanishes at r = 0"),
     # The phase table needs no cutoff, so the amplitude's own bound guards it.
     ("phase-mc", "[phase-mc]\nmu = 1001\n", [], "|mu| must be <= 1000"),
     ("phase-mc", "[phase-mc]\nmu = 1e300\n", [], "|mu| must be <= 1000"),
+    # 2M + 1 overflows, and the approx ratio reads 0 * inf = nan.
+    ("sweep-env-squeezing", "[sweep-env-squeezing]\nlambda_tau = 0\nm_values = 1e308\n",
+     [], "ratio must be >= 0, got nan"),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
         "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
-        "oversized-samples", "modccr-r-zero", "oversized-mu", "overflowing-mu"])
+        "oversized-samples", "undersized-samples", "modccr-r-zero", "oversized-mu",
+        "overflowing-mu", "nan-ratio"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:

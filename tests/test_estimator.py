@@ -20,6 +20,7 @@ from holosim import (
     uncertainty_modccr_fock,
 )
 from holosim import estimator
+from holosim.cli import CROSS_CHECK_POWERS
 from holosim.errors import (
     AmplitudeTooLarge,
     CutoffTooSmall,
@@ -30,7 +31,6 @@ from holosim.errors import (
     ZeroAmplitude,
 )
 from holosim.estimator import (
-    Backend,
     _output_moments,
     _trig_basis,
     classical_uncertainty,
@@ -38,11 +38,10 @@ from holosim.estimator import (
     fock_receipt,
     four_mode_input,
     noise_average,
-    required_monomials,
     table_residuals,
 )
 from holosim.fock import expectation
-from holosim.gaussian import WignerMonomial, evolve, from_squeezing, ordered_moment
+from holosim.gaussian import evolve, from_squeezing, ordered_moment
 
 # Independently derived anchors (hyperbolic closed forms and high-precision
 # reference runs frozen at module-creation time).
@@ -162,11 +161,15 @@ def test_classical_uncertainty_values():
 
 
 def test_required_monomials_inventory():
-    mons = required_monomials()
-    assert len(mons) == 18
-    assert all(m.degree <= 8 for m in mons)
-    for n1, m1, n2, m2 in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)):
-        assert WignerMonomial(n1, m1, n2, m2) in mons
+    # The correlator's four terms, then every normally ordered term
+    # (a1')^k1 a1^k1 (a2')^k2 a2^k2 of (N1 - N2)^2 and ^4, each once.
+    assert len(CROSS_CHECK_POWERS) == len(set(CROSS_CHECK_POWERS)) == 18
+    assert all(sum(p) <= 8 for p in CROSS_CHECK_POWERS)
+    assert set(CROSS_CHECK_POWERS[:4]) == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0),
+                                           (0, 1, 0, 1)}
+    assert set(CROSS_CHECK_POWERS[4:]) == {
+        (k1, k1, k2, k2) for k1, k2 in itertools.product(range(5), repeat=2)
+        if 0 < k1 + k2 <= 4}
 
 
 def test_four_mode_input_shape(state4):
@@ -373,24 +376,21 @@ def test_correlation_estimate_floor():
 
 def test_env_ratio_lowest_order_values():
     res = uncertainty_env_approx(2.0, 0.0, 1e-3)
-    assert res.ratio == pytest.approx(RATIO_R2_M0, rel=1e-12)
-    assert res.backend is Backend.GAUSSIAN_APPROX
-    assert res.backend.value == "gaussian_approx"
-    res = uncertainty_env_approx(2.0, 1.0, 1e-3)
-    assert res.ratio == pytest.approx(RATIO_R2_M1, rel=1e-12)
+    assert type(res) is float
+    assert res == pytest.approx(RATIO_R2_M0, rel=1e-12)
+    assert uncertainty_env_approx(2.0, 1.0, 1e-3) == pytest.approx(RATIO_R2_M1, rel=1e-12)
 
 
 def test_env_ratio_vanishes_without_coupling():
-    assert uncertainty_env_approx(1.0, 0.5, 0.0).ratio == 0.0
+    assert uncertainty_env_approx(1.0, 0.5, 0.0) == 0.0
     full = uncertainty_env_full(1.0, 0.5, 0.0)
-    assert full.ratio == 0.0
-    assert full.backend is Backend.GAUSSIAN_FULL
+    assert type(full) is float and full == 0.0
 
 
 def test_env_full_matches_lowest_order_at_weak_coupling():
     for m in (0.0, 0.5, 1.0, 2.0):
-        full = uncertainty_env_full(1.0, m, 1e-4).ratio
-        approx = uncertainty_env_approx(1.0, m, 1e-4).ratio
+        full = uncertainty_env_full(1.0, m, 1e-4)
+        approx = uncertainty_env_approx(1.0, m, 1e-4)
         assert full == pytest.approx(approx, rel=0.02)
 
 
@@ -428,9 +428,9 @@ def test_env_ratio_columns_equal_row_values(r, lt):
                         np.broadcast_arrays(r, np.array(BENCH_M_VALUES), lt))))
     for ratio, row in ((uncertainty_env_full, env_full_row),
                        (uncertainty_env_approx, env_approx_row)):
-        column = ratio(r, BENCH_M_VALUES, lt).ratio.ravel().tolist()
+        column = ratio(r, BENCH_M_VALUES, lt).ravel().tolist()
         assert column == [row(*p) for p in points]
-        assert column[::10] == [ratio(*p).ratio for p in points[::10]]
+        assert column[::10] == [ratio(*p) for p in points[::10]]
 
 
 def test_env_ratio_columns_name_the_offending_value():
@@ -451,12 +451,11 @@ def test_env_ratio_columns_name_the_offending_value():
     # the correlator is exactly 0 without coupling, and the ratio still 0.
     with pytest.raises(DegenerateDenominator, match="below floor"):
         uncertainty_env_full(1.0, 0.0, np.array([1e-3, 40.0]))
-    assert uncertainty_env_full(1e-17, 0.0, np.zeros(2)).ratio.tolist() == [0.0, 0.0]
+    assert uncertainty_env_full(1e-17, 0.0, np.zeros(2)).tolist() == [0.0, 0.0]
 
 
 def test_env_full_increases_with_temperature():
-    ratios = [uncertainty_env_full(1.0, m, 1e-3).ratio
-              for m in (0.0, 0.5, 1.0, 2.0)]
+    ratios = [uncertainty_env_full(1.0, m, 1e-3) for m in (0.0, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
@@ -487,25 +486,25 @@ def test_closed_form_ratios_reject_nan_and_overflow(ratio):
 
 def test_modccr_analytic_values():
     res = uncertainty_modccr_analytic(1.0, 0.05)
-    assert res.ratio == pytest.approx(MODCCR_R1, rel=1e-12)
-    assert res.backend is Backend.ANALYTIC_MODCCR
-    res = uncertainty_modccr_analytic(0.8, 0.05)
-    assert res.ratio == pytest.approx(MODCCR_R08, rel=1e-12)
-    assert uncertainty_modccr_analytic(0.7, 0.0).ratio == 0.0
+    assert type(res) is float
+    assert res == pytest.approx(MODCCR_R1, rel=1e-12)
+    assert uncertainty_modccr_analytic(0.8, 0.05) == pytest.approx(MODCCR_R08, rel=1e-12)
+    assert uncertainty_modccr_analytic(0.7, 0.0) == 0.0
     column = uncertainty_modccr_analytic(np.array([1.0, 0.8])[:, None], [0.05, 0.0])
-    assert column.ratio.tolist() == [
-        [uncertainty_modccr_analytic(r, eps).ratio for eps in (0.05, 0.0)]
+    assert isinstance(column, np.ndarray)
+    assert column.tolist() == [
+        [uncertainty_modccr_analytic(r, eps) for eps in (0.05, 0.0)]
         for r in (1.0, 0.8)]
 
 
 def test_modccr_oracle_agrees_with_analytic():
     res = uncertainty_modccr_fock(0.8, 0.05, FockCutoff(48))
-    assert res.backend is Backend.FOCK_ORACLE
-    assert res.ratio == pytest.approx(MODCCR_R08, rel=1e-12)
+    assert type(res) is float
+    assert res == pytest.approx(MODCCR_R08, rel=1e-12)
     # The oracle's ratio is exactly linear in eps, so it holds the map's
     # whole range |eps| <= 0.2.
     res = uncertainty_modccr_fock(0.8, 0.15, FockCutoff(48))
-    assert res.ratio == pytest.approx(8 * 0.8 * 0.15 / math.sinh(1.6), rel=1e-8, abs=0)
+    assert res == pytest.approx(8 * 0.8 * 0.15 / math.sinh(1.6), rel=1e-8, abs=0)
 
 
 def test_modccr_oracle_guards():
@@ -517,7 +516,7 @@ def test_modccr_oracle_guards():
     # A negative r would pass the twin-beam tail check.
     with pytest.raises(NegativeParameter):
         uncertainty_modccr_fock(-0.5, 0.05)
-    assert uncertainty_modccr_fock(0.8, 0.0).ratio == 0.0
+    assert uncertainty_modccr_fock(0.8, 0.0) == 0.0
     with pytest.raises(DegenerateDenominator, match="vanishes at r = 0"):
         uncertainty_modccr_fock(0.0, 0.05)
     # The correlator 2e-9 at r = 1e-9 lies below the 1e-8 floor.

@@ -6,16 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from holosim.errors import DegreeTooHigh, NegativeParameter, ParameterOutOfRange
-from holosim.estimator import (
-    _DENOMINATOR_MONOMIALS,
-    difference_power_terms,
-    required_monomials,
-)
+from holosim.cli import CROSS_CHECK_POWERS
+from holosim.errors import (DegreeTooHigh, InvalidModeIndex, NegativeParameter,
+                            ParameterOutOfRange)
 from holosim.fock import FockCutoff, SqueezeParams, build_twb, expectation
 from holosim.gaussian import (
     TwoModeGaussianState,
-    WignerMonomial,
+    as_ladder_sequence,
     evolve,
     from_squeezing,
     glauber_moment,
@@ -30,15 +27,36 @@ COSH1_SINH1 = 1.8134302039235093         # cosh(1)*sinh(1)
 SIGMA_PLUS_REF = 54.54382904813035       # r=2, M=0, lambda*t=1e-3
 
 
-def difference_moment(state, power, via):
-    """<(N1 - N2)^power> assembled from ordered monomials."""
-    total = 0.0
-    for mono, coeff in difference_power_terms(power).items():
-        if mono.degree == 0:
-            total += coeff
-        else:
-            total += coeff * via(state, mono).real
-    return total
+# N1 = a1' a1 and N2 = a2' a2 as ladder sequences.
+N1, N2 = ((0, True), (0, False)), ((1, True), (1, False))
+
+
+def difference_moment(state, power):
+    """<(N1 - N2)^power> as the binomial sum of the products N1^(p-k) N2^k,
+    each one ladder sequence (not normally ordered), through isserlis_moment."""
+    return sum((-1) ** k * math.comb(power, k)
+               * isserlis_moment(state, N1 * (power - k) + N2 * k).real
+               for k in range(power + 1))
+
+
+def stirling2(p, k):
+    """S(p, k) in (a'a)^p = sum_k S(p, k) (a')^k a^k, by its recurrence."""
+    if p == 0 or k == 0:
+        return int(p == k)
+    return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
+
+
+def normal_difference_moment(state, power):
+    """<(N1 - N2)^power> from the normally ordered (a1')^k1 a1^k1 (a2')^k2 a2^k2.
+
+    Better conditioned than ``difference_moment``: at r = 1.2 its binomial
+    terms near 1,100 cancel to a fourth moment near 0.08."""
+    def coeff(k1, k2):
+        return sum((-1) ** j * math.comb(power, j) * stirling2(power - j, k1)
+                   * stirling2(j, k2) for j in range(power + 1))
+    return sum(coeff(k1, k2)
+               * isserlis_moment(state, as_ladder_sequence((k1, k1, k2, k2))).real
+               for k1 in range(power + 1) for k2 in range(power + 1 - k1))
 
 
 def test_from_squeezing_vacuum():
@@ -120,33 +138,31 @@ def test_state_rejects_non_positive_widths():
 
 def test_isserlis_vacuum_occupation():
     state = from_squeezing(SqueezeParams(0.0))
-    assert isserlis_moment(state, WignerMonomial(1, 1, 0, 0)) == pytest.approx(
-        0.0, abs=1e-14)
+    assert isserlis_moment(state, N1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_isserlis_squeezed_occupation():
     state = from_squeezing(SqueezeParams(1.0))
-    occ = isserlis_moment(state, WignerMonomial(1, 1, 0, 0))
+    occ = isserlis_moment(state, N1)
     assert occ.real == pytest.approx(SINH2_1, rel=1e-12)
     assert abs(occ.imag) < 1e-14
 
 
 def test_isserlis_pair_correlation():
     state = from_squeezing(SqueezeParams(1.0))
-    pair = isserlis_moment(state, WignerMonomial(0, 1, 0, 1))
+    pair = isserlis_moment(state, ((0, False), (1, False)))
     assert pair.real == pytest.approx(COSH1_SINH1, rel=1e-12)
 
 
 def test_isserlis_matches_occupation_oracle():
     twb = build_twb(SqueezeParams(0.8), FockCutoff(48))
     state = from_squeezing(SqueezeParams(0.8))
-    for mono in (WignerMonomial(1, 1, 0, 0), WignerMonomial(0, 1, 0, 1),
-                 WignerMonomial(1, 1, 1, 1), WignerMonomial(2, 2, 0, 0)):
-        n1, m1, n2, m2 = mono.powers
+    for n1, m1, n2, m2 in ((1, 1, 0, 0), (0, 1, 0, 1), (1, 1, 1, 1), (2, 2, 0, 0)):
         seq = (((0, True),) * n1 + ((0, False),) * m1
                + ((1, True),) * n2 + ((1, False),) * m2)
+        assert seq == as_ladder_sequence((n1, m1, n2, m2))
         oracle = expectation(twb, seq).real
-        assert isserlis_moment(state, mono).real == pytest.approx(
+        assert isserlis_moment(state, seq).real == pytest.approx(
             oracle, rel=1e-10, abs=1e-10)
 
 
@@ -169,8 +185,8 @@ def test_evolved_difference_moments_match_closed_form(state):
     # 1/2 that uncertainty_env_full uses.
     q = state.sigma_plus * state.sigma_minus
     n_eff = (math.sqrt(q) - 1.0) / 2.0
-    second = difference_moment(state, 2, isserlis_moment)
-    fourth = difference_moment(state, 4, isserlis_moment)
+    second = normal_difference_moment(state, 2)
+    fourth = normal_difference_moment(state, 4)
     assert second == pytest.approx(2.0 * n_eff * (n_eff + 1.0), rel=1e-12)
     variance = fourth - second * second
     closed = 20.0 * n_eff ** 4 + 40.0 * n_eff ** 3 + 22.0 * n_eff ** 2 + 2.0 * n_eff
@@ -181,29 +197,32 @@ def test_evolved_difference_moments_match_closed_form(state):
 @pytest.mark.parametrize("state", [from_squeezing(SqueezeParams(2.0)),
                                    evolved(2.0, 2.0, 1e-3)], ids=["pure", "evolved"])
 def test_denominator_monomials_sum_to_twice_pair_correlation(state):
-    total = sum(isserlis_moment(state, m).real for m in _DENOMINATOR_MONOMIALS)
+    total = sum(isserlis_moment(state, as_ladder_sequence(p)).real
+                for p in CROSS_CHECK_POWERS[:4])
     assert total == 2.0 * state.pair_correlation()
 
 
 def test_glauber_vacuum_occupation():
     state = from_squeezing(SqueezeParams(0.0))
-    val = glauber_moment(state, WignerMonomial(1, 1, 0, 0))
+    val = glauber_moment(state, (1, 1, 0, 0))
     assert abs(val) < 1e-6
 
 
 def test_glauber_matches_isserlis_squeezed():
     state = from_squeezing(SqueezeParams(0.8))
-    mono = WignerMonomial(1, 1, 0, 0)
-    quad = glauber_moment(state, mono)
-    wick = isserlis_moment(state, mono)
+    quad = glauber_moment(state, (1, 1, 0, 0))
+    wick = isserlis_moment(state, N1)
     assert quad.real == pytest.approx(wick.real, abs=1e-6)
     assert quad.real == pytest.approx(math.sinh(0.8) ** 2, abs=1e-6)
 
 
 def test_glauber_matches_isserlis_evolved():
     state = evolve(from_squeezing(SqueezeParams(0.8)), 0.5, 0.1)
-    via_quad = difference_moment(state, 2, glauber_moment)
-    via_wick = difference_moment(state, 2, isserlis_moment)
+    # (N1 - N2)^2 in normal order: N1 + (a1')^2 a1^2 - 2 N1 N2 + N2 + (a2')^2 a2^2.
+    terms = {(1, 1, 0, 0): 1, (2, 2, 0, 0): 1, (1, 1, 1, 1): -2,
+             (0, 0, 1, 1): 1, (0, 0, 2, 2): 1}
+    via_quad = sum(c * glauber_moment(state, p).real for p, c in terms.items())
+    via_wick = difference_moment(state, 2)
     assert via_quad == pytest.approx(via_wick, rel=1e-5)
 
 
@@ -212,22 +231,25 @@ def test_glauber_matches_isserlis_evolved():
     evolve(from_squeezing(SqueezeParams(2.0)), 2.0, 1e-3),
 ], ids=["pure", "evolved"])
 def test_glauber_matches_isserlis_on_required_monomials(state):
-    for mono in required_monomials():
-        wick = isserlis_moment(state, mono)
-        quad = glauber_moment(state, mono)
+    for powers in CROSS_CHECK_POWERS:
+        wick = isserlis_moment(state, as_ladder_sequence(powers))
+        quad = glauber_moment(state, powers)
         assert abs(quad - wick) <= 1e-12 * max(1.0, abs(wick))
 
 
 def test_degree_caps():
     state = from_squeezing(SqueezeParams(0.5))
-    with pytest.raises(DegreeTooHigh):
-        isserlis_moment(state, WignerMonomial(3, 3, 2, 1))
-    with pytest.raises(DegreeTooHigh):
-        glauber_moment(state, WignerMonomial(3, 3, 2, 1))
+    with pytest.raises(DegreeTooHigh, match="total degree 9 exceeds 8"):
+        isserlis_moment(state, as_ladder_sequence((3, 3, 2, 1)))
+    with pytest.raises(DegreeTooHigh, match="total degree 9 exceeds 8"):
+        glauber_moment(state, (3, 3, 2, 1))
     with pytest.raises(DegreeTooHigh, match="non-negative"):
-        WignerMonomial(1, -1, 0, 0)
+        glauber_moment(state, (1, -1, 0, 0))
+    for mode in (2, -1):
+        with pytest.raises(InvalidModeIndex):
+            isserlis_moment(state, ((0, True), (mode, False)))
     # The empty product has expectation 1 on every state.
-    assert isserlis_moment(state, WignerMonomial(0, 0, 0, 0)) == 1
+    assert isserlis_moment(state, ()) == 1
 
 
 # (mode, dagger) of each row of TwoModeGaussianState.kernel: a1', a1, a2', a2.

@@ -24,10 +24,9 @@ from holosim import (  # noqa: E402
 from holosim import cli, modccr  # noqa: E402
 from holosim._propagators import apply_exponential  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
-from holosim.estimator import _output_moments, four_mode_input  # noqa: E402
+from holosim.estimator import MIN_SAMPLES, _output_moments, four_mode_input  # noqa: E402
 from holosim.fock import _apply_ladder, build_twb, expectation  # noqa: E402
 from holosim.gaussian import (  # noqa: E402
-    WignerMonomial,
     as_ladder_sequence,
     evolve,
     from_squeezing,
@@ -89,28 +88,34 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
         denom, abs=FOCK_BOUND[16] * max(1.0, scales[0]))
 
 
-# Every ordered monomial of degree <= 8: 495 of them.
-MONOMIALS = [WignerMonomial(*p) for p in itertools.product(range(9), repeat=4)
-             if sum(p) <= 8]
+# Every normally ordered product of degree <= 8, as powers (n1, m1, n2, m2):
+# 495 of them, each drawn with a permutation of its ladder sequence.
+PRODUCTS = st.sampled_from(
+    [p for p in itertools.product(range(9), repeat=4) if sum(p) <= 8]).flatmap(
+    lambda p: st.tuples(st.just(p), st.permutations(as_ladder_sequence(p))))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(r=st.floats(0.0, 1.0), mono=st.sampled_from(MONOMIALS),
+@given(r=st.floats(0.0, 1.0), product=PRODUCTS,
        m_thermal=st.floats(0.0, 2.0), lambda_t=st.floats(0.0, 1.0))
-def test_moment_routes_agree(r, mono, m_thermal, lambda_t):
+def test_moment_routes_agree(r, product, m_thermal, lambda_t):
     # The pair factorization against two routes that share none of its
-    # kernel: the occupation-basis oracle and phase-space quadrature.
-    def deviation(state, other):
-        wick = isserlis_moment(state, mono)
+    # kernel: the occupation-basis oracle, on the product in normal order
+    # and in the drawn order, and phase-space quadrature, in normal order.
+    powers, shuffled = product
+    ops = as_ladder_sequence(powers)
+
+    def deviation(state, other, sequence=ops):
+        wick = isserlis_moment(state, sequence)
         return abs(other - wick) / max(1.0, abs(wick))
 
     state = from_squeezing(SqueezeParams(r))
-    oracle = expectation(build_twb(SqueezeParams(r), FockCutoff(64)),
-                         as_ladder_sequence(mono))
-    assert deviation(state, oracle) <= 1e-9
-    assert deviation(state, glauber_moment(state, mono)) <= 1e-12
+    twb = build_twb(SqueezeParams(r), FockCutoff(64))
+    assert deviation(state, expectation(twb, ops)) <= 1e-9
+    assert deviation(state, expectation(twb, shuffled), shuffled) <= 1e-9
+    assert deviation(state, glauber_moment(state, powers)) <= 1e-12
     evolved = evolve(state, m_thermal, lambda_t)
-    assert deviation(evolved, glauber_moment(evolved, mono)) <= 1e-12
+    assert deviation(evolved, glauber_moment(evolved, powers)) <= 1e-12
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -258,7 +263,7 @@ def test_thermal_sweeps_exit_0_or_2(tmp_path_factory, mode, fixed, grid, m_value
     points = [(fixed, m, x) if coupling else (x, m, fixed)
               for x in grid for m in m_values]
     try:
-        rows = [(uncertainty_env_full(*p).ratio, uncertainty_env_approx(*p).ratio)
+        rows = [(uncertainty_env_full(*p), uncertainty_env_approx(*p))
                 for p in points]
     except HolosimError:
         assert code == 2
@@ -337,7 +342,7 @@ def test_config_parse_raises_only_config_error(tmp_path_factory, case):
             assert math.isfinite(value)
     assert config.seed >= 0
     assert getattr(config, "cutoff", 0) <= cli.MAX_CUTOFF.get(mode, 0)
-    assert getattr(config, "samples", 0) <= cli.MAX_SAMPLES
+    assert MIN_SAMPLES <= getattr(config, "samples", MIN_SAMPLES) <= cli.MAX_SAMPLES
 
 
 # Bounded runs of the modes that reach the occupation basis: grids of at
