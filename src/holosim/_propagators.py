@@ -68,7 +68,9 @@ def apply_exponential(kind, dim, theta, flat):
     occupied[(n1 - n2 if kind == "squeeze" else n1 + n2) - low] = True
     for label in np.flatnonzero(occupied) + low:
         indices, phases, eigs, vecs = chain(dim, int(label))
+        # The eigenvectors are real: they act on the float view of the
+        # amplitudes, (re, im) interleaved, in real arithmetic.
         x = np.conj(phases)[:, None] * vec[indices]
-        y = vecs @ (np.exp(-1j * theta * eigs)[:, None] * (vecs.T @ x))
-        out[indices] = phases[:, None] * y
+        y = np.exp(-1j * theta * eigs)[:, None] * (vecs.T @ x.view(float)).view(complex)
+        out[indices] = phases[:, None] * (vecs @ y.view(float)).view(complex)
     return out.reshape(shape)

@@ -47,5 +47,9 @@ class ZeroAmplitude(HolosimError):
     """Classical baseline needs a nonzero coherent amplitude."""
 
 
+class WorkerFailed(HolosimError):
+    """A forked Monte-Carlo worker died or sent short data."""
+
+
 class ConfigError(HolosimError):
     """Run-configuration file failed validation; message carries the line number."""

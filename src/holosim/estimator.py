@@ -14,6 +14,7 @@ cross-checking backend.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
+    WorkerFailed,
     ZeroAmplitude,
 )
 from .fock import (
@@ -404,6 +406,79 @@ def _chunk_seeds(samples: int, seed: int):
     return list(zip(np.random.SeedSequence(seed).spawn(n_chunks), sizes))
 
 
+def _chunk_partials(table: list, rows: tuple, chunks: list) -> np.ndarray:
+    """Per chunk, per R, per series (parallel, orthogonal, difference): the
+    sum and the sum of squares of b(phi1)^T R b(phi2) over the chunk's
+    draws, shaped (len(chunks), len(table), 3, 2)."""
+    partials = np.empty((len(chunks), len(table), 3, 2))
+    z = None
+    for part, (seq, size) in zip(partials, chunks):
+        if z is None or len(z) != size:
+            # Chunk buffers, filled in place: fresh arrays this size would
+            # each be mapped and unmapped per chunk.
+            z, phi = np.empty((size, 2)), np.empty(size)
+            bases = np.empty((len(rows), _BASIS_SIZE, size))
+            left = np.empty((size, _BASIS_SIZE))
+            vals = np.empty((3, size))  # parallel, orthogonal, difference
+        np.random.default_rng(seq).standard_normal(out=z)
+        b1, *b2s = (_trig_basis(np.matmul(z, row, out=phi), out=basis)
+                    for row, basis in zip(rows, bases))
+        for i, r in enumerate(table):
+            np.matmul(b1, r, out=left)
+            for b2, v in zip(b2s, vals):
+                np.einsum("sb,sb->s", left, b2, out=v)
+            np.subtract(vals[0], vals[1], out=vals[2])
+            for k, v in enumerate(vals):
+                part[i, k] = v.sum(), v @ v
+    return partials
+
+
+def _mc_processes() -> int:
+    """Processes the Monte Carlo runs in: 2 where ``os.fork`` exists and
+    the CPU affinity mask allows 2 CPUs, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2) if hasattr(os, "fork") else 1
+
+
+def _forked_partials(table: list, rows: tuple, chunks: list) -> np.ndarray:
+    """``_chunk_partials`` of all chunks, the first half in this process and
+    the second in one forked worker, which sends its partial sums back
+    over a pipe as float64 bytes.  The worker never returns into the
+    caller, and it is reaped before this returns or raises."""
+    split = (len(chunks) + 1) // 2
+    tail_shape = (len(chunks) - split, len(table), 3, 2)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_chunk_partials(table, rows, chunks[split:]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            head = _chunk_partials(table, rows, chunks[:split])
+            tail = pipe.read()
+    except BaseException:
+        import signal  # only this path needs it: a module-level import costs every run
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    expected = 8 * math.prod(tail_shape)
+    if status != 0 or len(tail) != expected:
+        raise WorkerFailed(f"Monte-Carlo worker exited with status {status} "
+                           f"after sending {len(tail)} of {expected} bytes")
+    return np.concatenate([head, np.frombuffer(tail).reshape(tail_shape)])
+
+
 def _mean_and_se(total: float, total_sq: float, n: int) -> tuple:
     mean = float(total) / n
     var = max(float(total_sq) - n * mean * mean, 0.0) / (n - 1)
@@ -457,51 +532,40 @@ def paired_phase_average(noise: PhaseNoiseModel, table: list, samples: int,
     reduced variance; per-sample differences give the standard error of
     the difference directly.  Draws come in fixed chunks from spawned
     seed sequences and are accumulated in chunk order, so the result is
-    deterministic for a given seed.  ``table`` is ``phase_table``'s list
-    of R, one per power; returns one ``PairedAverages`` per R, in order.
-    Each carries ``rounding_level``, the table's rounding scale
-    1e-12 sum |R|; ``mixed_derivative``, the table's exact
-    d^2/dphi1 dphi2 at (0, 0); and ``exact_par``/``exact_perp``, the
-    table's noise averages in closed form (``noise_average``), which the
+    deterministic for a given seed.  Where ``os.fork`` exists and two CPUs
+    are allowed, one forked worker runs the second half of the chunks
+    (``_forked_partials``); the sums are the same bits either way.
+    ``table`` is ``phase_table``'s list of R, one per power; returns one
+    ``PairedAverages`` per R, in order.  Each carries ``rounding_level``,
+    the table's rounding scale 1e-12 sum |R|; ``mixed_derivative``, the
+    table's exact d^2/dphi1 dphi2 at (0, 0); and ``exact_par``/``exact_perp``,
+    the table's noise averages in closed form (``noise_average``), which the
     Monte-Carlo means estimate.
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
     perp = PhaseNoiseModel(noise.sigma1, noise.sigma2)
     scales = (noise.scale_matrix(), perp.scale_matrix())
-    # Per power: running sums for the parallel, orthogonal and difference series.
-    sums = np.zeros((len(table), 3))
-    sq_sums = np.zeros((len(table), 3))
     # Row 0 of both scale matrices is (sigma1, 0): phi1 is shared.
     rows = (scales[0][0], scales[0][1], scales[1][1])
-    z = None
-    for seq, size in _chunk_seeds(samples, seed):
-        if z is None or len(z) != size:
-            # Chunk buffers, filled in place: fresh arrays this size would
-            # each be mapped and unmapped per chunk.
-            z, phi = np.empty((size, 2)), np.empty(size)
-            bases = np.empty((len(rows), _BASIS_SIZE, size))
-            left = np.empty((size, _BASIS_SIZE))
-            vals = np.empty((3, size))  # parallel, orthogonal, difference
-        np.random.default_rng(seq).standard_normal(out=z)
-        b1, *b2s = (_trig_basis(np.matmul(z, row, out=phi), out=basis)
-                    for row, basis in zip(rows, bases))
-        for i, r in enumerate(table):
-            np.matmul(b1, r, out=left)
-            for b2, v in zip(b2s, vals):
-                np.einsum("sb,sb->s", left, b2, out=v)
-            np.subtract(vals[0], vals[1], out=vals[2])
-            for k, v in enumerate(vals):
-                sums[i, k] += float(v.sum())
-                sq_sums[i, k] += float(v @ v)
+    chunks = _chunk_seeds(samples, seed)
+    if len(chunks) >= 2 and _mc_processes() >= 2:
+        partials = _forked_partials(table, rows, chunks)
+    else:
+        partials = _chunk_partials(table, rows, chunks)
+    # Per power: running sums for the parallel, orthogonal and difference
+    # series, and their squares, added in chunk order.
+    totals = np.zeros(partials.shape[1:])
+    for part in partials:
+        totals += part
     # The basis slopes at 0: k on the sin(k phi) rows, so d^2/dphi1 dphi2 at
     # (0, 0) of b(phi1)^T R b(phi2) is slope @ R @ slope.
     slope = np.zeros(_BASIS_SIZE)
     slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
     covariances = [scale @ scale.T for scale in scales]
     results = []
-    for total, total_sq, r in zip(sums, sq_sums, table):
-        stats = [_mean_and_se(t, q, samples) for t, q in zip(total, total_sq)]
+    for total, r in zip(totals, table):
+        stats = [_mean_and_se(t, q, samples) for t, q in total]
         averages = [noise_average(r, cov) for cov in covariances]
         results.append(PairedAverages(*stats[0], *stats[1], *stats[2],
                                       float(slope @ r @ slope), *averages,

@@ -216,15 +216,14 @@ def apply_beam_splitter(state: MultiModeFockState, mode_a: int, mode_b: int,
 def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
     """Apply a or a' on one tensor axis via the shifted-sqrt stencil."""
     out = np.zeros_like(amp)
-    src = np.moveaxis(amp, mode, 0)
-    dst = np.moveaxis(out, mode, 0)
     dim = amp.shape[mode]
-    root = np.sqrt(np.arange(1, dim))
-    shape = (dim - 1,) + (1,) * (amp.ndim - 1)
+    root = np.sqrt(np.arange(1, dim)).reshape((dim - 1,) + (1,) * (amp.ndim - 1 - mode))
+    head = (slice(None),) * mode
+    low, high = head + (slice(None, -1),), head + (slice(1, None),)
     if dagger:
-        dst[1:] = root.reshape(shape) * src[:-1]
+        out[high] = root * amp[low]
     else:
-        dst[:-1] = root.reshape(shape) * src[1:]
+        out[low] = root * amp[high]
     return out
 
 

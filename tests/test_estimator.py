@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from holosim import (
     uncertainty_modccr_analytic,
     uncertainty_modccr_fock,
 )
-from holosim import estimator
+from holosim import cli, estimator
 from holosim.cli import CROSS_CHECK_POWERS
 from holosim.errors import (
     AmplitudeTooLarge,
@@ -28,6 +29,7 @@ from holosim.errors import (
     DegreeTooHigh,
     NegativeParameter,
     ParameterOutOfRange,
+    WorkerFailed,
     ZeroAmplitude,
 )
 from holosim.estimator import (
@@ -276,6 +278,114 @@ def test_sample_floor(table4):
     noise = PhaseNoiseModel(0.01, 0.01)
     with pytest.raises(NegativeParameter):
         paired_phase_average(noise, table4, 999, seed=1)
+
+
+def mc_runs(monkeypatch, table, samples, seed=3):
+    """(inline, forked, forks): ``paired_phase_average`` in one process and
+    in two, with the number of ``os.fork`` calls the two-process run made."""
+    noise = PhaseNoiseModel(0.02, 0.01, rho=0.6)
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 1)
+    inline = paired_phase_average(noise, table, samples, seed)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 2)
+    forked = paired_phase_average(noise, table, samples, seed)
+    return inline, forked, len(forks)
+
+
+@pytest.mark.parametrize("samples", [1000, 4096, 4097, 8193, 100_000])
+def test_forked_mc_equals_inline(monkeypatch, table3, table4, samples):
+    chunks = -(-samples // estimator.MC_CHUNK)
+    for table in (table3, table4):
+        inline, forked, forks = mc_runs(monkeypatch, table, samples)
+        assert forked == inline
+        assert forks == (chunks >= 2)
+
+
+def test_forked_mc_equals_inline_on_drawn_sample_counts(monkeypatch, table4):
+    hypothesis = pytest.importorskip("hypothesis")
+    samples = hypothesis.strategies.integers(1000, 3 * estimator.MC_CHUNK + 7)
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(samples=samples)
+    def check(samples):
+        inline, forked, _ = mc_runs(monkeypatch, table4, samples, seed=samples)
+        assert forked == inline
+
+    check()
+
+
+def test_one_chunk_forks_nothing(monkeypatch, table4):
+    def no_fork():
+        raise AssertionError("one chunk must run inline")
+
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    paired_phase_average(PhaseNoiseModel(0.01, 0.01), table4, estimator.MC_CHUNK, seed=1)
+
+
+def test_mc_processes_follow_fork_and_affinity(monkeypatch):
+    assert estimator._mc_processes() in (1, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert estimator._mc_processes() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert estimator._mc_processes() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert estimator._mc_processes() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert estimator._mc_processes() == 2
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert estimator._mc_processes() == 1
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("worker raises", WorkerFailed, "status 1 after sending 0 of 96 bytes"),
+    ("worker sends short data", WorkerFailed, "status 0 after sending 0 of 96 bytes"),
+    ("caller raises", RuntimeError, "caller raises"),
+])
+def test_mc_faults_raise_and_leave_no_child(monkeypatch, table4, kind, error, message):
+    caller = os.getpid()
+    trig_basis, chunk_partials = estimator._trig_basis, estimator._chunk_partials
+
+    def raising(*args, **kwargs):
+        if (os.getpid() == caller) == (kind == "caller raises"):
+            raise RuntimeError(kind)
+        return trig_basis(*args, **kwargs)
+
+    def short(*args):
+        partials = chunk_partials(*args)
+        return partials if os.getpid() == caller else partials[:-1]
+
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 2)
+    if kind == "worker sends short data":
+        monkeypatch.setattr(estimator, "_chunk_partials", short)
+    else:
+        monkeypatch.setattr(estimator, "_trig_basis", raising)
+    # Three chunks: the worker runs the last one, 2 powers x 3 series x 2 sums.
+    with pytest.raises(error, match=message):
+        paired_phase_average(PhaseNoiseModel(0.01, 0.01), table4, 3 * estimator.MC_CHUNK,
+                             seed=1)
+    assert issubclass(WorkerFailed, HolosimError)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_dead_worker_exits_2_without_traceback(monkeypatch, capsys):
+    caller, trig_basis = os.getpid(), estimator._trig_basis
+
+    def raising(*args, **kwargs):
+        if os.getpid() != caller:
+            raise RuntimeError("worker fault")
+        return trig_basis(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 2)
+    monkeypatch.setattr(estimator, "_trig_basis", raising)
+    assert cli.main(["phase-mc", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Monte-Carlo worker exited with status 1")
+    assert "Traceback" not in err
 
 
 def test_trig_basis_matches_cos_and_sin():
