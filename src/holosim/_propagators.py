@@ -20,6 +20,10 @@ an exponential acts only on the chains its input occupies: every other
 chain's rows stay exact zeros.  The truncated generator is exactly
 antisymmetric, hence every truncated exponential built here is exactly
 unitary (to rounding).
+
+The same tridiagonal eigensolve gives Gauss rules by Golub-Welsch (Math.
+Comp. 23, 221 (1969)): the nodes are the eigenvalues of the weight's Jacobi
+matrix, the weights the squared first components of its unit eigenvectors.
 """
 
 from __future__ import annotations
@@ -29,10 +33,37 @@ import functools
 import numpy as np
 
 
+def _tridiagonal_eigh(couplings):
+    """Spectrum of the zero-diagonal symmetric tridiagonal matrix with these couplings."""
+    return np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
+
+
 def _spectrum(indices, couplings):
     """(indices, phases, eigs, vecs) of the chain over these flat indices."""
-    eigs, vecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
+    eigs, vecs = _tridiagonal_eigh(couplings)
     return indices, np.power(1j, np.arange(len(indices))), eigs, vecs
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule(weight, n):
+    """(nodes, weights) of the n-node Gauss rule for a probability density.
+
+    ``weight`` is "hermite", the normal density e^{-x^2}/sqrt(pi), or
+    "legendre", the uniform density on [0, 1].  The rule integrates every
+    polynomial of degree at most 2n - 1 exactly.  Both densities are
+    symmetric, so their Jacobi matrices have a zero diagonal; the Legendre
+    rule is built on [-1, 1] and mapped to [0, 1].
+    """
+    k = np.arange(1.0, n)
+    if weight == "hermite":
+        nodes, vecs = _tridiagonal_eigh(np.sqrt(k / 2.0))
+    else:
+        nodes, vecs = _tridiagonal_eigh(k / np.sqrt(4.0 * k * k - 1.0))
+        nodes = (nodes + 1.0) / 2.0
+    weights = vecs[0] ** 2
+    # Cached, so every caller shares these arrays.
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._propagators import gauss_rule
 from .errors import DegreeTooHigh, InvalidModeIndex, NegativeParameter
 from .fock import MAX_MONOMIAL_DEGREE, SqueezeParams
 
@@ -212,8 +213,9 @@ def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
     density using a tensor-product Gauss-Hermite rule in the four
     statistically independent rotated quadratures (x1+x2, y1+y2, x1-x2,
     y1-y2), each rescaled to its own width.  The kernels are polynomials
-    of degree at most MAX_MONOMIAL_DEGREE, so the fixed 12-node rule (exact
-    through degree 23) integrates them exactly.
+    of degree at most MAX_MONOMIAL_DEGREE, so the smallest exact rule has
+    MAX_MONOMIAL_DEGREE // 2 + 1 nodes (5, exact through degree 2n - 1 = 9),
+    built by Golub-Welsch in ``_propagators.gauss_rule``.
     """
     for p in powers:
         if not isinstance(p, (int, np.integer)) or p < 0:
@@ -221,10 +223,7 @@ def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
     if sum(powers) > MAX_MONOMIAL_DEGREE:
         raise DegreeTooHigh(f"total degree {sum(powers)} exceeds {MAX_MONOMIAL_DEGREE}")
     n1, m1, n2, m2 = powers
-    # Built per call: at import it would start LAPACK in processes that never
-    # integrate, and it costs far less than the quadrature itself.
-    nodes, weights = np.polynomial.hermite.hermgauss(12)
-    weights = weights / math.sqrt(math.pi)
+    nodes, weights = gauss_rule("hermite", MAX_MONOMIAL_DEGREE // 2 + 1)
     # Independent rotated coordinates and their variances: u_plus = x1 + x2,
     # w_plus = y1 + y2, u_minus = x1 - x2, w_minus = y1 - y2.
     variances = (state.sigma_plus / 2.0, state.sigma_minus / 2.0,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._propagators import apply_exponential
+from ._propagators import apply_exponential, gauss_rule
 from .errors import AmplitudeTooLarge, CutoffTooSmall
 from .fock import (
     FockCutoff,
@@ -118,20 +118,18 @@ def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> np.ndarray:
 
     A is the squeeze generator with strength r; ``b_pert`` is the
     perturbing operator, a callable on (d, d) two-mode amplitudes.
-    The u-integral uses a fixed 16-node Gauss-Legendre rule; the integrand
-    is analytic in u, so convergence is rapid.  The result is the (d, d)
-    correction vector, not a normalized state.  Its support is the twin
-    beam's: ``twb_tail`` checks r and raises ``CutoffTooSmall`` where
-    ``build_twb`` would at the default tolerance.
+    The u-integral uses a fixed 16-node Gauss-Legendre rule (``gauss_rule``);
+    the integrand is analytic in u, so convergence is rapid.  The result is
+    the (d, d) correction vector, not a normalized state.  Its support is
+    the twin beam's: ``twb_tail`` checks r and raises ``CutoffTooSmall``
+    where ``build_twb`` would at the default tolerance.
     """
     twb_tail(r, cutoff)
     d = cutoff.dim
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
-    x, w = np.polynomial.legendre.leggauss(16)
-    u_nodes, u_weights = (x + 1.0) / 2.0, w / 2.0
     integral = np.zeros((d, d), dtype=complex)
-    for u, wu in zip(u_nodes, u_weights):
+    for u, wu in zip(*gauss_rule("legendre", 16)):
         v = b_pert(apply_exponential("squeeze", d, u * r, vac))
         integral += wu * apply_exponential("squeeze", d, -u * r, v)
     return apply_exponential("squeeze", d, r, integral)

@@ -537,6 +537,29 @@ SMALL_RUNS = """\
     """
 
 
+def test_no_mode_imports_numpy_polynomial(tmp_path):
+    # The quadrature rules are built in-house (_propagators.gauss_rule), so
+    # no mode pays for numpy.polynomial's import; tests keep it as a reference.
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    probe = textwrap.dedent("""\
+        import sys
+        from holosim import cli
+        config, out_dir = sys.argv[1:3]
+        seen = []
+        for mode in sys.argv[3:]:
+            code = cli.main([mode, "--config", config, "--out", f"{out_dir}/{mode}.out"])
+            seen.append(f"{mode} {code} {'numpy.polynomial' in sys.modules}")
+        print(seen)
+        """)
+    modes = ["sweep-env-coupling", "sweep-env-squeezing", "sweep-modccr", "phase-mc",
+             "validate"]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, write_config(tmp_path, SMALL_RUNS), str(tmp_path),
+         *modes], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr([f"{m} 0 False" for m in modes])
+
+
 @pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing",
                                   "sweep-modccr", "phase-mc", "validate"])
 def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):

@@ -108,26 +108,20 @@ def _duhamel_at_80():
     return duhamel_first_order(0.8, perturbation_generator_action(0.8), cut)
 
 
-@pytest.mark.parametrize("build,eigh_calls", [
+@pytest.mark.parametrize("build,chains", [
     (lambda: closed_form_correction(0.8, FockCutoff(64)), 3),
     (_duhamel_at_80, 3),
 ], ids=["closed-form-64", "duhamel-80"])
-def test_chain_spectra_are_built_on_first_use(monkeypatch, build, eigh_calls):
+def test_chain_spectra_are_built_on_first_use(build, chains):
     # The deformed-sector vectors occupy the squeeze chains q = 0, +-2 only.
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return eigh(matrix)
-
-    for builder in (_propagators._squeeze_chain, _propagators._beam_splitter_chain):
+    # Counted as chain-builder cache misses, not eigh calls: the Duhamel
+    # integral's quadrature rule comes from the same eigensolve.
+    builders = (_propagators._squeeze_chain, _propagators._beam_splitter_chain)
+    for builder in builders:
         builder.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    build()
-    assert len(calls) == eigh_calls
-    build()
-    assert len(calls) == eigh_calls
+    for _ in range(2):
+        build()
+        assert sum(builder.cache_info().misses for builder in builders) == chains
 
 
 def test_duhamel_reduces_to_strength_derivative():
