@@ -14,8 +14,9 @@ For a chain matrix A with A[k+1,k] = t_k, A[k,k+1] = -t_k, the Hermitian
 matrix iA becomes real symmetric tridiagonal after conjugation with
 D = diag(i^k), so each block is solved with numpy.linalg.eigh on its
 dense tridiagonal matrix and exp(theta*A) = D V exp(-i*theta*w) V^T D* is
-assembled from real spectra.  Each chain builder is cached per (dim,
-label), so a chain's spectrum is built the first time it is needed, and
+assembled from real spectra.  Each chain builder returns (indices, phases
+D, eigs, vecs) and is cached per (dim, label), so a chain's spectrum is
+built the first time it is needed (squeeze chains q and -q share one), and
 an exponential acts only on the chains its input occupies: every other
 chain's rows stay exact zeros.  The truncated generator is exactly
 antisymmetric, hence every truncated exponential built here is exactly
@@ -36,12 +37,6 @@ import numpy as np
 def _tridiagonal_eigh(couplings):
     """Spectrum of the zero-diagonal symmetric tridiagonal matrix with these couplings."""
     return np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
-
-
-def _spectrum(indices, couplings):
-    """(indices, phases, eigs, vecs) of the chain over these flat indices."""
-    eigs, vecs = _tridiagonal_eigh(couplings)
-    return indices, np.power(1j, np.arange(len(indices))), eigs, vecs
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,18 +62,27 @@ def gauss_rule(weight, n):
 
 
 @functools.lru_cache(maxsize=None)
+def _squeeze_spectrum(length, q):
+    """Spectrum of the squeeze chains +-q of this length: their couplings
+    (n1+1)(n2+1) are the same products in swapped order, so one eigh serves both."""
+    k = np.arange(1.0, length)
+    return _tridiagonal_eigh(np.sqrt((k + q) * k))
+
+
+@functools.lru_cache(maxsize=None)
 def _squeeze_chain(dim, q):
     """Chain q = n1 - n2 of G = A1'A2' - A1 A2 over flat indices n1*dim + n2."""
     k = np.arange(dim - abs(q))
     n1, n2 = (k + q, k) if q >= 0 else (k, k - q)
-    return _spectrum(n1 * dim + n2, np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0)))
+    return (n1 * dim + n2, np.power(1j, k), *_squeeze_spectrum(len(k), abs(q)))
 
 
 @functools.lru_cache(maxsize=None)
 def _beam_splitter_chain(dim, s):
     """Chain s = na + nb of K = (a'b - b'a)/2 over flat indices na*dim + nb."""
     k = np.arange(max(0, s - (dim - 1)), min(s, dim - 1) + 1)
-    return _spectrum(k * dim + (s - k), 0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1])))
+    return (k * dim + (s - k), np.power(1j, np.arange(k.size)),
+            *_tridiagonal_eigh(0.5 * np.sqrt((k[:-1] + 1.0) * (s - k[:-1]))))
 
 
 def apply_exponential(kind, dim, theta, flat):

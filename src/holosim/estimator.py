@@ -418,18 +418,20 @@ def _chunk_partials(table: list, rows: tuple, chunks: list) -> np.ndarray:
             # each be mapped and unmapped per chunk.
             z, phi = np.empty((size, 2)), np.empty(size)
             bases = np.empty((len(rows), _BASIS_SIZE, size))
-            left = np.empty((size, _BASIS_SIZE))
+            left = np.empty((_BASIS_SIZE, size))
             vals = np.empty((3, size))  # parallel, orthogonal, difference
         np.random.default_rng(seq).standard_normal(out=z)
-        b1, *b2s = (_trig_basis(np.matmul(z, row, out=phi), out=basis)
-                    for row, basis in zip(rows, bases))
+        for row, basis in zip(rows, bases):
+            _trig_basis(np.matmul(z, row, out=phi), out=basis)
+        # Contracted on the harmonic-major buffers, where a sample's 9 terms
+        # sit one row apart; each sum still runs over b = 0..8 in order.
         for i, r in enumerate(table):
-            np.matmul(b1, r, out=left)
-            for b2, v in zip(b2s, vals):
-                np.einsum("sb,sb->s", left, b2, out=v)
+            np.matmul(r.T, bases[0], out=left)
+            np.einsum("bs,kbs->ks", left, bases[1:], out=vals[:2])
             np.subtract(vals[0], vals[1], out=vals[2])
+            part[i, :, 0] = vals.sum(axis=1)
             for k, v in enumerate(vals):
-                part[i, k] = v.sum(), v @ v
+                part[i, k, 1] = v @ v
     return partials
 
 

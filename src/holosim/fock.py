@@ -215,15 +215,15 @@ def apply_beam_splitter(state: MultiModeFockState, mode_a: int, mode_b: int,
 
 def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
     """Apply a or a' on one tensor axis via the shifted-sqrt stencil."""
-    out = np.zeros_like(amp)
+    out = np.empty_like(amp)
     dim = amp.shape[mode]
     root = np.sqrt(np.arange(1, dim)).reshape((dim - 1,) + (1,) * (amp.ndim - 1 - mode))
     head = (slice(None),) * mode
     low, high = head + (slice(None, -1),), head + (slice(1, None),)
-    if dagger:
-        out[high] = root * amp[low]
-    else:
-        out[low] = root * amp[high]
+    # a' fills levels 1.. and leaves level 0 empty; a fills all but the top.
+    src, dst, edge = (low, high, 0) if dagger else (high, low, -1)
+    np.multiply(root, amp[src], out=out[dst])
+    out[head + (edge,)] = 0.0
     return out
 
 

@@ -56,6 +56,9 @@ DENOM_REF = -0.4830276337318953           # -mu^2 sinh(2r)/2 at r=0.6, mu=0.8
 MC_MEAN_PAR = 5.424100905343062e-05       # seed=7, 1e5 samples, sigma=0.01
 MC_MEAN_PERP = 7.851922404913538e-05
 MC_MEAN_DIFF = -2.427821499570475e-05
+MC_SE_PAR = 1.7439222089306468e-07
+MC_SE_PERP = 2.930769408755007e-07
+MC_SE_DIFF = 1.5064738927875038e-07
 INJECTED_COV = 5e-05                      # rho * sigma1 * sigma2
 
 
@@ -252,10 +255,33 @@ def test_paired_average_reference_run(table4):
     assert res.mean_par == pytest.approx(MC_MEAN_PAR, rel=5e-12, abs=0.0)
     assert res.mean_perp == pytest.approx(MC_MEAN_PERP, rel=5e-12, abs=0.0)
     assert res.mean_diff == pytest.approx(MC_MEAN_DIFF, rel=5e-12, abs=0.0)
+    assert res.se_par == pytest.approx(MC_SE_PAR, rel=5e-12, abs=0.0)
+    assert res.se_perp == pytest.approx(MC_SE_PERP, rel=5e-12, abs=0.0)
+    assert res.se_diff == pytest.approx(MC_SE_DIFF, rel=5e-12, abs=0.0)
     assert res.se_diff < abs(res.mean_diff)
     recovered = correlation_estimate(res.mean_par, res.mean_perp,
                                      res.mixed_derivative)
     assert recovered == pytest.approx(INJECTED_COV, rel=0.1)
+
+
+def test_chunk_partials_match_a_per_sample_reference(table4):
+    # Two full chunks and a short one, each against b(phi1)^T R b(phi2) per
+    # sample on _trig_basis's (samples, 9) views, from the chunk's own draws.
+    noise, perp = PhaseNoiseModel(0.3, 0.5, rho=0.4), PhaseNoiseModel(0.3, 0.5)
+    scales = (noise.scale_matrix(), perp.scale_matrix())
+    rows = (scales[0][0], scales[0][1], scales[1][1])
+    chunks = estimator._chunk_seeds(2 * estimator.MC_CHUNK + 100, seed=11)
+    assert [size for _, size in chunks] == [estimator.MC_CHUNK] * 2 + [100]
+    partials = estimator._chunk_partials(table4, rows, chunks)
+    assert partials.shape == (3, len(table4), 3, 2)
+    for part, (seq, size) in zip(partials, chunks):
+        z = np.random.default_rng(seq).standard_normal((size, 2))
+        b1, b2_par, b2_perp = (_trig_basis(z @ row) for row in rows)
+        for got, r in zip(part, table4):
+            par, orth = (np.einsum("sb,bc,sc->s", b1, r, b2) for b2 in (b2_par, b2_perp))
+            for (total, square), series in zip(got, (par, orth, par - orth)):
+                assert total == pytest.approx(series.sum(), rel=1e-12, abs=0.0)
+                assert square == pytest.approx(series @ series, rel=1e-12, abs=0.0)
 
 
 def test_paired_average_deterministic_for_a_seed(table3):

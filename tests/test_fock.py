@@ -18,6 +18,7 @@ from holosim.fock import (
     FockCutoff,
     MultiModeFockState,
     SqueezeParams,
+    _apply_ladder,
     apply_beam_splitter,
     basis_state,
     build_coherent,
@@ -147,6 +148,22 @@ def test_beam_splitter_mode_validation():
         apply_beam_splitter(state, 0, 2, 1.0)
     with pytest.raises(UnsupportedPhase):
         apply_beam_splitter(state, 0, 1, math.inf)
+
+
+@pytest.mark.parametrize("modes,dim", [(2, 9), (4, 5)])
+def test_ladder_matches_the_dense_matrix_on_each_axis(modes, dim):
+    # a has sqrt(n) at [n - 1, n] and a' is its transpose; each acts on one
+    # axis of a random complex tensor.  The stencil must also zero the edge
+    # level it does not write (level 0 for a', the top level for a).
+    rng = np.random.default_rng(modes)
+    amp = rng.standard_normal((dim,) * modes) + 1j * rng.standard_normal((dim,) * modes)
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    for mode in range(modes):
+        for dagger, matrix in ((False, a), (True, a.T)):
+            expected = np.moveaxis(np.tensordot(matrix, amp, axes=(1, mode)), 0, mode)
+            got = _apply_ladder(amp, mode, dagger)
+            assert got.dtype == amp.dtype and got.shape == amp.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_expectation_vacuum():
