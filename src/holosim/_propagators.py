@@ -22,8 +22,8 @@ chain's rows stay exact zeros.  The truncated generator is exactly
 antisymmetric, hence every truncated exponential built here is exactly
 unitary (to rounding).
 
-The same tridiagonal eigensolve gives Gauss rules by Golub-Welsch (Math.
-Comp. 23, 221 (1969)): the nodes are the eigenvalues of the weight's Jacobi
+The same tridiagonal eigensolve gives the Gauss-Hermite rule by Golub-Welsch
+(Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues of the Jacobi
 matrix, the weights the squared first components of its unit eigenvectors.
 """
 
@@ -40,21 +40,11 @@ def _tridiagonal_eigh(couplings):
 
 
 @functools.lru_cache(maxsize=None)
-def gauss_rule(weight, n):
-    """(nodes, weights) of the n-node Gauss rule for a probability density.
-
-    ``weight`` is "hermite", the normal density e^{-x^2}/sqrt(pi), or
-    "legendre", the uniform density on [0, 1].  The rule integrates every
-    polynomial of degree at most 2n - 1 exactly.  Both densities are
-    symmetric, so their Jacobi matrices have a zero diagonal; the Legendre
-    rule is built on [-1, 1] and mapped to [0, 1].
-    """
-    k = np.arange(1.0, n)
-    if weight == "hermite":
-        nodes, vecs = _tridiagonal_eigh(np.sqrt(k / 2.0))
-    else:
-        nodes, vecs = _tridiagonal_eigh(k / np.sqrt(4.0 * k * k - 1.0))
-        nodes = (nodes + 1.0) / 2.0
+def gauss_rule(n):
+    """(nodes, weights) of the n-node Gauss rule for the normal density
+    e^{-x^2}/sqrt(pi), exact for polynomials of degree at most 2n - 1.  The
+    density is symmetric, so its Jacobi matrix has a zero diagonal."""
+    nodes, vecs = _tridiagonal_eigh(np.sqrt(np.arange(1.0, n) / 2.0))
     weights = vecs[0] ** 2
     # Cached, so every caller shares these arrays.
     nodes.flags.writeable = weights.flags.writeable = False

@@ -60,7 +60,6 @@ from .gaussian import (
 from .modccr import (
     closed_form_correction,
     deformed_commutator_check,
-    duhamel_first_order,
     perturbation_generator_action,
 )
 
@@ -510,11 +509,12 @@ def run_validate(config: SimpleNamespace) -> tuple:
     checks.append(_check("deformed_commutators",
                          deformed_commutator_check(0.1, FockCutoff(20)), 1e-10))
 
-    # 8. Duhamel integral vs its closed-form collapse.
+    # 8. Propagated first-order correction vs B on the closed-form twin beam.
     cut = FockCutoff(80)
-    via_integral = duhamel_first_order(0.8, perturbation_generator_action(0.8), cut)
-    dev = float(np.linalg.norm(via_integral - closed_form_correction(0.8, cut)))
-    checks.append(_check("duhamel_closed_form", dev, 1e-8))
+    pair = build_twb(SqueezeParams(0.8), cut).amplitudes
+    response = perturbation_generator_action(0.8)(pair)
+    dev = float(np.linalg.norm(response - closed_form_correction(0.8, cut)))
+    checks.append(_check("correction_vs_pair_response", dev, 1e-8))
 
     # 9. Widths relax monotonically toward the thermal asymptote.
     target = gaussian.asymptotic_width(m_th)

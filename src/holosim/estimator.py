@@ -61,6 +61,8 @@ _BASIS_SIZE = 2 * _TABLE_HARMONICS + 1
 # The table's rounding relative to sum |R|, which bounds the moment: its
 # distance from direct evaluation stays below this on random inputs.
 _ROUNDING_TOL = 1e-12
+# Widths from about 1e154 overflow float64 in (k sigma)^2 and in sigma * z.
+MAX_NOISE_WIDTH = 1e150
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,10 @@ class PhaseNoiseModel:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
+        if not (abs(self.sigma1) <= MAX_NOISE_WIDTH and abs(self.sigma2) <= MAX_NOISE_WIDTH):
             raise ParameterOutOfRange(
-                f"noise widths must be finite, got ({self.sigma1!r}, {self.sigma2!r})")
+                f"noise widths must be finite and at most {MAX_NOISE_WIDTH:g}, "
+                f"got ({self.sigma1!r}, {self.sigma2!r})")
         if self.sigma1 < 0.0 or self.sigma2 < 0.0:
             raise NegativeParameter("noise widths must be non-negative")
         if not -1.0 <= self.rho <= 1.0:
@@ -449,11 +452,17 @@ def _forked_partials(table: list, rows: tuple, chunks: list) -> np.ndarray:
     """``_chunk_partials`` of all chunks, the first half in this process and
     the second in one forked worker, which sends its partial sums back
     over a pipe as float64 bytes.  The worker never returns into the
-    caller, and it is reaped before this returns or raises."""
+    caller, and it is reaped before this returns or raises.  Where the fork
+    fails, every chunk runs in this process, with the same bits."""
     split = (len(chunks) + 1) // 2
     tail_shape = (len(chunks) - split, len(table), 3, 2)
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _chunk_partials(table, rows, chunks)
     if pid == 0:
         status = 1
         try:

@@ -223,7 +223,7 @@ def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
     if sum(powers) > MAX_MONOMIAL_DEGREE:
         raise DegreeTooHigh(f"total degree {sum(powers)} exceeds {MAX_MONOMIAL_DEGREE}")
     n1, m1, n2, m2 = powers
-    nodes, weights = gauss_rule("hermite", MAX_MONOMIAL_DEGREE // 2 + 1)
+    nodes, weights = gauss_rule(MAX_MONOMIAL_DEGREE // 2 + 1)
     # Independent rotated coordinates and their variances: u_plus = x1 + x2,
     # w_plus = y1 + y2, u_minus = x1 - x2, w_minus = y1 - y2.
     variances = (state.sigma_plus / 2.0, state.sigma_minus / 2.0,

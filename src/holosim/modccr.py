@@ -3,11 +3,12 @@
 A constant deformation epsilon of the canonical mode algebra
 ([a1,a2] = [a1,a2'] = eps, [ai,ai'] = 1+eps) is realized through an
 explicit linear map onto standard auxiliary modes A1, A2.  This module
-verifies the deformed algebra on the truncated space, builds the
-first-order perturbative correction to the twin-beam state via a Duhamel
-integral over conjugated generators, and provides the closed-form
-correction vector it collapses to, the deformed number-difference
-observable, and the exact eps^2 coefficient of its variance that the
+verifies the deformed algebra on the truncated space and builds the
+first-order correction to the twin-beam state, a Duhamel integral over
+conjugated generators that collapses to a closed form because the
+perturbation commutes with the squeeze generator (Wilcox, J. Math. Phys.
+8, 962 (1967)).  It also provides the deformed number-difference
+observable and the exact eps^2 coefficient of its variance that the
 oracle uncertainty evaluation uses.
 """
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._propagators import apply_exponential, gauss_rule
+from ._propagators import apply_exponential
 from .errors import AmplitudeTooLarge, CutoffTooSmall
 from .fock import (
     FockCutoff,
@@ -92,18 +93,13 @@ def _sum_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
     return _apply_ladder(psi, 0, dagger) + _apply_ladder(psi, 1, dagger)
 
 
-def squeeze_generator_action(r: float):
-    """Action of the squeeze generator r*(A1'A2' - A1A2) on (d, d) amplitudes."""
-    return lambda psi: r * (_pair_ladder(psi, True) - _pair_ladder(psi, False))
-
-
 def perturbation_generator_action(r: float):
     """First-order generator perturbation per unit epsilon, on (d, d) amplitudes.
 
-    Expanding the squeeze generator written in deformed modes around
-    eps = 0 gives the perturbation r*((X'^2 - X^2)/2 - 1) with
-    X = A1 + A2; it commutes with the unperturbed generator, which is what
-    collapses the Duhamel integral to a closed form.
+    Expanding the squeeze generator A = A1'A2' - A1A2 written in deformed
+    modes around eps = 0 gives B = r*((X'^2 - X^2)/2 - 1), X = A1 + A2.
+    [A, X'] = -X and [A, X] = -X', so B commutes with A, which collapses the
+    Duhamel integral to ``closed_form_correction``.
     """
     def act(psi: np.ndarray) -> np.ndarray:
         up2 = _sum_ladder(_sum_ladder(psi, True), True)
@@ -113,32 +109,13 @@ def perturbation_generator_action(r: float):
     return act
 
 
-def duhamel_first_order(r: float, b_pert, cutoff: FockCutoff) -> np.ndarray:
-    """First-order response vector e^A Int_0^1 e^{-uA} B e^{uA} du |0>.
-
-    A is the squeeze generator with strength r; ``b_pert`` is the
-    perturbing operator, a callable on (d, d) two-mode amplitudes.
-    The u-integral uses a fixed 16-node Gauss-Legendre rule (``gauss_rule``);
-    the integrand is analytic in u, so convergence is rapid.  The result is
-    the (d, d) correction vector, not a normalized state.  Its support is
-    the twin beam's: ``twb_tail`` checks r and raises ``CutoffTooSmall``
-    where ``build_twb`` would at the default tolerance.
-    """
-    twb_tail(r, cutoff)
-    d = cutoff.dim
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    integral = np.zeros((d, d), dtype=complex)
-    for u, wu in zip(*gauss_rule("legendre", 16)):
-        v = b_pert(apply_exponential("squeeze", d, u * r, vac))
-        integral += wu * apply_exponential("squeeze", d, -u * r, v)
-    return apply_exponential("squeeze", d, r, integral)
-
-
 def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
-    """The collapsed Duhamel vector r * e^{rA} ((X'^2)/2 - 1) |0>, as (d, d).
+    """First-order correction r * e^{rA} ((X'^2)/2 - 1) |0> = B|TWB>, as (d, d).
 
-    Not a normalized state; its support and guards are ``duhamel_first_order``'s.
+    The Duhamel response e^{rA} Int_0^1 e^{-urA} B e^{urA} du |0> to the
+    perturbation B (``perturbation_generator_action``) collapses to this
+    because B commutes with the squeeze generator A.  Not a normalized state;
+    ``twb_tail`` guards its support as ``build_twb`` does by default.
     """
     twb_tail(r, cutoff)
     d = cutoff.dim

@@ -37,9 +37,9 @@ from holosim.gaussian import (
 from holosim.modccr import (
     closed_form_correction,
     deformed_commutator_check,
-    duhamel_first_order,
     perturbation_generator_action,
 )
+from test_modccr import duhamel_response
 
 
 @contextlib.contextmanager
@@ -156,7 +156,7 @@ def test_acceptance_7_deformed_sector_consistency():
             assert deformed_commutator_check(eps, FockCutoff(20)) <= 1e-10
         for r, n_max in ((0.4, 48), (0.8, 80), (1.2, 160)):
             cut = FockCutoff(n_max)
-            integral = duhamel_first_order(r, perturbation_generator_action(r), cut)
+            integral = duhamel_response(r, perturbation_generator_action(r), cut)
             closed = closed_form_correction(r, cut)
             assert np.max(np.abs(integral - closed)) <= 1e-8
 

@@ -7,10 +7,14 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import holosim
-from holosim import cli
+from holosim import _propagators, cli
+from holosim._propagators import apply_exponential
+from holosim.fock import _apply_ladder
+from holosim.modccr import _sum_ladder
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -53,6 +57,60 @@ def test_validate_fault_injection_is_detected(tmp_path, capsys):
     assert code == 1
     assert "status=FAIL" in stdout
     assert "check=evolution_semigroup status=FAIL" in stdout
+
+
+def _faulty_correction(seed_of, prefactor=lambda r: r, sign=1.0):
+    """A faulty closed_form_correction: prefactor(r) e^{sign r A} seed_of(|0>)."""
+    def correction(r, cutoff):
+        vac = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+        vac[0, 0] = 1.0
+        return prefactor(r) * apply_exponential("squeeze", cutoff.dim, sign * r, seed_of(vac))
+    return correction
+
+
+def _raise_twice(psi, mode):
+    """A1'^2 (mode 0) or A2'^2 (mode 1)."""
+    return _apply_ladder(_apply_ladder(psi, mode, True), mode, True)
+
+
+def _x_prime_squared(vac):
+    return _sum_ladder(_sum_ladder(vac, True), True)
+
+
+def _seed(vac):
+    return 0.5 * _x_prime_squared(vac) - vac
+
+
+def _flipped_squeeze_chain(dim, q, chain=_propagators._squeeze_chain):
+    # Phases (-i)^k instead of i^k turn every e^{theta A} into e^{-theta A}.
+    indices, phases, eigs, vecs = chain(dim, q)
+    return indices, np.conj(phases), eigs, vecs
+
+
+@pytest.mark.parametrize("module,name,replacement", [
+    (cli, "closed_form_correction", _faulty_correction(lambda v: 0.5 * _x_prime_squared(v))),
+    (cli, "closed_form_correction", _faulty_correction(lambda v: _x_prime_squared(v) - v)),
+    # X'X and X^2 annihilate the vacuum, so both seeds read -|0>.
+    (cli, "closed_form_correction", _faulty_correction(lambda v: -v)),
+    (cli, "closed_form_correction", _faulty_correction(_seed, sign=-1.0)),
+    (cli, "closed_form_correction", _faulty_correction(_seed, prefactor=lambda r: r * r)),
+    (cli, "closed_form_correction",
+     _faulty_correction(lambda v: 0.5 * _x_prime_squared(v) + v)),
+    (cli, "closed_form_correction",
+     _faulty_correction(lambda v: 0.5 * (_raise_twice(v, 0) + _raise_twice(v, 1)) - v)),
+    (_propagators, "_squeeze_chain", _flipped_squeeze_chain),
+], ids=["seed-without-vacuum", "half-to-one", "annihilating-seed", "propagated-with-minus-r",
+        "r-squared-prefactor", "plus-vacuum", "no-cross-term", "flipped-chain-phase"])
+def test_validate_check_8_catches_a_faulty_correction(monkeypatch, capsys, module, name,
+                                                      replacement):
+    # No other check propagates a squeeze chain, so the rest still pass.  The
+    # flipped phases also pass a Duhamel comparison, whose integral shares
+    # the propagator; check 8's twin beam is build_twb's closed form.
+    monkeypatch.setattr(module, name, replacement)
+    assert cli.main(["validate"]) == 1
+    stdout = capsys.readouterr().out
+    assert "check=correction_vs_pair_response status=FAIL" in stdout
+    assert stdout.count("status=PASS") == 9
 
 
 def test_validate_unknown_fault(tmp_path, capsys):
@@ -538,7 +596,7 @@ SMALL_RUNS = """\
 
 
 def test_no_mode_imports_numpy_polynomial(tmp_path):
-    # The quadrature rules are built in-house (_propagators.gauss_rule), so
+    # The quadrature rule is built in-house (_propagators.gauss_rule), so
     # no mode pays for numpy.polynomial's import; tests keep it as a reference.
     src = os.path.dirname(os.path.dirname(holosim.__file__))
     probe = textwrap.dedent("""\
@@ -599,10 +657,14 @@ def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
     # 2M + 1 overflows, and the approx ratio reads 0 * inf = nan.
     ("sweep-env-squeezing", "[sweep-env-squeezing]\nlambda_tau = 0\nm_values = 1e308\n",
      [], "ratio must be >= 0, got nan"),
+    # From 1e154 on, (k sigma)^2 and sigma * z overflow float64.
+    *(("phase-mc", f"[phase-mc]\nsigma1 = {width}\nsigma2 = {width}\n", [],
+       "noise widths must be finite and at most 1e+150") for width in ("1e154", "1e200", "1e308")),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
         "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
         "oversized-samples", "undersized-samples", "modccr-r-zero", "oversized-mu",
-        "overflowing-mu", "nan-ratio"])
+        "overflowing-mu", "nan-ratio", "noise-width-1e154", "noise-width-1e200",
+        "noise-width-1e308"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:
@@ -614,6 +676,6 @@ def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                           capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 2
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     if named is not None:
         assert named in done.stderr

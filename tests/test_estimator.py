@@ -242,7 +242,8 @@ def test_uncorrelated_scale_matrix_is_diagonal():
     ((0.01, math.inf), ParameterOutOfRange),
     ((0.01, -0.01), NegativeParameter),
     ((0.01, 0.01, 1.5), NegativeParameter),
-], ids=["nan-sigma1", "inf-sigma2", "negative-sigma2", "rho-above-1"])
+    ((0.01, 1e151), ParameterOutOfRange),
+], ids=["nan-sigma1", "inf-sigma2", "negative-sigma2", "rho-above-1", "sigma2-above-bound"])
 def test_noise_model_rejects_non_finite_widths(args, error):
     with pytest.raises(error):
         PhaseNoiseModel(*args)
@@ -349,6 +350,26 @@ def test_one_chunk_forks_nothing(monkeypatch, table4):
     monkeypatch.setattr(estimator, "_mc_processes", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     paired_phase_average(PhaseNoiseModel(0.01, 0.01), table4, estimator.MC_CHUNK, seed=1)
+
+
+def test_failed_fork_runs_every_chunk_inline(monkeypatch, table4, capsys):
+    def failed_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    pipes, real_pipe = [], os.pipe
+    noise = PhaseNoiseModel(0.02, 0.01, rho=0.6)
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 1)
+    inline = paired_phase_average(noise, table4, 3 * estimator.MC_CHUNK, seed=3)
+    monkeypatch.setattr(estimator, "_mc_processes", lambda: 2)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+    assert paired_phase_average(noise, table4, 3 * estimator.MC_CHUNK, seed=3) == inline
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert cli.main(["phase-mc"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_mc_processes_follow_fork_and_affinity(monkeypatch):
