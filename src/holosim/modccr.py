@@ -7,9 +7,8 @@ verifies the deformed algebra on the truncated space and builds the
 first-order correction to the twin-beam state, a Duhamel integral over
 conjugated generators that collapses to a closed form because the
 perturbation commutes with the squeeze generator (Wilcox, J. Math. Phys.
-8, 962 (1967)).  It also provides the deformed number-difference
-observable and the exact eps^2 coefficient of its variance that the
-oracle uncertainty evaluation uses.
+8, 962 (1967)).  It also gives the exact eps^2 coefficient of the deformed
+number difference's variance, which the oracle uncertainty evaluation uses.
 """
 
 from __future__ import annotations
@@ -20,15 +19,7 @@ import numpy as np
 
 from ._propagators import apply_exponential
 from .errors import AmplitudeTooLarge, CutoffTooSmall
-from .fock import (
-    FockCutoff,
-    MultiModeFockState,
-    SqueezeParams,
-    _apply_ladder,
-    _occupation_difference,
-    build_twb,
-    twb_tail,
-)
+from .fock import FockCutoff, _apply_ladder, _occupation_difference, twb_tail
 
 MAX_EPSILON = 0.2
 
@@ -83,11 +74,6 @@ def deformed_commutator_check(epsilon: float, cutoff: FockCutoff) -> float:
     return deviation
 
 
-def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
-    """A1' A2' (dagger) or A1 A2 acting on a two-mode amplitude tensor."""
-    return _apply_ladder(_apply_ladder(psi, 1, dagger), 0, dagger)
-
-
 def _sum_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
     """(A1' + A2') (dagger) or (A1 + A2) acting on a two-mode amplitude tensor."""
     return _apply_ladder(psi, 0, dagger) + _apply_ladder(psi, 1, dagger)
@@ -109,6 +95,13 @@ def perturbation_generator_action(r: float):
     return act
 
 
+def _correction_seed(dim: int) -> np.ndarray:
+    """The correction's seed ((X'^2)/2 - 1)|0> on (dim, dim) amplitudes."""
+    vac = np.zeros((dim, dim), dtype=complex)
+    vac[0, 0] = 1.0
+    return 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
+
+
 def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
     """First-order correction r * e^{rA} ((X'^2)/2 - 1) |0> = B|TWB>, as (d, d).
 
@@ -118,42 +111,7 @@ def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
     ``twb_tail`` guards its support as ``build_twb`` does by default.
     """
     twb_tail(r, cutoff)
-    d = cutoff.dim
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    seed = 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
-    return r * apply_exponential("squeeze", d, r, seed)
-
-
-def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
-                    tail_tol: float = 1e-10) -> MultiModeFockState:
-    """Twin-beam state carrying the first-order deformation correction.
-
-    Returns the renormalized |TWB> + eps * r * e^{rA}((X'^2)/2 - 1)|0>;
-    renormalization shifts moments only at second order in epsilon.
-    ``tail_tol`` loosens only the twin beam's own check: a nonzero
-    correction keeps ``closed_form_correction``'s default support.
-    """
-    _check_epsilon(epsilon)
-    twb = build_twb(SqueezeParams(r), cutoff, tail_tol=tail_tol)
-    if epsilon == 0.0 or r == 0.0:
-        return twb
-    amp = twb.amplitudes + epsilon * closed_form_correction(r, cutoff)
-    amp = amp / np.linalg.norm(amp)
-    return MultiModeFockState(2, cutoff, amp, discarded_tail=twb.discarded_tail)
-
-
-def deformed_number_difference_action(epsilon: float):
-    """First-order action of the deformed number difference on (d, d) amplitudes.
-
-    Through the auxiliary-mode map, a1'a1 - a2'a2 equals
-    (1+eps)(N1 - N2) - eps(A1A2 + A1'A2') up to O(eps^2) terms.
-    """
-    def act(psi: np.ndarray) -> np.ndarray:
-        return ((1.0 + epsilon) * _occupation_difference(len(psi)) * psi
-                - epsilon * (_pair_ladder(psi, False) + _pair_ladder(psi, True)))
-
-    return act
+    return r * apply_exponential("squeeze", cutoff.dim, r, _correction_seed(cutoff.dim))
 
 
 def deformed_variance_coefficient(r: float, cutoff: FockCutoff) -> float:
@@ -167,11 +125,14 @@ def deformed_variance_coefficient(r: float, cutoff: FockCutoff) -> float:
     <O^4> = eps^2 |D0 v|^2 + O(eps^3) while <O^2>^2 = O(eps^4).  P keeps the
     twin beam on the diagonal n1 = n2, where D0 vanishes, so D0 v = D0^2 c.
 
-    The coefficient is exactly 16 r^2 at every cutoff: D0 commutes with the
-    squeeze generator, the truncated e^{rA} is exactly unitary on each
-    n1 - n2 chain, and the seed's n1 - n2 = +-2 part (|2,0> + |0,2>)/sqrt(2)
-    has norm 1.
+    With c = r e^{rA} s, s the seed, D0 commutes with the squeeze generator
+    A and the truncated e^{rA} is exactly unitary on each n1 - n2 chain, so
+    |D0^2 c|^2 = r^2 |D0^2 s|^2: no propagator is needed.  D0^2 keeps only
+    the seed's |2,0> and |0,2>, so its 3x3 corner suffices.  Their part
+    (|2,0> + |0,2>)/sqrt(2) has norm 1, so the coefficient is exactly
+    16 r^2 at every cutoff.
     """
-    occ_diff = _occupation_difference(cutoff.dim)
-    corr = closed_form_correction(r, cutoff)
-    return float(np.linalg.norm(occ_diff * (occ_diff * corr)) ** 2)
+    twb_tail(r, cutoff)
+    occ_diff = _occupation_difference(min(cutoff.dim, 3))
+    seed = _correction_seed(len(occ_diff))
+    return float(r * r * np.linalg.norm(occ_diff * (occ_diff * seed)) ** 2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import holosim
-from holosim import _propagators, cli
+from holosim import _propagators, cli, estimator
 from holosim._propagators import apply_exponential
 from holosim.fock import _apply_ladder
 from holosim.modccr import _sum_ladder
@@ -616,6 +616,29 @@ def test_no_mode_imports_numpy_polynomial(tmp_path):
          *modes], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == repr([f"{m} 0 False" for m in modes])
+
+
+@pytest.mark.parametrize("config", [
+    "",
+    # The benchmark's grid.
+    """\
+    [sweep-modccr]
+    epsilon_values = 0.005, 0.01, 0.05, 0.1
+    r_grid = linspace(0.05, 3.0, 120)
+    cutoff = 64
+    """,
+], ids=["defaults", "bench-grid"])
+def test_sweep_modccr_builds_no_chain(tmp_path, config):
+    # The oracle reads its eps^2 coefficient off the correction's seed, so
+    # the sweep neither propagates a squeeze chain nor runs an eigensolve.
+    builders = (_propagators._squeeze_chain, _propagators._squeeze_spectrum,
+                _propagators._beam_splitter_chain)
+    for cached in (*builders, estimator._oracle_terms):
+        cached.cache_clear()
+    args = ["--config", write_config(tmp_path, config)] if config else []
+    assert cli.main(["sweep-modccr", *args, "--out", str(tmp_path / "modccr.csv")]) == 0
+    assert estimator._oracle_terms.cache_info().misses > 0
+    assert sum(builder.cache_info().misses for builder in builders) == 0
 
 
 @pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing",

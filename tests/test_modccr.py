@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holosim import _propagators
+from holosim import _propagators, estimator, modccr
 from holosim._propagators import apply_exponential
 from holosim.errors import (
     AmplitudeTooLarge,
@@ -13,13 +13,21 @@ from holosim.errors import (
     NegativeParameter,
     ParameterOutOfRange,
 )
-from holosim.fock import FockCutoff, SqueezeParams, _apply_ladder, build_twb
+from holosim.estimator import uncertainty_modccr_analytic, uncertainty_modccr_fock
+from holosim.fock import (
+    FockCutoff,
+    MultiModeFockState,
+    SqueezeParams,
+    _apply_ladder,
+    _occupation_difference,
+    build_twb,
+)
 from holosim.modccr import (
+    _check_epsilon,
+    _sum_ladder,
     auxiliary_mode_map,
-    build_twb_prime,
     closed_form_correction,
     deformed_commutator_check,
-    deformed_number_difference_action,
     deformed_variance_coefficient,
     perturbation_generator_action,
 )
@@ -41,6 +49,45 @@ def duhamel_response(r, generator, cutoff):
         v = generator(apply_exponential("squeeze", d, u * r, vac))
         integral += w * apply_exponential("squeeze", d, -u * r, v)
     return apply_exponential("squeeze", d, r, integral)
+
+
+# The finite-eps reference: the corrected twin beam, propagated through
+# closed_form_correction, and the deformed observable's first-order action.
+
+def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
+    """A1' A2' (dagger) or A1 A2 acting on a two-mode amplitude tensor."""
+    return _apply_ladder(_apply_ladder(psi, 1, dagger), 0, dagger)
+
+
+def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
+                    tail_tol: float = 1e-10) -> MultiModeFockState:
+    """Twin-beam state carrying the first-order deformation correction.
+
+    Returns the renormalized |TWB> + eps * r * e^{rA}((X'^2)/2 - 1)|0>;
+    renormalization shifts moments only at second order in epsilon.
+    ``tail_tol`` loosens only the twin beam's own check: a nonzero
+    correction keeps ``closed_form_correction``'s default support.
+    """
+    _check_epsilon(epsilon)
+    twb = build_twb(SqueezeParams(r), cutoff, tail_tol=tail_tol)
+    if epsilon == 0.0 or r == 0.0:
+        return twb
+    amp = twb.amplitudes + epsilon * closed_form_correction(r, cutoff)
+    amp = amp / np.linalg.norm(amp)
+    return MultiModeFockState(2, cutoff, amp, discarded_tail=twb.discarded_tail)
+
+
+def deformed_number_difference_action(epsilon: float):
+    """First-order action of the deformed number difference on (d, d) amplitudes.
+
+    Through the auxiliary-mode map, a1'a1 - a2'a2 equals
+    (1+eps)(N1 - N2) - eps(A1A2 + A1'A2') up to O(eps^2) terms.
+    """
+    def act(psi: np.ndarray) -> np.ndarray:
+        return ((1.0 + epsilon) * _occupation_difference(len(psi)) * psi
+                - epsilon * (_pair_ladder(psi, False) + _pair_ladder(psi, True)))
+
+    return act
 
 
 def flat_basis(n1, n2, dim):
@@ -275,6 +322,45 @@ def test_variance_coefficient_is_16_r_squared():
     for r, n_max in ((0.1, 16), (0.6, 32), (1.0, 48)):
         coefficient = deformed_variance_coefficient(r, FockCutoff(n_max))
         assert coefficient == pytest.approx(16.0 * r * r, rel=1e-14)
+
+
+def _seed_builder(half, vacuum):
+    """A correction seed (half * X'^2 + vacuum) |0> on (dim, dim) amplitudes."""
+    def seed(dim):
+        vac = np.zeros((dim, dim), dtype=complex)
+        vac[0, 0] = 1.0
+        return half * _sum_ladder(_sum_ladder(vac, True), True) + vacuum * vac
+    return seed
+
+
+@pytest.fixture
+def fresh_oracle():
+    estimator._oracle_terms.cache_clear()
+    yield
+    estimator._oracle_terms.cache_clear()
+
+
+@pytest.mark.parametrize("half,vacuum,moves", [
+    (0.5, -1.0, False),
+    (1.0, -1.0, True),   # 1/2 -> 1
+    (0.5, 0.0, False),   # without -|0>
+    (0.5, 1.0, False),   # +|0>
+], ids=["shipped", "half-to-one", "seed-without-vacuum", "plus-vacuum"])
+def test_oracle_sees_only_the_seeds_two_photon_part(monkeypatch, fresh_oracle, half,
+                                                    vacuum, moves):
+    # D0^2 keeps only |2,0> and |0,2>, so the oracle reads the seed's
+    # X'^2 weight and is blind to its q = 0 part; validate check 8 catches
+    # a faulty q = 0 part.
+    r, eps = 0.8, 0.05
+    shipped = uncertainty_modccr_fock(r, eps)
+    estimator._oracle_terms.cache_clear()
+    monkeypatch.setattr(modccr, "_correction_seed", _seed_builder(half, vacuum))
+    faulty = uncertainty_modccr_fock(r, eps)
+    if moves:
+        # Acceptance 5 bounds the oracle's deviation from the analytic ratio by 1e-8.
+        assert abs(faulty / uncertainty_modccr_analytic(r, eps) - 1.0) > 1e-8
+    else:
+        assert faulty == shipped
 
 
 def test_twb_prime_guards():
