@@ -33,8 +33,10 @@ from .estimator import (
     DEFAULT_ORACLE_CUTOFF,
     MIN_SAMPLES,
     PhaseNoiseModel,
+    check_denominator,
     classical_uncertainty,
     correlation_estimate,
+    mixed_derivative,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
@@ -67,9 +69,10 @@ _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^
 
 
 # Bounds checked while parsing, before anything is allocated: a span's point
-# count, each Fock mode's cutoff (phase-mc's receipt holds (cutoff+1)**4 amplitudes),
-# and phase-mc's sample count (its chunk seeds are listed before any draw, and
-# below MIN_SAMPLES the Monte Carlo would reject it only after the receipt).
+# count, each Fock mode's cutoff (phase-mc's receipt holds (cutoff+1)**3-sized
+# arrays), and phase-mc's sample count (its chunk seeds are listed before any
+# draw, and below MIN_SAMPLES the Monte Carlo would reject it only after the
+# receipt).
 MAX_GRID_POINTS = 100_000
 MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
 MAX_SAMPLES = 100_000_000
@@ -206,6 +209,8 @@ def resolve_config(mode: str, file_values: dict, overrides: dict) -> SimpleNames
         raise ConfigError(f"samples must be >= {MIN_SAMPLES}, got {values['samples']}")
     if values.get("samples", 0) > MAX_SAMPLES:
         raise ConfigError(f"samples must be <= {MAX_SAMPLES}, got {values['samples']}")
+    if mode.startswith("sweep-") and values["out"].endswith(".gnuplot"):
+        raise ConfigError(f"out {values['out']!r} would be overwritten by its own gnuplot script")
     return SimpleNamespace(mode=mode, **values)
 
 
@@ -364,16 +369,15 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     squeeze, coherent = SqueezeParams(config.r), CoherentInput(config.mu)
     noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho)
     powers = (2, 4)
-    # The Fock receipt goes first: its four-mode state is freed before the
-    # table and the chunk buffers are allocated, which lowers the peak RSS.
+    table = estimator.phase_table(squeeze, coherent, powers)
+    # A degenerate denominator is rejected before any draw.
+    denom = check_denominator(mixed_derivative(table[0]))
     tail, direct = estimator.fock_receipt(squeeze, coherent, FockCutoff(config.cutoff),
                                           config.sigma1, config.sigma2, powers)
-    table = estimator.phase_table(squeeze, coherent, powers)
     residuals = ([math.nan] * len(powers) if direct is None else
                  estimator.table_residuals(table, config.sigma1, config.sigma2, direct))
     quad, quartic = estimator.paired_phase_average(noise, table, config.samples,
                                                    config.seed)
-    denom = quad.mixed_derivative
     covariance = correlation_estimate(quad.mean_par, quad.mean_perp, denom)
     covariance_se = quad.se_diff / abs(denom)
     injected = config.rho * config.sigma1 * config.sigma2

@@ -30,7 +30,6 @@ from .errors import (
     ZeroAmplitude,
 )
 from .fock import (
-    DEFAULT_FOUR_MODE_CUTOFF,
     DEFAULT_FOUR_MODE_TAIL_TOL,
     MAX_DIFFERENCE_POWER,
     MAX_SQUEEZE_R,
@@ -39,12 +38,11 @@ from .fock import (
     MultiModeFockState,
     SqueezeParams,
     _check_difference_power,
+    _occupation_difference,
     apply_beam_splitter,
     build_coherent,
     build_twb,
     expectation,
-    number_difference_moment,
-    tensor_product,
     twb_tail,
 )
 from .gaussian import from_squeezing, ordered_moment, relax_width
@@ -275,57 +273,49 @@ def uncertainty_modccr_fock(r: float, epsilon: float,
 # Interferometer output statistics and their phase-noise averages.
 # ---------------------------------------------------------------------------
 
-def four_mode_input(squeeze: SqueezeParams, coherent: CoherentInput,
-                    cutoff: FockCutoff = FockCutoff(DEFAULT_FOUR_MODE_CUTOFF),
-                    ) -> MultiModeFockState:
-    """Input state TWB x |mu> x |mu> on modes (a1, a2, b1, b2), for ``fock_receipt``.
-
-    Interferometer i mixes signal mode a_i with its coherent port b_i, that
-    is modes (0, 2) and (1, 3), and each beam splitter conserves its photon
-    total s = n_a + n_b.  The per-mode box keeps every chain with s > n_max
-    only in part.  The state is therefore projected onto s1, s2 <= n_max,
-    where every chain is a complete spin-s/2 representation and the
-    beam splitters act exactly; the projected-out weight is folded into
-    ``discarded_tail``.
-    """
-    twb = build_twb(squeeze, cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
-    port = build_coherent(coherent, cutoff)
-    combined = tensor_product(twb, port, port)  # (a1, a2, b1, b2)
-    amp = combined.amplitudes
-    n_max = cutoff.n_max
-    for n in range(1, cutoff.dim):
-        amp[n, :, n_max - n + 1:] = 0.0
-        amp[:, n, :, n_max - n + 1:] = 0.0
-    # Kept weight from the factors: the twin beam pairs n_a1 = n_a2 = n.
-    pair = np.abs(np.diagonal(twb.amplitudes)) ** 2
-    ports = np.cumsum(np.abs(port.amplitudes) ** 2)[::-1]
-    kept = float(np.dot(pair, ports * ports))
-    amp /= math.sqrt(kept)
-    tail = 1.0 - (1.0 - combined.discarded_tail) * kept
-    return MultiModeFockState(4, cutoff, amp, discarded_tail=tail)
-
-
-def _output_moments(state: MultiModeFockState, phi1: float, phi2: float,
-                    powers: tuple) -> list:
-    """<(N_c1 - N_c2)^p> for each power, by direct beam-splitter evaluation."""
-    out = apply_beam_splitter(state, 0, 2, phi1)
-    out = apply_beam_splitter(out, 1, 3, phi2)
-    return [number_difference_moment(out, power) for power in powers]
-
-
 def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCutoff,
                  phi1: float, phi2: float, powers: tuple) -> tuple:
-    """(discarded_tail, moments) of ``four_mode_input`` at (phi1, phi2): the
-    occupation-basis route, which shares no step with ``phase_table``.  The
-    four-mode state is freed on return.  Where the cutoff cannot hold the
-    input (``four_mode_input`` raises for the twin beam's tail or the
-    coherent port's amplitude), the twin beam's weight above the cutoff
-    comes back with moments ``None``."""
+    """(discarded_tail, moments) of the input TWB x |mu> x |mu> at (phi1, phi2):
+    the occupation-basis route, which shares no step with ``phase_table``.
+
+    Each beam splitter conserves n_a + n_b, so the input is projected onto
+    the complete chains n_a + n_b <= n_max, where it acts exactly; the
+    projected-out weight goes into ``discarded_tail``.  The twin beam pairs
+    n_a1 = n_a2 = n, so interferometer i acts on sum_n c_n |n, mu> |n>, the
+    partner mode only an index, and the outputs' joint distribution is
+    P(x1, x2) = sum_{m,n} R_1[x1,m,n] R_2[x2,m,n] over the Gram products
+    R_i[x,m,n] = sum_y conj(v_i[x,y,m]) v_i[x,y,n], with c_n folded into v_1.
+    Where the cutoff cannot hold the input (``build_twb`` or ``build_coherent``
+    raises), the twin beam's weight above it comes back with moments ``None``.
+    """
+    for power in powers:
+        _check_difference_power(power)
     try:
-        state = four_mode_input(squeeze, coherent, cutoff)
+        twb = build_twb(squeeze, cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
+        port = build_coherent(coherent, cutoff)
     except (CutoffTooSmall, AmplitudeTooLarge):
         return twb_tail(squeeze.r, cutoff, tail_tol=math.inf), None
-    return state.discarded_tail, _output_moments(state, phi1, phi2, powers)
+    pair = np.diagonal(twb.amplitudes)
+    # Kept weight: the pair's n with both ports' n_b <= n_max - n.
+    ports = np.cumsum(np.abs(port.amplitudes) ** 2)[::-1]
+    kept = float(np.dot(np.abs(pair) ** 2, ports * ports))
+    tail = twb.discarded_tail
+    for _ in range(2):  # one coherent port per interferometer
+        tail = 1.0 - (1.0 - tail) * (1.0 - port.discarded_tail)
+    tail = 1.0 - (1.0 - tail) * kept
+    n = np.arange(cutoff.dim)
+    chains = np.zeros((cutoff.dim,) * 3, dtype=complex)
+    chains[n, :, n] = np.where(n[:, None] + n <= cutoff.n_max, port.amplitudes, 0.0)
+    grams = []
+    for phi, weight in ((phi1, pair / math.sqrt(kept)), (phi2, 1.0)):
+        v = apply_beam_splitter(MultiModeFockState(3, cutoff, chains * weight),
+                                0, 1, phi).amplitudes
+        grams.append(np.matmul(v.conj().swapaxes(1, 2), v).reshape(cutoff.dim, -1))
+    # The powers weight probabilities: a binomial sum of Gram products
+    # would cancel, losing about 6 digits at phi = 0.01.
+    prob = (grams[0] @ grams[1].T).real
+    diff = _occupation_difference(cutoff.dim)
+    return tail, [float(np.sum(diff ** p * prob)) for p in powers]
 
 
 def _trig_basis(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -569,24 +559,36 @@ def paired_phase_average(noise: PhaseNoiseModel, table: list, samples: int,
     totals = np.zeros(partials.shape[1:])
     for part in partials:
         totals += part
-    # The basis slopes at 0: k on the sin(k phi) rows, so d^2/dphi1 dphi2 at
-    # (0, 0) of b(phi1)^T R b(phi2) is slope @ R @ slope.
-    slope = np.zeros(_BASIS_SIZE)
-    slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
     covariances = [scale @ scale.T for scale in scales]
     results = []
     for total, r in zip(totals, table):
         stats = [_mean_and_se(t, q, samples) for t, q in total]
         averages = [noise_average(r, cov) for cov in covariances]
         results.append(PairedAverages(*stats[0], *stats[1], *stats[2],
-                                      float(slope @ r @ slope), *averages,
+                                      mixed_derivative(r), *averages,
                                       _ROUNDING_TOL * float(np.abs(r).sum())))
     return tuple(results)
 
 
-def correlation_estimate(e_par: float, e_perp: float, denom: float) -> float:
-    """Recovered phase covariance (E_par - E_perp) / denom."""
+def mixed_derivative(coeffs: np.ndarray) -> float:
+    """d^2/dphi1 dphi2 of b(phi1)^T R b(phi2) at (0, 0), for a table's R.
+
+    The basis slopes at 0 are k on the sin(k phi) rows and 0 on the others,
+    so the derivative is slope @ R @ slope.
+    """
+    slope = np.zeros(_BASIS_SIZE)
+    slope[2::2] = np.arange(1, _TABLE_HARMONICS + 1)
+    return float(slope @ coeffs @ slope)
+
+
+def check_denominator(denom: float) -> float:
+    """``denom``; ``DegenerateDenominator`` where |denom| <= DENOM_FLOOR."""
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"mixed-derivative denominator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
-    return (e_par - e_perp) / denom
+    return denom
+
+
+def correlation_estimate(e_par: float, e_perp: float, denom: float) -> float:
+    """Recovered phase covariance (E_par - E_perp) / denom."""
+    return (e_par - e_perp) / check_denominator(denom)

@@ -172,20 +172,6 @@ def basis_state(occupations, cutoff: FockCutoff) -> MultiModeFockState:
     return MultiModeFockState(len(occupations), cutoff, amp)
 
 
-def tensor_product(*states: MultiModeFockState) -> MultiModeFockState:
-    """Combine states on disjoint mode sets; cutoffs must agree."""
-    cut = states[0].cutoff
-    amp = states[0].amplitudes
-    tail = states[0].discarded_tail
-    for s in states[1:]:
-        if s.cutoff != cut:
-            raise InvalidModeIndex("tensor_product requires a common cutoff")
-        amp = np.multiply.outer(amp, s.amplitudes)
-        tail = 1.0 - (1.0 - tail) * (1.0 - s.discarded_tail)
-    return MultiModeFockState(sum(s.mode_count for s in states), cut, amp,
-                              discarded_tail=tail)
-
-
 def _check_mode(state: MultiModeFockState, mode: int) -> None:
     if not 0 <= mode < state.mode_count:
         raise InvalidModeIndex(
@@ -259,9 +245,8 @@ def _occupation_difference(dim: int) -> np.ndarray:
 def number_difference_moment(state: MultiModeFockState, power: int) -> float:
     """<(N_0 - N_1)^power> on the first two modes of a state.
 
-    Multi-mode states keep tensor-product order, so modes 0 and 1 are the
-    twin-beam signal modes.  The number operators are diagonal, so this is
-    an exact weighted probability sum.
+    On a twin beam these are its two modes.  The number operators are
+    diagonal, so this is an exact weighted probability sum.
     """
     _check_difference_power(power)
     if state.mode_count < 2:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -568,6 +569,38 @@ def test_validate_checks_out_path_before_running(tmp_path, monkeypatch, capsys):
     out = tmp_path / "missing" / "v.txt"
     assert cli.main(["validate", "--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing",
+                                  "sweep-modccr"])
+def test_sweep_rejects_an_out_path_that_its_gnuplot_script_would_overwrite(
+        tmp_path, monkeypatch, capsys, mode):
+    def reached(config):
+        raise AssertionError("the sweep ran before its --out path was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, mode, reached)
+    out = tmp_path / "a.gnuplot"
+    assert cli.main([mode, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "a.gnuplot" in err
+    assert not out.exists()
+
+
+def test_phase_mc_rejects_a_degenerate_denominator_before_any_draw(
+        tmp_path, monkeypatch, capsys):
+    def drawn(*args):
+        raise AssertionError("the Monte Carlo drew samples")
+
+    monkeypatch.setattr(estimator, "_chunk_partials", drawn)
+    cfg = write_config(tmp_path, """\
+        [phase-mc]
+        r = 0
+        samples = 10000000
+        """)
+    assert cli.main(["phase-mc", "--config", cfg]) == 2
+    # The table reads the denominator -mu^2 sinh(2r)/2 as 0 to rounding.
+    assert re.fullmatch(r"error: mixed-derivative denominator -?\d\.\d{3}e[-+]\d+ "
+                        r"below floor 1e-08\n", capsys.readouterr().err)
 
 
 def test_import_loads_neither_scipy_nor_thread_pools():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,16 +34,24 @@ from holosim.errors import (
     ZeroAmplitude,
 )
 from holosim.estimator import (
-    _output_moments,
     _trig_basis,
     classical_uncertainty,
     correlation_estimate,
     fock_receipt,
-    four_mode_input,
     noise_average,
     table_residuals,
 )
-from holosim.fock import expectation
+from holosim.fock import (
+    DEFAULT_FOUR_MODE_CUTOFF,
+    DEFAULT_FOUR_MODE_TAIL_TOL,
+    MultiModeFockState,
+    apply_beam_splitter,
+    build_coherent,
+    build_twb,
+    expectation,
+    number_difference_moment,
+    twb_tail,
+)
 from holosim.gaussian import evolve, from_squeezing, ordered_moment
 
 # Independently derived anchors (hyperbolic closed forms and high-precision
@@ -78,18 +87,55 @@ def table3():
     return phase_table(SqueezeParams(0.3), CoherentInput(0.5), (2, 4))
 
 
-def delta_n_squared(state, phi1, phi2):
-    return _output_moments(state, phi1, phi2, (2,))[0]
+def four_mode_input(squeeze, coherent, cutoff=FockCutoff(DEFAULT_FOUR_MODE_CUTOFF)):
+    """Reference input TWB x |mu> x |mu> as one dense state on modes (a1, a2, b1, b2).
+
+    This is the four-mode route that ``fock_receipt`` replaced, kept as its
+    reference.  Interferometer i mixes modes (0, 2) and (1, 3), and each
+    beam splitter conserves its photon total s = n_a + n_b.  The state is
+    projected onto s1, s2 <= n_max, where every chain is complete; the
+    projected-out weight is folded into ``discarded_tail``.
+    """
+    twb = build_twb(squeeze, cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
+    port = build_coherent(coherent, cutoff)
+    amp = np.multiply.outer(np.multiply.outer(twb.amplitudes, port.amplitudes),
+                            port.amplitudes)
+    tail = twb.discarded_tail
+    for _ in range(2):
+        tail = 1.0 - (1.0 - tail) * (1.0 - port.discarded_tail)
+    n_max = cutoff.n_max
+    for n in range(1, cutoff.dim):
+        amp[n, :, n_max - n + 1:] = 0.0
+        amp[:, n, :, n_max - n + 1:] = 0.0
+    # Kept weight from the factors: the twin beam pairs n_a1 = n_a2 = n.
+    pair = np.abs(np.diagonal(twb.amplitudes)) ** 2
+    ports = np.cumsum(np.abs(port.amplitudes) ** 2)[::-1]
+    kept = float(np.dot(pair, ports * ports))
+    amp /= math.sqrt(kept)
+    tail = 1.0 - (1.0 - tail) * kept
+    return MultiModeFockState(4, cutoff, amp, discarded_tail=tail)
 
 
-def cross_difference(state, h=0.3):
-    """d^2 <(N_c1 - N_c2)^2> / dphi1 dphi2 at (0, 0) from four direct evaluations.
+def output_moments(state, phi1, phi2, powers):
+    """<(N_c1 - N_c2)^p> of a ``four_mode_input`` state, by direct beam-splitter evaluation."""
+    out = apply_beam_splitter(state, 0, 2, phi1)
+    out = apply_beam_splitter(out, 1, 3, phi2)
+    return [number_difference_moment(out, power) for power in powers]
+
+
+def delta_n_squared(phi1, phi2, squeeze=SqueezeParams(0.6), coherent=CoherentInput(0.8),
+                    cutoff=FockCutoff(DEFAULT_FOUR_MODE_CUTOFF)):
+    return fock_receipt(squeeze, coherent, cutoff, phi1, phi2, (2,))[1][0]
+
+
+def cross_difference(squeeze, coherent, h=0.3):
+    """d^2 <(N_c1 - N_c2)^2> / dphi1 dphi2 at (0, 0) from four receipts at cutoff 16.
 
     Only the cross term -2 <N_c1 N_c2> depends on both phases, and it is
     of harmonic order one in each, so the cross difference at step h is
     exactly the derivative times sin(h)^2.
     """
-    total = sum(s1 * s2 * delta_n_squared(state, s1 * h, s2 * h)
+    total = sum(s1 * s2 * delta_n_squared(s1 * h, s2 * h, squeeze, coherent)
                 for s1 in (1.0, -1.0) for s2 in (1.0, -1.0))
     return total / (4.0 * math.sin(h) ** 2)
 
@@ -177,22 +223,18 @@ def test_required_monomials_inventory():
         if 0 < k1 + k2 <= 4}
 
 
-def test_four_mode_input_shape(state4):
-    assert state4.mode_count == 4
-    assert state4.amplitudes.shape == (17, 17, 17, 17)
-
-
-def test_delta_n_vanishes_at_zero_phase(state4):
-    assert delta_n_squared(state4, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+def test_delta_n_vanishes_at_zero_phase():
+    assert delta_n_squared(0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_delta_n_vacuum_input():
-    vac = four_mode_input(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
-    assert delta_n_squared(vac, 0.3, 0.7) == pytest.approx(0.0, abs=1e-12)
+    vac = delta_n_squared(0.3, 0.7, SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6))
+    assert vac == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_n_matches_heisenberg_expansion(state4):
-    via_splitters = delta_n_squared(state4, 0.2, 0.2)
+    # The receipt against ladder monomials on the dense reference state.
+    via_splitters = delta_n_squared(0.2, 0.2)
     via_monomials = heisenberg_delta_n_squared(state4, 0.2, 0.2)
     assert via_splitters == pytest.approx(via_monomials, abs=1e-9)
     assert via_splitters == pytest.approx(DELTA_N_REF, abs=1e-9)
@@ -459,9 +501,9 @@ def test_phase_table_reproduces_grid_nodes(table3, table4):
     assert approx[0] == pytest.approx(values[0], rel=1e-12)
     # At r = 0.3, mu = 0.5 the occupation basis holds the input to 3e-13
     # at cutoff 16, so the two routes agree off the grid.
-    state = four_mode_input(SqueezeParams(0.3), CoherentInput(0.5))
     for a, b in zip(*off_grid):
-        fock = _output_moments(state, a, b, (2, 4))
+        _, fock = fock_receipt(SqueezeParams(0.3), CoherentInput(0.5), FockCutoff(16),
+                               a, b, (2, 4))
         assert fock == pytest.approx(gaussian_moments(0.3, 0.5, a, b, (2, 4)), rel=1e-11)
 
 
@@ -480,6 +522,53 @@ def test_table_residual_receipt(table4):
     _, direct = fock_receipt(SqueezeParams(0.0), CoherentInput(0.0), FockCutoff(6),
                              0.01, 0.01, (2,))
     assert math.isnan(table_residuals(vac, 0.01, 0.01, direct)[0])
+
+
+def dense_receipts(squeeze, coherent, cutoff, phases, powers):
+    """``fock_receipt``'s (tail, moments) at each phase pair, on ``four_mode_input``."""
+    try:
+        state = four_mode_input(squeeze, coherent, cutoff)
+    except (CutoffTooSmall, AmplitudeTooLarge):
+        return [(twb_tail(squeeze.r, cutoff, tail_tol=math.inf), None)] * len(phases)
+    return [(state.discarded_tail, output_moments(state, phi1, phi2, powers))
+            for phi1, phi2 in phases]
+
+
+@pytest.mark.parametrize("n_max", [6, 16, 24])
+def test_fock_receipt_matches_the_dense_four_mode_route(n_max):
+    # At cutoff 6, r = 0.8 leaves a twin-beam tail of 3e-3 (above 1e-6) and
+    # |1.3j|^2 exceeds n_max/4: each skip branch is taken at least once.
+    cutoff, powers = FockCutoff(n_max), (1, 2, 3, 4)
+    phases = ((0.0, 0.0), (0.01, 0.01), (math.pi, -math.pi / 2), (0.2, -1.3))
+    skipped = 0
+    for r, mu in itertools.product((0.0, 0.3, 0.6, 0.8), (0.0, 0.8, 0.5 - 0.9j, 1.3j)):
+        squeeze, coherent = SqueezeParams(r), CoherentInput(mu)
+        reference = dense_receipts(squeeze, coherent, cutoff, phases, powers)
+        for (phi1, phi2), (ref_tail, ref) in zip(phases, reference):
+            tail, moments = fock_receipt(squeeze, coherent, cutoff, phi1, phi2, powers)
+            assert tail == ref_tail
+            if ref is None:
+                assert moments is None
+                skipped += 1
+                continue
+            for value, exact in zip(moments, ref):
+                assert value == pytest.approx(exact, rel=1e-13, abs=1e-15)
+    assert (skipped > 0) == (n_max == 6)
+
+
+def test_fock_receipt_at_the_cutoff_bound_stays_small():
+    # The dense four-mode state alone is 41^4 complex amplitudes, 45 MB, at
+    # phase-mc's cutoff bound; the pair route holds a few 41^3 arrays.
+    args = (SqueezeParams(0.6), CoherentInput(0.8), FockCutoff(cli.MAX_CUTOFF["phase-mc"]),
+            0.01, 0.01, (2, 4))
+    tracemalloc.start()
+    try:
+        tail, moments = fock_receipt(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= tail < 1e-6 and moments is not None
+    assert peak < 16e6
 
 
 def test_power_guard_precedes_any_work(monkeypatch):

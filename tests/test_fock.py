@@ -25,7 +25,6 @@ from holosim.fock import (
     build_twb,
     expectation,
     number_difference_moment,
-    tensor_product,
 )
 
 # Closed-form anchors (evaluated independently, frozen here).
@@ -204,19 +203,5 @@ def test_number_difference_on_basis_states():
         number_difference_moment(basis_state((1,), FockCutoff(4)), 2)
     with pytest.raises(CutoffTooSmall, match="outside 0..4"):
         basis_state((5, 0), FockCutoff(4))
-
-
-def test_tensor_product_preserves_marginals():
-    twb = build_twb(SqueezeParams(0.6), FockCutoff(10), tail_tol=1e-5)
-    port = build_coherent(CoherentInput(0.8), FockCutoff(10))
-    combined = tensor_product(twb, port)
-    occ_before = expectation(twb, ((0, True), (0, False))).real
-    occ_twb = expectation(combined, ((0, True), (0, False))).real
-    occ_port = expectation(combined, ((2, True), (2, False))).real
-    assert combined.mode_count == 3
-    assert occ_twb == pytest.approx(occ_before, abs=1e-12)
-    assert occ_port == pytest.approx(0.64, abs=1e-8)
-    with pytest.raises(InvalidModeIndex, match="common cutoff"):
-        tensor_product(twb, build_coherent(CoherentInput(0.8), FockCutoff(11)))
     with pytest.raises(InvalidModeIndex, match="expected"):
         MultiModeFockState(2, FockCutoff(10), np.zeros((11, 12), dtype=complex))

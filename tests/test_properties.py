@@ -24,7 +24,7 @@ from holosim import (  # noqa: E402
 from holosim import cli, modccr  # noqa: E402
 from holosim._propagators import apply_exponential  # noqa: E402
 from holosim.errors import ConfigError  # noqa: E402
-from holosim.estimator import MIN_SAMPLES, _output_moments, four_mode_input  # noqa: E402
+from holosim.estimator import MIN_SAMPLES, fock_receipt  # noqa: E402
 from holosim.fock import _apply_ladder, build_twb, expectation  # noqa: E402
 from holosim.gaussian import (  # noqa: E402
     as_ladder_sequence,
@@ -73,8 +73,8 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
     # its cutoff-8 box holds r <= 0.5 (tail below 1e-6) and |mu|^2 <= 2.
     deviation = {}
     for n_max, bound in FOCK_BOUND.items():
-        state = four_mode_input(SqueezeParams(r), CoherentInput(mu), FockCutoff(n_max))
-        fock = _output_moments(state, phi1, phi2, (2, 4))
+        _, fock = fock_receipt(SqueezeParams(r), CoherentInput(mu), FockCutoff(n_max),
+                               phi1, phi2, (2, 4))
         deviation[n_max] = max(abs(f - value) / max(1.0, scale)
                                for f, value, scale in zip(fock, exact, scales))
         assert deviation[n_max] <= bound
@@ -84,7 +84,7 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
     denom = mixed_derivative(table)
     closed = -(mu * mu).real * math.sinh(2.0 * r) / 2.0
     assert denom == pytest.approx(closed, rel=1e-12, abs=1e-12 * scales[0])
-    assert cross_difference(state) == pytest.approx(
+    assert cross_difference(SqueezeParams(r), CoherentInput(mu)) == pytest.approx(
         denom, abs=FOCK_BOUND[16] * max(1.0, scales[0]))
 
 
