@@ -28,9 +28,10 @@ import numpy as np
 
 from . import __version__, estimator, gaussian
 from .errors import (AmplitudeTooLarge, ConfigError, CutoffTooSmall,
-                     DegenerateDenominator, HolosimError)
+                     DegenerateDenominator, HolosimError, ParameterOutOfRange)
 from .estimator import (
     DEFAULT_ORACLE_CUTOFF,
+    DEFAULT_RECEIPT_CUTOFF,
     MIN_SAMPLES,
     PhaseNoiseModel,
     check_denominator,
@@ -43,7 +44,6 @@ from .estimator import (
     uncertainty_modccr_fock,
 )
 from .fock import (
-    DEFAULT_FOUR_MODE_CUTOFF,
     CoherentInput,
     FockCutoff,
     SqueezeParams,
@@ -76,6 +76,12 @@ _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^
 MAX_GRID_POINTS = 100_000
 MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
 MAX_SAMPLES = 100_000_000
+# phase-mc's Monte Carlo sums squared quartic moments over its draws.  The
+# largest moment is a thermal mode's <n^4> = 24 sinh(r)^8 ~ 0.094 e^{8r},
+# where an output sees half the twin beam (the ports' |mu|^8 <= 1e24 is far
+# smaller), and MAX_SAMPLES of its squares stay below float64's 1.8e308 up
+# to r = 43.5.
+MAX_MC_SQUEEZE_R = 43.0
 
 
 class Grid(tuple):
@@ -112,7 +118,7 @@ _DEFAULTS = {
     "validate": dict(cutoff=60, fault="none"),
     "phase-mc": dict(
         r=0.6, mu=0.8, sigma1=1e-2, sigma2=1e-2, rho=0.5,
-        samples=100000, cutoff=DEFAULT_FOUR_MODE_CUTOFF),
+        samples=100000, cutoff=DEFAULT_RECEIPT_CUTOFF),
 }
 _COMMON = dict(seed=1234, out="")
 MODES = tuple(_DEFAULTS)
@@ -165,7 +171,7 @@ def _parse_value(default, raw: str, line_no: int):
 def parse_config_file(path: str, mode: str) -> dict:
     """Parse the [mode] section of a typed key-value config file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -367,6 +373,9 @@ def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
 
 def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     squeeze, coherent = SqueezeParams(config.r), CoherentInput(config.mu)
+    if squeeze.r > MAX_MC_SQUEEZE_R:
+        raise ParameterOutOfRange(
+            f"phase-mc needs r <= {MAX_MC_SQUEEZE_R}, got {squeeze.r!r}")
     noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho)
     powers = (2, 4)
     table = estimator.phase_table(squeeze, coherent, powers)

@@ -15,8 +15,8 @@ class CutoffTooSmall(HolosimError):
 
 
 class AmplitudeTooLarge(HolosimError):
-    """An amplitude beyond its bound: a coherent |mu|^2 > n_max/4 for the
-    cutoff, |mu| > 1000, or a deformation |epsilon| > 0.2."""
+    """An amplitude beyond its bound: a coherent |mu| > 1000 or a deformation
+    |epsilon| > 0.2."""
 
 
 class InvalidModeIndex(HolosimError):

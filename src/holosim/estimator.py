@@ -21,8 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    AmplitudeTooLarge,
-    CutoffTooSmall,
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
@@ -30,7 +28,6 @@ from .errors import (
     ZeroAmplitude,
 )
 from .fock import (
-    DEFAULT_FOUR_MODE_TAIL_TOL,
     MAX_DIFFERENCE_POWER,
     MAX_SQUEEZE_R,
     CoherentInput,
@@ -40,7 +37,6 @@ from .fock import (
     _check_difference_power,
     _occupation_difference,
     apply_beam_splitter,
-    build_coherent,
     build_twb,
     expectation,
     twb_tail,
@@ -52,6 +48,9 @@ DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
 MIN_SAMPLES = 1000
 DEFAULT_ORACLE_CUTOFF = 64
+DEFAULT_RECEIPT_CUTOFF = 16
+# The Fock receipt runs where it drops at most this weight of its input.
+RECEIPT_TAIL_TOL = 1e-6
 PLANCK_MASS_GEV = 1.22e19  # PDG rounded value
 EV_PER_GEV = 1e9
 _TABLE_HARMONICS = MAX_DIFFERENCE_POWER  # the table is exact only up to its order
@@ -279,33 +278,45 @@ def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCu
     the occupation-basis route, which shares no step with ``phase_table``.
 
     Each beam splitter conserves n_a + n_b, so the input is projected onto
-    the complete chains n_a + n_b <= n_max, where it acts exactly; the
-    projected-out weight goes into ``discarded_tail``.  The twin beam pairs
-    n_a1 = n_a2 = n, so interferometer i acts on sum_n c_n |n, mu> |n>, the
-    partner mode only an index, and the outputs' joint distribution is
+    the complete chains n + n_b <= n_max of the twin beam's pairs n, where
+    it acts exactly.  ``discarded_tail`` is the weight of the untruncated
+    input outside them: the twin beam's ``twb_tail`` plus, per kept pair,
+    w_n Q (2 - Q), with w_n = sech^2 r tanh^2n r and Q a port's Poisson
+    weight above n_max - n.  Where it exceeds ``RECEIPT_TAIL_TOL`` the
+    moments are ``None``.  The twin beam pairs n_a1 = n_a2 = n, so
+    interferometer i acts on sum_n c_n |n, mu> |n>, the partner mode only
+    an index, and the outputs' joint distribution is
     P(x1, x2) = sum_{m,n} R_1[x1,m,n] R_2[x2,m,n] over the Gram products
     R_i[x,m,n] = sum_y conj(v_i[x,y,m]) v_i[x,y,n], with c_n folded into v_1.
-    Where the cutoff cannot hold the input (``build_twb`` or ``build_coherent``
-    raises), the twin beam's weight above it comes back with moments ``None``.
     """
     for power in powers:
         _check_difference_power(power)
-    try:
-        twb = build_twb(squeeze, cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
-        port = build_coherent(coherent, cutoff)
-    except (CutoffTooSmall, AmplitudeTooLarge):
-        return twb_tail(squeeze.r, cutoff, tail_tol=math.inf), None
-    pair = np.diagonal(twb.amplitudes)
-    # Kept weight: the pair's n with both ports' n_b <= n_max - n.
-    ports = np.cumsum(np.abs(port.amplitudes) ** 2)[::-1]
-    kept = float(np.dot(np.abs(pair) ** 2, ports * ports))
-    tail = twb.discarded_tail
-    for _ in range(2):  # one coherent port per interferometer
-        tail = 1.0 - (1.0 - tail) * (1.0 - port.discarded_tail)
-    tail = 1.0 - (1.0 - tail) * kept
+    # |<k|mu>| past the cutoff.  Q is 1 - P where the lower sum P < 1/2, as
+    # where every weight in range underflows, else the upper sum: P >= 1/2
+    # puts |mu|^2 - ln 2, below the Poisson median, under n_max + 1, so past
+    # 2 (n_max + 1) the weights fall at least 2x per level, and 80 more
+    # levels leave 2e-24 of the sum.
+    nbar, k = coherent.mean_photons, np.arange(2 * cutoff.dim + 80)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(k[1:]))))
+    mags = (np.exp(-0.5 * nbar + k * np.log(abs(coherent.mu)) - 0.5 * log_fact)
+            if nbar > 0 else np.where(k == 0, 1.0, 0.0))
+    lower = np.cumsum(mags ** 2)[cutoff.n_max::-1]  # P, at n_max - n for n = 0..n_max
+    upper = np.cumsum(mags[::-1] ** 2)[::-1][cutoff.n_max + 1:0:-1]
+    q = np.where(lower < 0.5, 1.0 - lower, upper)
     n = np.arange(cutoff.dim)
+    weights = np.tanh(squeeze.r) ** (2 * n) / math.cosh(squeeze.r) ** 2
+    tail = twb_tail(squeeze.r, cutoff, tail_tol=math.inf) + float(
+        np.dot(weights, q * (2.0 - q)))
+    if tail > RECEIPT_TAIL_TOL:
+        return tail, None
+    pair = np.diagonal(build_twb(squeeze, cutoff, tail_tol=RECEIPT_TAIL_TOL).amplitudes)
+    port = mags[:cutoff.dim] * np.exp(1j * n * np.angle(coherent.mu))
+    port /= np.linalg.norm(port)
+    # The normalization of the kept chains: the pair's n with both ports' n_b <= n_max - n.
+    ports = np.cumsum(np.abs(port) ** 2)[::-1]
+    kept = float(np.dot(np.abs(pair) ** 2, ports * ports))
     chains = np.zeros((cutoff.dim,) * 3, dtype=complex)
-    chains[n, :, n] = np.where(n[:, None] + n <= cutoff.n_max, port.amplitudes, 0.0)
+    chains[n, :, n] = np.where(n[:, None] + n <= cutoff.n_max, port, 0.0)
     grams = []
     for phi, weight in ((phi1, pair / math.sqrt(kept)), (phi2, 1.0)):
         v = apply_beam_splitter(MultiModeFockState(3, cutoff, chains * weight),

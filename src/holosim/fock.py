@@ -2,10 +2,10 @@
 
 States live on a shared per-mode cutoff ``n_max`` and are stored as dense
 complex amplitude tensors of shape ``(n_max+1,)*mode_count``.  The module
-provides exact builders for twin-beam and coherent inputs (with an explicit
-discarded-tail receipt), an exactly unitary beam-splitter action, and
-expectation values of low-degree ordered ladder monomials evaluated by
-sparse axis-wise matrix action.
+provides the twin-beam builder with its exact tail above the cutoff
+(``twb_tail``), occupation-basis kets, an exactly unitary beam-splitter
+action, and expectation values of low-degree ordered ladder monomials
+evaluated by sparse axis-wise matrix action.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .errors import (
 )
 
 DEFAULT_TWO_MODE_TAIL_TOL = 1e-10
-DEFAULT_FOUR_MODE_CUTOFF = 16
-DEFAULT_FOUR_MODE_TAIL_TOL = 1e-6
 MAX_MONOMIAL_DEGREE = 8
 MAX_DIFFERENCE_POWER = 4
 # e^{2r}, cosh(2r) and sinh(2r) overflow a double beyond r = 354.9.
@@ -87,17 +85,11 @@ class CoherentInput:
 
 @dataclass(frozen=True)
 class MultiModeFockState:
-    """Dense amplitude tensor over the truncated occupation basis.
-
-    ``discarded_tail`` records the probability weight of the exact
-    (untruncated) state that fell above the cutoff at build time; it is
-    carried through unitary transformations unchanged.
-    """
+    """Dense amplitude tensor over the truncated occupation basis."""
 
     mode_count: int
     cutoff: FockCutoff
     amplitudes: np.ndarray
-    discarded_tail: float = 0.0
 
     def __post_init__(self):
         expected = (self.cutoff.dim,) * self.mode_count
@@ -131,34 +123,13 @@ def build_twb(params: SqueezeParams, cutoff: FockCutoff,
     diagonal |n, n>, renormalized after truncation.  Raises
     ``CutoffTooSmall`` if the exact discarded weight exceeds ``tail_tol``.
     """
-    tail = twb_tail(params.r, cutoff, tail_tol)
+    twb_tail(params.r, cutoff, tail_tol)
     n = np.arange(cutoff.dim)
     diag = (np.tanh(params.r) ** n) * (1.0 / np.cosh(params.r))
     amp = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     amp[n, n] = diag
     amp /= np.linalg.norm(amp)
-    return MultiModeFockState(2, cutoff, amp, discarded_tail=tail)
-
-
-def build_coherent(inp: CoherentInput, cutoff: FockCutoff) -> MultiModeFockState:
-    """Single-mode coherent state |mu>, renormalized after truncation.
-
-    Requires |mu|^2 <= n_max / 4 so the retained Poisson weight is
-    overwhelming; otherwise raises ``AmplitudeTooLarge``.
-    """
-    nbar = inp.mean_photons
-    if nbar > cutoff.n_max / 4.0:
-        raise AmplitudeTooLarge(
-            f"|mu|^2 = {nbar:.4g} exceeds n_max/4 = {cutoff.n_max / 4.0:.4g}")
-    n = np.arange(cutoff.dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff.dim)))))
-    mags = np.exp(-0.5 * nbar + n * np.log(abs(inp.mu)) - 0.5 * log_fact
-                  ) if nbar > 0 else np.where(n == 0, 1.0, 0.0)
-    phases = np.exp(1j * n * np.angle(inp.mu)) if nbar > 0 else np.ones(cutoff.dim)
-    amp = mags * phases
-    tail = max(0.0, 1.0 - float(np.vdot(amp, amp).real))
-    amp = amp / np.linalg.norm(amp)
-    return MultiModeFockState(1, cutoff, amp, discarded_tail=tail)
+    return MultiModeFockState(2, cutoff, amp)
 
 
 def basis_state(occupations, cutoff: FockCutoff) -> MultiModeFockState:
@@ -195,8 +166,7 @@ def apply_beam_splitter(state: MultiModeFockState, mode_a: int, mode_b: int,
     amp = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
     amp = apply_exponential("beam_splitter", state.cutoff.dim, phi, amp)
     amp = np.moveaxis(amp, (0, 1), (mode_a, mode_b))
-    return MultiModeFockState(state.mode_count, state.cutoff, amp,
-                              discarded_tail=state.discarded_tail)
+    return MultiModeFockState(state.mode_count, state.cutoff, amp)
 
 
 def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool) -> np.ndarray:

@@ -16,6 +16,7 @@ from holosim import _propagators, cli, estimator
 from holosim._propagators import apply_exponential
 from holosim.fock import _apply_ladder
 from holosim.modccr import _sum_ladder
+from test_estimator import dropped_weight_reference
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -347,9 +348,9 @@ def test_phase_mc_receipts_are_nan_without_noise(tmp_path):
 
 
 def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path):
-    # At r = 0.9 the twin beam's tail above cutoff 16 exceeds the four-mode
-    # tolerance; the table needs no cutoff, so the run goes on without the
-    # occupation-basis receipt.
+    # At r = 0.9 the receipt would drop 2.9e-5 of its input at cutoff 16,
+    # above its 1e-6; the table needs no cutoff, so the run goes on without
+    # the occupation-basis receipt.
     cfg = write_config(tmp_path, """\
         [phase-mc]
         r = 0.9
@@ -361,8 +362,9 @@ def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path
     meta = dict(line[2:].split("=", 1) for line in text.splitlines()
                 if line.startswith("# "))
     assert meta["backend"] == "gaussian"
-    assert float(meta["discarded_tail"]) == math.tanh(0.9) ** 34
-    assert float(meta["discarded_tail"]) > 1e-6
+    assert float(meta["discarded_tail"]) == pytest.approx(2.867105668291187e-05, rel=1e-12)
+    assert float(meta["discarded_tail"]) == pytest.approx(
+        dropped_weight_reference(0.9, 0.8, 16), rel=1e-12)
     assert (meta["table_residual_p2"], meta["table_residual_p4"]) == ("nan", "nan")
     header, row = data_lines(text)[:2]
     named = dict(zip(header.split(","), row.split(",")))
@@ -377,8 +379,9 @@ def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path
 
 
 def test_phase_mc_receipt_is_nan_where_the_coherent_port_exceeds_its_cutoff(tmp_path):
-    # |mu|^2 = 9 exceeds n_max/4 = 4 at cutoff 16 but not at cutoff 36; the
-    # table needs no cutoff, so only the receipt differs between the two.
+    # At |mu|^2 = 9 a port's Poisson weight above 16 is 1.1%, and the receipt
+    # would drop 3.4e-2 of its input at cutoff 16 but 8.1e-11 at cutoff 36;
+    # the table needs no cutoff, so only the receipt differs between the two.
     cfg = write_config(tmp_path, """\
         [phase-mc]
         r = 0.6
@@ -394,7 +397,9 @@ def test_phase_mc_receipt_is_nan_where_the_coherent_port_exceeds_its_cutoff(tmp_
     meta = dict(line[2:].split("=", 1) for line in texts["16"].splitlines()
                 if line.startswith("# "))
     assert meta["backend"] == "gaussian"
-    assert float(meta["discarded_tail"]) == math.tanh(0.6) ** 34
+    assert float(meta["discarded_tail"]) == pytest.approx(0.03387331035224255, rel=1e-12)
+    assert float(meta["discarded_tail"]) == pytest.approx(
+        dropped_weight_reference(0.6, 3.0, 16), rel=1e-12)
     assert (meta["table_residual_p2"], meta["table_residual_p4"]) == ("nan", "nan")
     assert "# backend=gaussian+fock_oracle" in texts["36"]
     assert data_lines(texts["16"]) == data_lines(texts["36"])
@@ -552,6 +557,13 @@ def test_cutoff_flag_only_for_modes_that_read_it(mode, capsys):
         cli.main([mode, "--cutoff", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cutoff 3" in capsys.readouterr().err
+
+
+def test_config_with_a_byte_order_mark_parses(tmp_path):
+    # Some editors save UTF-8 with a leading BOM; it is not part of line 1.
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf[phase-mc]\nsamples = 2000\n")
+    assert cli.parse_config_file(str(path), "phase-mc") == {"samples": 2000}
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -716,11 +728,14 @@ def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
     # From 1e154 on, (k sigma)^2 and sigma * z overflow float64.
     *(("phase-mc", f"[phase-mc]\nsigma1 = {width}\nsigma2 = {width}\n", [],
        "noise widths must be finite and at most 1e+150") for width in ("1e154", "1e200", "1e308")),
+    # Past r = 43.5 the Monte Carlo's sums of squared moments overflow float64.
+    *(("phase-mc", f"[phase-mc]\nr = {r}\n", [], "phase-mc needs r <= 43.0")
+      for r in ("100", "200", "349")),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
         "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
         "oversized-samples", "undersized-samples", "modccr-r-zero", "oversized-mu",
         "overflowing-mu", "nan-ratio", "noise-width-1e154", "noise-width-1e200",
-        "noise-width-1e308"])
+        "noise-width-1e308", "phase-mc-r-100", "phase-mc-r-200", "phase-mc-r-349"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from holosim.errors import (
     ZeroAmplitude,
 )
 from holosim.estimator import (
+    DEFAULT_RECEIPT_CUTOFF,
+    RECEIPT_TAIL_TOL,
     _trig_basis,
     classical_uncertainty,
     correlation_estimate,
@@ -42,15 +45,11 @@ from holosim.estimator import (
     table_residuals,
 )
 from holosim.fock import (
-    DEFAULT_FOUR_MODE_CUTOFF,
-    DEFAULT_FOUR_MODE_TAIL_TOL,
     MultiModeFockState,
     apply_beam_splitter,
-    build_coherent,
     build_twb,
     expectation,
     number_difference_moment,
-    twb_tail,
 )
 from holosim.gaussian import evolve, from_squeezing, ordered_moment
 
@@ -87,33 +86,49 @@ def table3():
     return phase_table(SqueezeParams(0.3), CoherentInput(0.5), (2, 4))
 
 
-def four_mode_input(squeeze, coherent, cutoff=FockCutoff(DEFAULT_FOUR_MODE_CUTOFF)):
+def four_mode_input(squeeze, coherent, cutoff=FockCutoff(DEFAULT_RECEIPT_CUTOFF)):
     """Reference input TWB x |mu> x |mu> as one dense state on modes (a1, a2, b1, b2).
 
     This is the four-mode route that ``fock_receipt`` replaced, kept as its
-    reference.  Interferometer i mixes modes (0, 2) and (1, 3), and each
-    beam splitter conserves its photon total s = n_a + n_b.  The state is
-    projected onto s1, s2 <= n_max, where every chain is complete; the
-    projected-out weight is folded into ``discarded_tail``.
+    reference, with each port's amplitudes e^{-|mu|^2/2} mu^k / sqrt(k!)
+    from that formula.  Interferometer i mixes modes (0, 2) and (1, 3), and
+    each beam splitter conserves its photon total s = n_a + n_b.  The state
+    is projected onto s1, s2 <= n_max, where every chain is complete.
     """
-    twb = build_twb(squeeze, cutoff, tail_tol=DEFAULT_FOUR_MODE_TAIL_TOL)
-    port = build_coherent(coherent, cutoff)
-    amp = np.multiply.outer(np.multiply.outer(twb.amplitudes, port.amplitudes),
-                            port.amplitudes)
-    tail = twb.discarded_tail
-    for _ in range(2):
-        tail = 1.0 - (1.0 - tail) * (1.0 - port.discarded_tail)
+    twb = build_twb(squeeze, cutoff, tail_tol=RECEIPT_TAIL_TOL)
+    mu = complex(coherent.mu)
+    port = np.array([math.exp(-abs(mu) ** 2 / 2.0) * mu ** k / math.sqrt(math.factorial(k))
+                     for k in range(cutoff.dim)])
+    port /= np.linalg.norm(port)
+    amp = np.multiply.outer(np.multiply.outer(twb.amplitudes, port), port)
     n_max = cutoff.n_max
     for n in range(1, cutoff.dim):
         amp[n, :, n_max - n + 1:] = 0.0
         amp[:, n, :, n_max - n + 1:] = 0.0
-    # Kept weight from the factors: the twin beam pairs n_a1 = n_a2 = n.
-    pair = np.abs(np.diagonal(twb.amplitudes)) ** 2
-    ports = np.cumsum(np.abs(port.amplitudes) ** 2)[::-1]
-    kept = float(np.dot(pair, ports * ports))
-    amp /= math.sqrt(kept)
-    tail = 1.0 - (1.0 - tail) * kept
-    return MultiModeFockState(4, cutoff, amp, discarded_tail=tail)
+    return MultiModeFockState(4, cutoff, amp / np.linalg.norm(amp))
+
+
+def dropped_weight_reference(r, mu, n_max):
+    """The weight of the untruncated TWB x |mu> x |mu> outside the chains
+    n + n_b <= n_max, as 1 - sum_n w_n P_n^2 in 50-digit decimals, with
+    w_n = sech^2 r tanh^2n r and P_n a port's Poisson weight up to
+    n_max - n.  The 50 digits resolve weights down to about 1e-38 to 1e-12.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = (2 * Decimal(r)).exp()
+        t2 = ((e - 1) / (e + 1)) ** 2
+        lam = Decimal(abs(mu)) ** 2
+        below, term, total = [], (-lam).exp(), Decimal(0)
+        for k in range(n_max + 1):
+            total += term
+            below.append(total)
+            term *= lam / (k + 1)
+        kept, w = Decimal(0), 1 - t2
+        for n in range(n_max + 1):
+            kept += w * below[n_max - n] ** 2
+            w *= t2
+        return float(1 - kept)
 
 
 def output_moments(state, phi1, phi2, powers):
@@ -124,7 +139,7 @@ def output_moments(state, phi1, phi2, powers):
 
 
 def delta_n_squared(phi1, phi2, squeeze=SqueezeParams(0.6), coherent=CoherentInput(0.8),
-                    cutoff=FockCutoff(DEFAULT_FOUR_MODE_CUTOFF)):
+                    cutoff=FockCutoff(DEFAULT_RECEIPT_CUTOFF)):
     return fock_receipt(squeeze, coherent, cutoff, phi1, phi2, (2,))[1][0]
 
 
@@ -525,19 +540,20 @@ def test_table_residual_receipt(table4):
 
 
 def dense_receipts(squeeze, coherent, cutoff, phases, powers):
-    """``fock_receipt``'s (tail, moments) at each phase pair, on ``four_mode_input``."""
-    try:
-        state = four_mode_input(squeeze, coherent, cutoff)
-    except (CutoffTooSmall, AmplitudeTooLarge):
-        return [(twb_tail(squeeze.r, cutoff, tail_tol=math.inf), None)] * len(phases)
-    return [(state.discarded_tail, output_moments(state, phi1, phi2, powers))
-            for phi1, phi2 in phases]
+    """``fock_receipt``'s (tail, moments) at each phase pair: the tail from
+    ``dropped_weight_reference``, the moments on ``four_mode_input``."""
+    tail = dropped_weight_reference(squeeze.r, coherent.mu, cutoff.n_max)
+    if tail > RECEIPT_TAIL_TOL:
+        return [(tail, None)] * len(phases)
+    state = four_mode_input(squeeze, coherent, cutoff)
+    return [(tail, output_moments(state, phi1, phi2, powers)) for phi1, phi2 in phases]
 
 
 @pytest.mark.parametrize("n_max", [6, 16, 24])
 def test_fock_receipt_matches_the_dense_four_mode_route(n_max):
-    # At cutoff 6, r = 0.8 leaves a twin-beam tail of 3e-3 (above 1e-6) and
-    # |1.3j|^2 exceeds n_max/4: each skip branch is taken at least once.
+    # The receipt skips where it would drop more than 1e-6 of its input:
+    # at cutoff 6 all but r <= 0.3 with mu = 0, at cutoff 16 r = 0.8 with
+    # a nonzero mu, at cutoff 24 none.
     cutoff, powers = FockCutoff(n_max), (1, 2, 3, 4)
     phases = ((0.0, 0.0), (0.01, 0.01), (math.pi, -math.pi / 2), (0.2, -1.3))
     skipped = 0
@@ -546,14 +562,42 @@ def test_fock_receipt_matches_the_dense_four_mode_route(n_max):
         reference = dense_receipts(squeeze, coherent, cutoff, phases, powers)
         for (phi1, phi2), (ref_tail, ref) in zip(phases, reference):
             tail, moments = fock_receipt(squeeze, coherent, cutoff, phi1, phi2, powers)
-            assert tail == ref_tail
+            assert tail == pytest.approx(ref_tail, rel=1e-12, abs=0)
             if ref is None:
                 assert moments is None
                 skipped += 1
                 continue
             for value, exact in zip(moments, ref):
                 assert value == pytest.approx(exact, rel=1e-13, abs=1e-15)
-    assert (skipped > 0) == (n_max == 6)
+    assert skipped == {6: 14, 16: 3, 24: 0}[n_max] * len(phases)
+
+
+@pytest.mark.parametrize("n_max, expected", [
+    (16, 5.2704731910226729e-9), (24, 2.523942989141062e-13), (40, 5.788145041842671e-22),
+], ids=["cutoff-16", "cutoff-24", "cutoff-40"])
+def test_fock_receipt_tail_is_the_exact_dropped_weight(n_max, expected):
+    # phase-mc's defaults, r = 0.6 and mu = 0.8.  A tail composed as
+    # 1 - (1 - t) kept rounds these to 5.270473835e-9, 2.5258e-13 and 0.0.
+    tail, moments = fock_receipt(SqueezeParams(0.6), CoherentInput(0.8), FockCutoff(n_max),
+                                 0.01, 0.01, (2,))
+    assert tail == pytest.approx(expected, rel=1e-12, abs=0)
+    assert tail == pytest.approx(dropped_weight_reference(0.6, 0.8, n_max), rel=1e-12, abs=0)
+    assert moments is not None
+
+
+@pytest.mark.parametrize("r, mu, expected", [
+    # The twin beam alone drops 9.0e-7 above cutoff 16, and the ports
+    # 2.6e-4 more.
+    (0.8, 2.0, 2.6346550696930193e-4),
+    # Every port weight in range underflows, and the whole input is dropped.
+    (0.6, 1000.0, 1.0),
+], ids=["r-0.8-mu-2", "mu-1000"])
+def test_fock_receipt_skips_by_the_total_dropped_weight(r, mu, expected):
+    tail, moments = fock_receipt(SqueezeParams(r), CoherentInput(mu), FockCutoff(16),
+                                 0.01, 0.01, (2, 4))
+    assert tail == pytest.approx(expected, rel=1e-12, abs=0)
+    assert tail == pytest.approx(dropped_weight_reference(r, mu, 16), rel=1e-12, abs=0)
+    assert moments is None
 
 
 def test_fock_receipt_at_the_cutoff_bound_stays_small():

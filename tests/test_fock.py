@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from holosim.errors import (
-    AmplitudeTooLarge,
     CutoffTooSmall,
     DegreeTooHigh,
     InvalidModeIndex,
     ParameterOutOfRange,
     UnsupportedPhase,
 )
+from holosim.estimator import fock_receipt
 from holosim.fock import (
     CoherentInput,
     FockCutoff,
@@ -21,7 +21,6 @@ from holosim.fock import (
     _apply_ladder,
     apply_beam_splitter,
     basis_state,
-    build_coherent,
     build_twb,
     expectation,
     number_difference_moment,
@@ -75,19 +74,23 @@ def test_twb_tail_guard():
 
 @pytest.mark.parametrize("mu, mean", [(0.0, 0.0), (1.0, 1.0), (0.5 + 0.5j, 0.5)])
 def test_coherent_mean_photons(mu, mean):
-    state = build_coherent(CoherentInput(mu), FockCutoff(20))
-    occ = expectation(state, ((0, True), (0, False))).real
-    assert occ == pytest.approx(mean, abs=1e-9)
-
-
-def test_coherent_annihilation_eigenvalue():
-    state = build_coherent(CoherentInput(1.0), FockCutoff(20))
-    assert expectation(state, ((0, False),)) == pytest.approx(1.0, abs=1e-9)
+    # The receipt's coherent ports, read through it: at r = 0 and phases pi
+    # both outputs are the ports, independent Poisson counts, so
+    # <(N_c1 - N_c2)^2> is twice the mean photon number.
+    _, (moment,) = fock_receipt(SqueezeParams(0.0), CoherentInput(mu), FockCutoff(20),
+                                math.pi, math.pi, (2,))
+    assert moment == pytest.approx(2.0 * mean, abs=1e-9)
 
 
 def test_coherent_amplitude_guard():
-    with pytest.raises(AmplitudeTooLarge):
-        build_coherent(CoherentInput(4.0), FockCutoff(20))
+    # A port that its cutoff cannot hold skips the receipt: at |mu|^2 = 16
+    # a port's Poisson weight above 20 is Q = 0.13, and both ports drop
+    # 2Q - Q^2 of the input.
+    tail, moments = fock_receipt(SqueezeParams(0.0), CoherentInput(4.0), FockCutoff(20),
+                                 math.pi, math.pi, (2,))
+    q = 1.0 - sum(math.exp(-16.0) * 16.0 ** k / math.factorial(k) for k in range(21))
+    assert moments is None
+    assert tail == pytest.approx(q * (2.0 - q), rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [math.nan, complex(0.5, math.inf)])
@@ -171,7 +174,7 @@ def test_expectation_vacuum():
 
 
 def test_expectation_respects_operator_order():
-    state = build_coherent(CoherentInput(1.0), FockCutoff(20))
+    state = build_twb(SqueezeParams(0.5), FockCutoff(20))
     normal = expectation(state, ((0, True), (0, False))).real
     anti = expectation(state, ((0, False), (0, True))).real
     assert anti - normal == pytest.approx(1.0, abs=1e-9)

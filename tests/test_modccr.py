@@ -74,7 +74,7 @@ def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
         return twb
     amp = twb.amplitudes + epsilon * closed_form_correction(r, cutoff)
     amp = amp / np.linalg.norm(amp)
-    return MultiModeFockState(2, cutoff, amp, discarded_tail=twb.discarded_tail)
+    return MultiModeFockState(2, cutoff, amp)
 
 
 def deformed_number_difference_action(epsilon: float):

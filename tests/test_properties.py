@@ -51,8 +51,8 @@ ANGLE = st.floats(-20.0, 20.0)
 
 # The largest deviation of the occupation-basis route from the Gaussian one,
 # relative to max(1, sum |R|), per cutoff: 5x the worst seen over 40 random
-# draws and at the corners r = 0.5, |mu| = 1.4 (1.8e-2 and 1.1e-6).
-FOCK_BOUND = {8: 5e-2, 16: 5e-6}
+# draws and at the corners r = 0.5, |mu| = 1.4 (9.8e-7 and 1.3e-11).
+FOCK_BOUND = {16: 5e-6, 24: 7e-11}
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -70,7 +70,7 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
     for approx, value, scale in zip(tabulated, exact, scales):
         assert abs(approx[0] - value) <= 1e-12 * scale
     # The Fock route truncates, and its deviation shrinks with the cutoff;
-    # its cutoff-8 box holds r <= 0.5 (tail below 1e-6) and |mu|^2 <= 2.
+    # at cutoff 16 it drops at most 1.1e-8 of the input in this box.
     deviation = {}
     for n_max, bound in FOCK_BOUND.items():
         _, fock = fock_receipt(SqueezeParams(r), CoherentInput(mu), FockCutoff(n_max),
@@ -78,7 +78,7 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
         deviation[n_max] = max(abs(f - value) / max(1.0, scale)
                                for f, value, scale in zip(fock, exact, scales))
         assert deviation[n_max] <= bound
-    assert deviation[16] <= max(deviation[8], 1e-12)
+    assert deviation[24] <= max(deviation[16], 1e-12)
     # The mixed derivative is -Re(mu^2) sinh(2r)/2, and the Fock route's
     # cross difference approaches it.
     denom = mixed_derivative(table)
@@ -347,9 +347,10 @@ def test_config_parse_raises_only_config_error(tmp_path_factory, case):
 
 # Bounded runs of the modes that reach the occupation basis: grids of at
 # most 3 points, cutoffs of at most 12 (or the mode's default) and at most
-# 2,000 samples, with values that are junk, out of range or fine.
+# 2,000 samples, with values that are junk, out of range or fine; r = 60
+# lies inside SqueezeParams' range but past what phase-mc's sums hold.
 RUN_NUMBER = (st.floats(-1.0, 3.0)
-              | st.sampled_from([0.0, 1e-9, 0.25, 1.3, 400.0, math.nan, math.inf]))
+              | st.sampled_from([0.0, 1e-9, 0.25, 1.3, 60.0, 400.0, math.nan, math.inf]))
 RUN_LIST = st.lists(RUN_NUMBER, min_size=1, max_size=3).map(
     lambda values: ", ".join(map(repr, values)))
 RUN_KEYS = {
@@ -376,6 +377,7 @@ def bounded_runs(draw):
 @example(case=("sweep-modccr", "[sweep-modccr]\nr_grid = 0.5, 1.3\n"
                "epsilon_values = 0.05, 0.25\ncutoff = 12\n"))
 @example(case=("phase-mc", "[phase-mc]\nr = 0.3\nmu = 0.5\nsamples = 1000\ncutoff = 8\n"))
+@example(case=("phase-mc", "[phase-mc]\nr = 60.0\nsamples = 1000\n"))
 @example(case=("validate", "[validate]\nfault = relaxation_sign_flip\n"))
 def test_bounded_runs_exit_0_or_2(tmp_path_factory, case):
     # A run ends with exit 0, or 2 for bad input, never with a traceback;
