@@ -27,8 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, estimator, gaussian
-from .errors import (AmplitudeTooLarge, ConfigError, CutoffTooSmall,
-                     DegenerateDenominator, HolosimError, ParameterOutOfRange)
+from .errors import ConfigError, HolosimError, ParameterOutOfRange
 from .estimator import (
     DEFAULT_ORACLE_CUTOFF,
     DEFAULT_RECEIPT_CUTOFF,
@@ -38,10 +37,10 @@ from .estimator import (
     classical_uncertainty,
     correlation_estimate,
     mixed_derivative,
+    modccr_oracle_column,
     uncertainty_env_approx,
     uncertainty_env_full,
     uncertainty_modccr_analytic,
-    uncertainty_modccr_fock,
 )
 from .fock import (
     CoherentInput,
@@ -345,30 +344,20 @@ def _monotone_decreasing(r: np.ndarray, m_values: tuple,
 
 
 def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
-    cutoff = FockCutoff(config.cutoff)
     grid, epsilon = np.array(config.r_grid), np.array(config.epsilon_values)
-    analytic = uncertainty_modccr_analytic(grid[:, None], epsilon)
-    points = zip(np.repeat(grid, epsilon.size).tolist(),
-                 np.tile(epsilon, grid.size).tolist(), analytic.ravel().tolist())
-
-    def evaluate(point):
-        r, eps, ratio = point
-        try:
-            fock_val = uncertainty_modccr_fock(r, eps, cutoff)
-        except (CutoffTooSmall, AmplitudeTooLarge, DegenerateDenominator):
-            fock_val, rel_dev, fock_backend = float("nan"), float("nan"), "none"
-        else:
-            rel_dev = (abs(fock_val - ratio) / ratio if ratio > 0.0 else float("nan"))
-            fock_backend = "fock_oracle"
-        return (r, eps, ratio, fock_val, rel_dev, "analytic_modccr", fock_backend)
-
+    analytic = uncertainty_modccr_analytic(grid[:, None], epsilon).ravel()
+    fock = modccr_oracle_column(grid, epsilon, FockCutoff(config.cutoff)).ravel()
+    deviation = np.divide(np.abs(fock - analytic), analytic, where=analytic > 0.0,
+                          out=np.full_like(fock, math.nan))
+    backends = [("fock_oracle", "none")[gap] for gap in np.isnan(fock).tolist()]
     names = ("r", "epsilon", "ratio_analytic", "ratio_fock",
              "relative_deviation", "backend_analytic", "backend_fock")
-    columns = dict(zip(names, zip(*map(evaluate, points))))
+    columns = dict(zip(names, (np.repeat(grid, epsilon.size), np.tile(epsilon, grid.size),
+                               analytic, fock, deviation, ["analytic_modccr"] * fock.size,
+                               backends)))
     gnuplot = _series_plot_script(csv_basename(config), names,
                                   config.epsilon_values, logx=False)
-    return SweepResult(_metadata(config, "analytic_modccr+fock_oracle"),
-                       columns, gnuplot)
+    return SweepResult(_metadata(config, "analytic_modccr+fock_oracle"), columns, gnuplot)
 
 
 def run_phase_mc(config: SimpleNamespace) -> SweepResult:
@@ -379,8 +368,8 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     noise = PhaseNoiseModel(config.sigma1, config.sigma2, config.rho)
     powers = (2, 4)
     table = estimator.phase_table(squeeze, coherent, powers)
-    # A degenerate denominator is rejected before any draw.
-    denom = check_denominator(mixed_derivative(table[0]))
+    # A denominator within the floor or the table's rounding exits before any draw.
+    denom = check_denominator(mixed_derivative(table[0]), estimator.rounding_level(table[0]))
     tail, direct = estimator.fock_receipt(squeeze, coherent, FockCutoff(config.cutoff),
                                           config.sigma1, config.sigma2, powers)
     residuals = ([math.nan] * len(powers) if direct is None else

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     ZeroAmplitude,
 )
 from .fock import (
+    DEFAULT_TWO_MODE_TAIL_TOL,
     MAX_DIFFERENCE_POWER,
     MAX_SQUEEZE_R,
     CoherentInput,
@@ -38,11 +38,10 @@ from .fock import (
     _occupation_difference,
     apply_beam_splitter,
     build_twb,
-    expectation,
     twb_tail,
 )
 from .gaussian import from_squeezing, ordered_moment, relax_width
-from .modccr import _check_epsilon, deformed_variance_coefficient
+from .modccr import MAX_EPSILON, _check_epsilon, deformed_variance_coefficient
 
 DENOM_FLOOR = 1e-8
 MC_CHUNK = 4096
@@ -225,47 +224,50 @@ def uncertainty_modccr_analytic(r, epsilon) -> float | np.ndarray:
     return _checked_ratio(8.0 * r * np.abs(eps) / _each(math.sinh, 2.0 * r))
 
 
-@lru_cache
-def _oracle_terms(r: float, cutoff: FockCutoff) -> tuple:
-    """(sqrt of the eps^2 variance coefficient, quadrature correlator) at r.
-
-    Both depend only on the squeeze strength and the cutoff, so a sweep
-    over epsilon builds the twin beam once per (r, cutoff).
-    """
-    twb = build_twb(SqueezeParams(r), cutoff)
-    denom = sum(
-        expectation(twb, (((0, da), (1, db)))).real
-        for da in (True, False) for db in (True, False))
-    return math.sqrt(deformed_variance_coefficient(r, cutoff)), denom
-
-
 def uncertainty_modccr_fock(r: float, epsilon: float,
                             cutoff: FockCutoff = FockCutoff(DEFAULT_ORACLE_CUTOFF),
                             ) -> float | np.ndarray:
-    """Oracle evaluation of the deformed-sector ratio on the truncated basis.
-
-    The numerator uses the deformed number-difference observable on the
-    first-order-corrected twin-beam state.  Its variance is a polynomial in
-    epsilon starting at epsilon^2; the oracle keeps only that leading
-    coefficient, taken exactly by ``deformed_variance_coefficient``.  The
-    higher orders are not small at moderate squeezing -- they carry extra
-    powers of sinh(2r) from the undeformed pair correlations.  The
-    denominator is the undeformed quadrature correlator on the same twin
-    beam, consistent with first order.  Support is the twin beam's:
-    ``CutoffTooSmall`` where its tail above the cutoff exceeds 1e-10, and
-    ``AmplitudeTooLarge`` for |epsilon| > 0.2.
+    """Oracle evaluation of the deformed-sector ratio on the truncated basis:
+    ``modccr_oracle_column`` at one point.  Raises ``CutoffTooSmall`` where the
+    twin beam's tail above the cutoff exceeds 1e-10, ``AmplitudeTooLarge`` for
+    |epsilon| > 0.2, and ``DegenerateDenominator`` where the correlator is
+    within ``DENOM_FLOOR``.
     """
     _check_epsilon(epsilon)
     twb_tail(r, cutoff)
-    if epsilon == 0.0:
-        return 0.0
-    if r == 0.0:
-        raise DegenerateDenominator("the ratio denominator sinh(2r) vanishes at r = 0")
-    root, denom = _oracle_terms(r, cutoff)
-    if abs(denom) <= DENOM_FLOOR:
+    ratio = float(modccr_oracle_column([r], [epsilon], cutoff)[0, 0])
+    if math.isnan(ratio):
         raise DegenerateDenominator(
-            f"quadrature correlator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
-    return _checked_ratio(2.0 * root * abs(epsilon) / denom)
+            "the ratio denominator sinh(2r) vanishes at r = 0" if r == 0.0 else
+            f"quadrature correlator at r = {r!r} below floor {DENOM_FLOOR:.0e}")
+    return ratio
+
+
+def modccr_oracle_column(r, epsilon, cutoff: FockCutoff) -> np.ndarray:
+    """``uncertainty_modccr_fock`` at every (r[i], epsilon[j]) of two 1-D
+    sequences, as a (len(r), len(epsilon)) array, NaN where that raises
+    ``CutoffTooSmall``, ``AmplitudeTooLarge`` or ``DegenerateDenominator``.
+
+    The numerator is the exact epsilon^2 coefficient of the variance
+    (``deformed_variance_coefficient``).  The denominator is the quadrature
+    correlator <a1'a2'> + <a1a2> on the twin beam sum_n c_n |n, n>, with
+    c_n = tanh^n r sech r renormalized on n <= n_max, one (rows, n_max + 1)
+    array over the supported r: 2 sum_n (n+1) c_n c_{n+1}.  The cross terms
+    <a1'a2> and <a1a2'> move n1 - n2 off 0, so they vanish exactly.
+    """
+    r, eps = np.asarray(r, dtype=float), np.asarray(epsilon, dtype=float)
+    tails = [twb_tail(x, cutoff, tail_tol=math.inf) for x in r.tolist()]
+    rows = np.array(tails) <= DEFAULT_TWO_MODE_TAIL_TOL
+    n, kept = np.arange(cutoff.dim), r[rows, None]
+    c = np.tanh(kept) ** n * (1.0 / np.cosh(kept))
+    c /= np.sqrt((c * c).sum(axis=1, keepdims=True))
+    denom = 2.0 * (n[1:] * c[:, :-1] * c[:, 1:]).sum(axis=1, keepdims=True)
+    root = np.sqrt(deformed_variance_coefficient(kept, cutoff))
+    ratio = np.full((r.size, eps.size), math.nan)
+    live = (np.abs(denom) > DENOM_FLOOR) & (np.abs(eps) <= MAX_EPSILON)  # skips r = 0's 0/0
+    ratio[rows] = np.divide(2.0 * root * np.abs(eps), denom, where=live, out=ratio[rows])
+    ratio[rows[:, None] & (eps == 0.0)] = 0.0
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ def table_residuals(table: list, phi1: float, phi2: float, direct: list) -> list
     b1, b2 = _trig_basis(np.array([phi1])), _trig_basis(np.array([phi2]))
     residuals = []
     for r, exact in zip(table, direct):
-        level = _ROUNDING_TOL * float(np.abs(r).sum())
+        level = rounding_level(r)
         approx = float(((b1 @ r) * b2).sum(axis=1)[0])
         residuals.append(abs(approx - exact) / abs(exact) if abs(exact) > level else math.nan)
     return residuals
@@ -576,8 +578,7 @@ def paired_phase_average(noise: PhaseNoiseModel, table: list, samples: int,
         stats = [_mean_and_se(t, q, samples) for t, q in total]
         averages = [noise_average(r, cov) for cov in covariances]
         results.append(PairedAverages(*stats[0], *stats[1], *stats[2],
-                                      mixed_derivative(r), *averages,
-                                      _ROUNDING_TOL * float(np.abs(r).sum())))
+                                      mixed_derivative(r), *averages, rounding_level(r)))
     return tuple(results)
 
 
@@ -592,11 +593,19 @@ def mixed_derivative(coeffs: np.ndarray) -> float:
     return float(slope @ coeffs @ slope)
 
 
-def check_denominator(denom: float) -> float:
-    """``denom``; ``DegenerateDenominator`` where |denom| <= DENOM_FLOOR."""
-    if abs(denom) <= DENOM_FLOOR:
+def rounding_level(coeffs: np.ndarray) -> float:
+    """A table's rounding level 1e-12 sum |R|, which bounds its moment's rounding."""
+    return _ROUNDING_TOL * float(np.abs(coeffs).sum())
+
+
+def check_denominator(denom: float, level: float = 0.0) -> float:
+    """``denom``; ``DegenerateDenominator`` where |denom| <= DENOM_FLOOR, or
+    within ``level``, the rounding level of a table it was read off."""
+    floor = max(DENOM_FLOOR, level)
+    if abs(denom) <= floor:
         raise DegenerateDenominator(
-            f"mixed-derivative denominator {denom:.3e} below floor {DENOM_FLOOR:.0e}")
+            f"mixed-derivative denominator {denom:.3e} below floor {floor:.0e}"
+            + (" (the table's rounding level)" if floor == level else ""))
     return denom
 
 

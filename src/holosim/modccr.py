@@ -114,8 +114,9 @@ def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
     return r * apply_exponential("squeeze", cutoff.dim, r, _correction_seed(cutoff.dim))
 
 
-def deformed_variance_coefficient(r: float, cutoff: FockCutoff) -> float:
-    """Exact eps^2 coefficient of Var(a1'a1 - a2'a2) on the corrected twin beam.
+def deformed_variance_coefficient(r, cutoff: FockCutoff):
+    """Exact eps^2 coefficient of Var(a1'a1 - a2'a2) on the corrected twin beam,
+    at a squeeze strength r or at each of an array of them.
 
     The twin beam |TWB> of squeeze strength r is an eigenstate of
     D0 = N1 - N2 with eigenvalue 0, so the deformed observable
@@ -127,12 +128,13 @@ def deformed_variance_coefficient(r: float, cutoff: FockCutoff) -> float:
 
     With c = r e^{rA} s, s the seed, D0 commutes with the squeeze generator
     A and the truncated e^{rA} is exactly unitary on each n1 - n2 chain, so
-    |D0^2 c|^2 = r^2 |D0^2 s|^2: no propagator is needed.  D0^2 keeps only
-    the seed's |2,0> and |0,2>, so its 3x3 corner suffices.  Their part
-    (|2,0> + |0,2>)/sqrt(2) has norm 1, so the coefficient is exactly
-    16 r^2 at every cutoff.
+    |D0^2 c|^2 = r^2 |D0^2 s|^2: no propagator is needed, and |D0^2 s|^2 is
+    read once for all r.  D0^2 keeps only the seed's |2,0> and |0,2>, so its
+    3x3 corner suffices.  Their part (|2,0> + |0,2>)/sqrt(2) has norm 1, so
+    the coefficient is exactly 16 r^2 at every cutoff n_max >= 2.
     """
-    twb_tail(r, cutoff)
+    for x in np.ravel(r).tolist():
+        twb_tail(x, cutoff)
     occ_diff = _occupation_difference(min(cutoff.dim, 3))
     seed = _correction_seed(len(occ_diff))
-    return float(r * r * np.linalg.norm(occ_diff * (occ_diff * seed)) ** 2)
+    return r * r * float(np.linalg.norm(occ_diff * (occ_diff * seed)) ** 2)

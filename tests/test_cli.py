@@ -7,12 +7,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import holosim
-from holosim import _propagators, cli, estimator
+from holosim import _propagators, cli, estimator, fock, modccr
 from holosim._propagators import apply_exponential
 from holosim.fock import _apply_ladder
 from holosim.modccr import _sum_ladder
@@ -615,6 +616,29 @@ def test_phase_mc_rejects_a_degenerate_denominator_before_any_draw(
                         r"below floor 1e-08\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing",
+                                  "sweep-modccr", "validate"])
+def test_mode_at_its_defaults_leaves_numpy_ma_unloaded(tmp_path, mode):
+    # numpy.ma costs about 15 ms to import, more than the whole oracle
+    # column; a flagless np.unique or a numpy string array loads it.
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    probe = textwrap.dedent("""\
+        import sys
+        from holosim import cli
+        before = "numpy.ma" in sys.modules
+        code = cli.main([sys.argv[1], "--out", sys.argv[2]])
+        print(before, code, "numpy.ma" in sys.modules)
+        """)
+    done = subprocess.run([sys.executable, "-c", probe, mode, str(tmp_path / "out.txt")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    before, code, after = done.stdout.split()[-3:]
+    if before == "True":
+        pytest.skip("import holosim.cli alone loads numpy.ma here")
+    assert (code, after) == ("0", "False")
+
+
 def test_import_loads_neither_scipy_nor_thread_pools():
     src = os.path.dirname(os.path.dirname(holosim.__file__))
     probe = ("import sys, holosim.cli; print([m for m in "
@@ -663,9 +687,9 @@ def test_no_mode_imports_numpy_polynomial(tmp_path):
     assert done.stdout.splitlines()[-1] == repr([f"{m} 0 False" for m in modes])
 
 
-@pytest.mark.parametrize("config", [
+# sweep-modccr at its defaults and on the benchmark's grid.
+MODCCR_GRIDS = pytest.mark.parametrize("config", [
     "",
-    # The benchmark's grid.
     """\
     [sweep-modccr]
     epsilon_values = 0.005, 0.01, 0.05, 0.1
@@ -673,17 +697,51 @@ def test_no_mode_imports_numpy_polynomial(tmp_path):
     cutoff = 64
     """,
 ], ids=["defaults", "bench-grid"])
-def test_sweep_modccr_builds_no_chain(tmp_path, config):
+
+
+@MODCCR_GRIDS
+def test_sweep_modccr_builds_no_chain(tmp_path, monkeypatch, config):
     # The oracle reads its eps^2 coefficient off the correction's seed, so
     # the sweep neither propagates a squeeze chain nor runs an eigensolve.
     builders = (_propagators._squeeze_chain, _propagators._squeeze_spectrum,
                 _propagators._beam_splitter_chain)
-    for cached in (*builders, estimator._oracle_terms):
+    for cached in builders:
         cached.cache_clear()
+    columns = []  # the oracle's evaluations; it caches nothing
+    monkeypatch.setattr(cli, "modccr_oracle_column",
+                        lambda *args: columns.append(args) or estimator.modccr_oracle_column(*args))
     args = ["--config", write_config(tmp_path, config)] if config else []
     assert cli.main(["sweep-modccr", *args, "--out", str(tmp_path / "modccr.csv")]) == 0
-    assert estimator._oracle_terms.cache_info().misses > 0
+    assert len(columns) > 0
     assert sum(builder.cache_info().misses for builder in builders) == 0
+
+
+@MODCCR_GRIDS
+def test_sweep_modccr_builds_no_dense_twin_beam(tmp_path, monkeypatch, config):
+    # The oracle reads the twin beam's pair amplitudes, so it neither builds
+    # the dense (d, d) state nor evaluates a ladder monomial on one.
+    def dense(*args, **kwargs):
+        raise AssertionError("the sweep reached the dense twin-beam route")
+
+    for module in (fock, estimator, modccr, cli):
+        for name in ("build_twb", "expectation"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+    args = ["--config", write_config(tmp_path, config)] if config else []
+    assert cli.main(["sweep-modccr", *args, "--out", str(tmp_path / "modccr.csv")]) == 0
+
+
+def test_sweep_modccr_at_the_cutoff_bound_stays_below_one_dense_twin_beam(tmp_path):
+    # One dense twin beam at cutoff 400 is 401**2 complex amplitudes.
+    dense_bytes = 401 ** 2 * 16
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep-modccr", "--cutoff", str(cli.MAX_CUTOFF["sweep-modccr"]),
+                         "--out", str(tmp_path / "modccr.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
 
 
 @pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing",
@@ -731,11 +789,16 @@ def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
     # Past r = 43.5 the Monte Carlo's sums of squared moments overflow float64.
     *(("phase-mc", f"[phase-mc]\nr = {r}\n", [], "phase-mc needs r <= 43.0")
       for r in ("100", "200", "349")),
+    # At mu = 0.8 the table's mixed derivative, -mu^2 sinh(2r)/2, sinks below
+    # the table's rounding level 1e-12 sum |R| near r = 14; at r = 43 its sign is wrong.
+    *(("phase-mc", f"[phase-mc]\nr = {r}\n", [], "(the table's rounding level)")
+      for r in ("16", "43")),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
         "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
         "oversized-samples", "undersized-samples", "modccr-r-zero", "oversized-mu",
         "overflowing-mu", "nan-ratio", "noise-width-1e154", "noise-width-1e200",
-        "noise-width-1e308", "phase-mc-r-100", "phase-mc-r-200", "phase-mc-r-349"])
+        "noise-width-1e308", "phase-mc-r-100", "phase-mc-r-200", "phase-mc-r-349",
+        "phase-mc-r-16-denominator-in-rounding", "phase-mc-r-43-denominator-in-rounding"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,
                                              named):
     if config is not None:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import runpy
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -50,6 +51,7 @@ from holosim.fock import (
     build_twb,
     expectation,
     number_difference_moment,
+    twb_tail,
 )
 from holosim.gaussian import evolve, from_squeezing, ordered_moment
 
@@ -785,6 +787,72 @@ def test_modccr_analytic_values():
     assert column.tolist() == [
         [uncertainty_modccr_analytic(r, eps) for eps in (0.05, 0.0)]
         for r in (1.0, 0.8)]
+
+
+@pytest.fixture(scope="module")
+def modccr_grids(tmp_path_factory):
+    """(r grid, epsilon values, cutoff) of sweep-modccr at its defaults and
+    at bench/workloads.py's CONFIG."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "bench", "workloads.py")
+    path = tmp_path_factory.mktemp("modccr") / "bench.cfg"
+    path.write_text(runpy.run_path(bench)["CONFIG"], encoding="utf-8")
+    grids = {}
+    for name, values in (("defaults", {}), ("bench", cli.parse_config_file(str(path),
+                                                                          "sweep-modccr"))):
+        config = cli.resolve_config("sweep-modccr", values, {})
+        grids[name] = (config.r_grid, config.epsilon_values, config.cutoff)
+    return grids
+
+
+def dense_denominator(r, cutoff):
+    """The oracle's quadrature correlator the dense way: the four monomials
+    a1^(') a2^(') by ``expectation`` on the (d, d) twin beam, summed in order."""
+    twb = build_twb(SqueezeParams(r), cutoff)
+    return sum(expectation(twb, (((0, da), (1, db)))).real
+               for da in (True, False) for db in (True, False))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 16, 64, 400])
+def test_oracle_denominator_matches_the_dense_route(monkeypatch, modccr_grids, n_max):
+    # With the coefficient pinned at 0.25 and epsilon at 0.125, the column
+    # reads 2 * 0.5 * 0.125 / denominator, which returns the pair route's
+    # denominator within one rounding.  The tiny r keep cutoffs 1 and 2,
+    # where no grid point is supported, from passing vacuously.
+    monkeypatch.setattr(estimator, "deformed_variance_coefficient",
+                        lambda r, cutoff: np.full(np.shape(r), 0.25))
+    cutoff = FockCutoff(n_max)
+    r = [x for x in (1e-3, 3e-3, *modccr_grids["defaults"][0], *modccr_grids["bench"][0])
+         if twb_tail(x, cutoff, tail_tol=math.inf) <= 1e-10]
+    assert r
+    column = estimator.modccr_oracle_column(r, [0.125], cutoff)[:, 0]
+    for x, ratio in zip(r, column.tolist()):
+        dense = dense_denominator(x, cutoff)
+        assert abs(0.125 / ratio - dense) <= 1e-14 * abs(dense), x
+
+
+@pytest.mark.parametrize("grid, supported", [("defaults", 60), ("bench", 188)])
+def test_oracle_column_is_the_scalar_oracle_bit_for_bit(modccr_grids, grid, supported):
+    r_grid, eps_values, n_max = modccr_grids[grid]
+    cutoff = FockCutoff(n_max)
+    r = [0.0, 1e-9, *r_grid]
+    eps = [*eps_values, 0.0, 0.2, -0.2, 0.2000001]
+    column = estimator.modccr_oracle_column(r, eps, cutoff)
+    assert column.shape == (len(r), len(eps))
+    raised = set()
+    for i, x in enumerate(r):
+        for j, e in enumerate(eps):
+            try:
+                scalar = uncertainty_modccr_fock(x, e, cutoff)
+            except (CutoffTooSmall, AmplitudeTooLarge, DegenerateDenominator) as exc:
+                raised.add(type(exc))
+                assert math.isnan(column[i, j]), (x, e)
+            else:
+                assert type(scalar) is float
+                assert np.float64(scalar).tobytes() == column[i, j].tobytes(), (x, e)
+    assert raised == {CutoffTooSmall, AmplitudeTooLarge, DegenerateDenominator}
+    # The sweep's own rows: the oracle's support is unchanged.
+    assert np.count_nonzero(~np.isnan(column[2:, :len(eps_values)])) == supported
 
 
 def test_modccr_oracle_agrees_with_analytic():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holosim import _propagators, estimator, modccr
+from holosim import _propagators, modccr
 from holosim._propagators import apply_exponential
 from holosim.errors import (
     AmplitudeTooLarge,
@@ -333,27 +333,19 @@ def _seed_builder(half, vacuum):
     return seed
 
 
-@pytest.fixture
-def fresh_oracle():
-    estimator._oracle_terms.cache_clear()
-    yield
-    estimator._oracle_terms.cache_clear()
-
-
 @pytest.mark.parametrize("half,vacuum,moves", [
     (0.5, -1.0, False),
     (1.0, -1.0, True),   # 1/2 -> 1
     (0.5, 0.0, False),   # without -|0>
     (0.5, 1.0, False),   # +|0>
 ], ids=["shipped", "half-to-one", "seed-without-vacuum", "plus-vacuum"])
-def test_oracle_sees_only_the_seeds_two_photon_part(monkeypatch, fresh_oracle, half,
-                                                    vacuum, moves):
+def test_oracle_sees_only_the_seeds_two_photon_part(monkeypatch, half, vacuum, moves):
     # D0^2 keeps only |2,0> and |0,2>, so the oracle reads the seed's
     # X'^2 weight and is blind to its q = 0 part; validate check 8 catches
-    # a faulty q = 0 part.
+    # a faulty q = 0 part.  The oracle caches nothing: every call reads the
+    # seed afresh, so the patched seed is the one the second call sees.
     r, eps = 0.8, 0.05
     shipped = uncertainty_modccr_fock(r, eps)
-    estimator._oracle_terms.cache_clear()
     monkeypatch.setattr(modccr, "_correction_seed", _seed_builder(half, vacuum))
     faulty = uncertainty_modccr_fock(r, eps)
     if moves:
