@@ -15,7 +15,6 @@ timestamp header line), through either route.
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import math
 import os
@@ -170,10 +169,14 @@ def _parse_value(default, raw: str, line_no: int):
 def parse_config_file(path: str, mode: str) -> dict:
     """Parse the [mode] section of a typed key-value config file."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    # A leading byte-order mark is dropped, as the utf-8-sig codec would,
+    # without that codec's import.
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
     defaults = _mode_defaults(mode)
     section = None
     found = {}
@@ -393,6 +396,19 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     meta["table_residual_p2"], meta["table_residual_p4"] = residuals
     meta["e_par_exact"] = quad.exact_par
     meta["e_perp_exact"] = quad.exact_perp
+    # The small-noise linearization's relative bias on covariance_recovered,
+    # read off the exact averages; it grows as kappa_phase (ROADMAP item 7).
+    # Dividing in turn keeps denom * injected from underflowing to 0.
+    meta["kappa_phase"] = config.sigma1 * config.sigma2 * math.exp(2.0 * squeeze.r)
+    bias, noise = math.nan, math.nan
+    if injected:
+        bias = (quad.exact_par - quad.exact_perp) / denom / injected - 1.0
+        noise = covariance_se / abs(injected)
+    meta["linearization_bias"] = bias
+    if abs(bias) > noise:
+        print(f"warning: linearization_bias {bias!r} exceeds covariance_se/"
+              f"|covariance_injected| {noise!r}: covariance_recovered is biased "
+              "beyond its noise", file=sys.stderr)
     level = quad.rounding_level
     meta["z_par"] = _z_score(quad.mean_par, quad.exact_par, quad.se_par, level)
     meta["z_perp"] = _z_score(quad.mean_perp, quad.exact_perp, quad.se_perp, level)
@@ -608,29 +624,118 @@ def _emit(result: SweepResult, config: SimpleNamespace) -> None:
         sys.stdout.write("".join(result.csv_blocks()))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holosim",
-        description="Twin-beam interferometer-pair uncertainty sweeps")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--config", help="typed key-value config file")
-        p.add_argument("--out", help="output CSV (or report) path")
-        p.add_argument("--seed", type=int, help="override random seed")
-        if "cutoff" in _DEFAULTS[mode]:
-            p.add_argument("--cutoff", type=int, help="override occupation cutoff")
-    return parser
+# Every mode's flags: how each value converts, and its help line.  A mode
+# takes --cutoff only where it has a cutoff key.
+_FLAGS = {
+    "--config": (str, "typed key-value config file"),
+    "--out": (str, "output CSV (or report) path"),
+    "--seed": (int, "override random seed"),
+    "--cutoff": (int, "override occupation cutoff"),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a value, though it starts with "-"
+
+
+def _names(mode) -> tuple:
+    """The flags before the mode (help only), or after it."""
+    return _HELP + tuple(f for f in _FLAGS
+                         if mode and (f != "--cutoff" or "cutoff" in _DEFAULTS[mode]))
+
+
+def _usage(mode) -> str:
+    head = f"holosim {mode} [-h]" if mode else "holosim [-h] {" + ",".join(MODES) + "} ..."
+    return "usage: " + head + "".join(f" [{f} {f[2:].upper()}]" for f in _names(mode)[2:])
+
+
+def _help(mode) -> str:
+    flags = "".join(f"  {f:<8} {f[2:].upper():<7} {_FLAGS[f][1]}\n" for f in _names(mode)[2:])
+    return f"{_usage(mode)}\n\n" + (flags or f"modes: {', '.join(MODES)}\n")
+
+
+def _usage_error(mode, message: str):
+    """A usage error: the usage, then ``prog: error: message``; exit 2."""
+    prog = f"holosim {mode}" if mode else "holosim"
+    sys.stderr.write(f"{_usage(mode)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(arg: str, mode) -> tuple:
+    """None where ``arg`` is a value, else (flag, inline value), the flag None
+    where ``arg`` names none of ``_names(mode)``.  A flag is named in full,
+    as ``--flag=value`` or by a unique ``--`` prefix; ``-hx`` gives -h "x"."""
+    names = _names(mode)
+    if not arg.startswith("-") or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    inline = value if eq else None
+    if name in names:
+        return name, inline
+    if arg.startswith("--"):
+        hits = [n for n in names if n.startswith(name)]
+        if len(hits) > 1:
+            _usage_error(mode, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], inline
+    elif arg[:2] in names:
+        return arg[:2], arg[2:]
+    return None if _NEGATIVE_NUMBER.fullmatch(arg) or " " in arg else (None, None)
+
+
+def _reads(args: list, mode) -> list:
+    """``_read`` of each string; "--" and every string after it are values."""
+    end = args.index("--") if "--" in args else len(args)
+    return [_read(arg, mode) for arg in args[:end]] + [None] * (len(args) - end)
+
+
+def parse_args(argv=None) -> tuple:
+    """(mode, flags) from the command line ``MODE [--flag VALUE]...``, each
+    flag given mapped, without its dashes, to its last value.  ``-h`` prints
+    a usage and exits 0; a usage error exits 2, with the messages of the
+    standard library's parser, whose import and locale set-up this saves."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    mode, flags, extras = None, {}, []
+    reads = _reads(args, None)
+    i = 0
+    while i < len(args):
+        arg, read = args[i], reads[i]
+        i += 1
+        if read is None and mode is None:
+            if arg not in MODES:
+                _usage_error(None, f"argument mode: invalid choice: {arg!r} "
+                                   f"(choose from {', '.join(map(repr, MODES))})")
+            mode = arg
+            reads[i:] = _reads(args[i:], mode)
+        elif read is None or read[0] is None:
+            extras.append(arg)
+        elif read[0] in _HELP:
+            if read[1] is not None:
+                _usage_error(mode, "argument -h/--help: ignored explicit argument "
+                                   f"{read[1]!r}")
+            sys.stdout.write(_help(mode))
+            raise SystemExit(0)
+        else:
+            flag, value = read
+            if value is None:
+                if i == len(args) or reads[i] is not None or args[i] == "--":
+                    _usage_error(mode, f"argument {flag}: expected one argument")
+                value, i = args[i], i + 1
+            try:
+                flags[flag[2:]] = _FLAGS[flag][0](value)
+            except ValueError:
+                _usage_error(mode, f"argument {flag}: invalid int value: {value!r}")
+    if mode is None:
+        _usage_error(None, "the following arguments are required: mode")
+    if extras:
+        _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return mode, flags
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    mode, flags = parse_args(argv)
     try:
-        file_values = (parse_config_file(args.config, args.mode)
-                       if args.config else {})
-        overrides = {"seed": args.seed, "cutoff": getattr(args, "cutoff", None),
-                     "out": args.out}
-        config = resolve_config(args.mode, file_values, overrides)
+        path = flags.pop("config", None)
+        file_values = parse_config_file(path, mode) if path else {}
+        config = resolve_config(mode, file_values, flags)
         if config.mode == "validate":
             if config.out:
                 _write(config.out, ())  # fail on an unwritable path before the checks

@@ -15,6 +15,7 @@ import pytest
 import holosim
 from holosim import _propagators, cli, estimator, fock, modccr
 from holosim._propagators import apply_exponential
+from holosim.errors import ConfigError
 from holosim.fock import _apply_ladder
 from holosim.modccr import _sum_ladder
 from test_estimator import dropped_weight_reference
@@ -348,6 +349,56 @@ def test_phase_mc_receipts_are_nan_without_noise(tmp_path):
                         "z_par": "nan", "z_perp": "nan"}
 
 
+def _linearization_run(tmp_path, capsys, body):
+    """phase-mc's header receipts, its data row and its stderr."""
+    out = tmp_path / "mc.csv"
+    assert cli.main(["phase-mc", "--config", write_config(tmp_path, body),
+                     "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    meta = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+    header, row = data_lines(text)[:2]
+    row = dict(zip(header.split(","), map(float, row.split(","))))
+    return meta, row, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,warns", [
+    ("[phase-mc]\n", False),
+    ("[phase-mc]\nr = 4\nsigma1 = 0.05\nsigma2 = 0.05\nsamples = 20000\n", True),
+    ("[phase-mc]\nsigma1 = 0\nsigma2 = 0\n", False),
+    ("[phase-mc]\nrho = 0\nsamples = 2000\n", False),
+], ids=["defaults", "r-4-sigma-0.05", "no-noise", "no-correlation"])
+def test_phase_mc_reports_its_linearization_bias(tmp_path, capsys, body, warns):
+    meta, row, err = _linearization_run(tmp_path, capsys, body)
+    r, s1, s2 = (float(meta[key]) for key in ("r", "sigma1", "sigma2"))
+    assert float(meta["kappa_phase"]) == pytest.approx(s1 * s2 * math.exp(2 * r), rel=1e-14)
+    bias = float(meta["linearization_bias"])
+    injected = row["covariance_injected"]
+    if injected == 0.0:
+        assert math.isnan(bias)
+    else:
+        gap = float(meta["e_par_exact"]) - float(meta["e_perp_exact"])
+        assert bias == pytest.approx(gap / (row["denominator"] * injected) - 1.0,
+                                     rel=1e-12, abs=1e-12)
+    if not warns:
+        assert err == ""
+        return
+    noise = row["covariance_se"] / abs(injected)
+    assert abs(bias) > noise
+    named = re.fullmatch(r"warning: linearization_bias (\S+) exceeds covariance_se/"
+                         r"\|covariance_injected\| (\S+): .*\n", err)
+    assert named and float(named[1]) == bias
+    assert float(named[2]) == pytest.approx(noise, rel=1e-15)
+
+
+def test_phase_mc_linearization_bias_at_r_10(tmp_path, capsys):
+    # The small-noise estimate reads 0.244 against the injected 5e-5 here.
+    meta, row, err = _linearization_run(tmp_path, capsys, "[phase-mc]\nr = 10\n")
+    assert float(meta["linearization_bias"]) == pytest.approx(4.74e3, rel=1e-3)
+    assert row["covariance_se"] / row["covariance_injected"] == pytest.approx(97.9, rel=1e-3)
+    assert row["covariance_recovered"] == pytest.approx(0.244, rel=1e-2)
+    assert err.startswith("warning: ")
+
+
 def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path):
     # At r = 0.9 the receipt would drop 2.9e-5 of its input at cutoff 16,
     # above its 1e-6; the table needs no cutoff, so the run goes on without
@@ -502,7 +553,8 @@ def test_metadata_echo_is_pinned(tmp_path):
     # The receipts after the echo are computed values, checked elsewhere.
     assert [line[2:].split("=")[0] for line in header[12:]] == [
         "discarded_tail", "table_residual_p2", "table_residual_p4",
-        "e_par_exact", "e_perp_exact", "z_par", "z_perp"]
+        "e_par_exact", "e_perp_exact", "kappa_phase", "linearization_bias",
+        "z_par", "z_perp"]
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +612,125 @@ def test_cutoff_flag_only_for_modes_that_read_it(mode, capsys):
     assert "unrecognized arguments: --cutoff 3" in capsys.readouterr().err
 
 
+MODE_CHOICES = ("'sweep-env-coupling', 'sweep-env-squeezing', 'sweep-modccr', "
+                "'validate', 'phase-mc'")
+
+
+# Each usage error's message, as argparse (one subparser per mode) wrote it.
+@pytest.mark.parametrize("argv,message", [
+    ([], "holosim: error: the following arguments are required: mode"),
+    (["bogus"], f"holosim: error: argument mode: invalid choice: 'bogus' "
+                f"(choose from {MODE_CHOICES})"),
+    (["validate", "--seed", "x"],
+     "holosim validate: error: argument --seed: invalid int value: 'x'"),
+    (["validate", "--seed=x"],
+     "holosim validate: error: argument --seed: invalid int value: 'x'"),
+    (["validate", "--cutoff", "1.5"],
+     "holosim validate: error: argument --cutoff: invalid int value: '1.5'"),
+    (["validate", "--seed", "-1.5"],
+     "holosim validate: error: argument --seed: invalid int value: '-1.5'"),
+    (["validate", "--config"],
+     "holosim validate: error: argument --config: expected one argument"),
+    (["validate", "--out", "-x"],
+     "holosim validate: error: argument --out: expected one argument"),
+    (["validate", "--seed", "-x"],
+     "holosim validate: error: argument --seed: expected one argument"),
+    (["validate", "--seed", "-1e3"],
+     "holosim validate: error: argument --seed: expected one argument"),
+    (["validate", "--c", "3"],
+     "holosim validate: error: ambiguous option: --c could match --config, --cutoff"),
+    (["validate", "--c=3"],
+     "holosim validate: error: ambiguous option: --c=3 could match --config, --cutoff"),
+    (["validate", "--seed", "x", "--c", "3"],
+     "holosim validate: error: ambiguous option: --c could match --config, --cutoff"),
+    (["sweep-env-coupling", "--cutoff", "3"],
+     "holosim: error: unrecognized arguments: --cutoff 3"),
+    (["sweep-env-coupling", "--cutoff=3"],
+     "holosim: error: unrecognized arguments: --cutoff=3"),
+    (["validate", "extra"], "holosim: error: unrecognized arguments: extra"),
+    (["validate", "extra", "--bogus", "x", "--seed", "2"],
+     "holosim: error: unrecognized arguments: extra --bogus x"),
+    (["--bogus", "validate"], "holosim: error: unrecognized arguments: --bogus"),
+    (["validate", "-hx"],
+     "holosim validate: error: argument -h/--help: ignored explicit argument 'x'"),
+    (["validate", "--seed", "x", "-h"],
+     "holosim validate: error: argument --seed: invalid int value: 'x'"),
+    (["-h"], None), (["--help"], None), (["--he"], None), (["-h", "bogus"], None),
+    (["validate", "-h"], None), (["sweep-modccr", "--bogus", "--help"], None),
+    (["phase-mc", "-h", "--seed", "x"], None), (["sweep-env-coupling", "-h"], None),
+])
+def test_command_line_contract(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    if message is not None:
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: holosim") and err.splitlines()[-1] == message
+        return
+    assert (exc.value.code, err) == (0, "")
+    mode = next((arg for arg in argv if arg in cli.MODES), None)
+    usage = " ".join(out[:out.index("\n\n")].split())
+    if mode is None:
+        assert usage == "usage: holosim [-h] {" + ",".join(cli.MODES) + "} ..."
+        assert out.endswith(f"\nmodes: {', '.join(cli.MODES)}\n")
+    else:
+        flags = ["--config CONFIG", "--out OUT", "--seed SEED", "--cutoff CUTOFF"]
+        flags = flags[:3 + ("cutoff" in cli._DEFAULTS[mode])]
+        assert usage == f"usage: holosim {mode} [-h] " + " ".join(f"[{f}]" for f in flags)
+        assert [" ".join(line.split()[:2]) for line in out.splitlines()[2:]] == flags
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["phase-mc", "--seed", "-3"], {"seed": -3}),
+    (["phase-mc", "--seed=-3"], {"seed": -3}),
+    (["validate", "--out", "-3"], {"out": "-3"}),
+    (["validate", "--out="], {"out": ""}),
+    (["validate", "--se", "3", "--o", "f", "--con", "c", "--cu", "9"],
+     {"seed": 3, "out": "f", "config": "c", "cutoff": 9}),
+    (["sweep-env-coupling", "--c", "c"], {"config": "c"}),
+    (["validate", "--seed", "1", "--seed", "3", "--cutoff=5"], {"seed": 3, "cutoff": 5}),
+])
+def test_command_line_values(argv, flags):
+    assert cli.parse_args(argv) == (argv[0], flags)
+
+
+def test_negative_seed_reaches_the_config_check(capsys):
+    assert cli.main(["phase-mc", "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("flags", [["--seed=3"], ["--se", "3"], ["--seed", "1", "--seed", "3"]],
+                         ids=["inline", "prefix", "repeat"])
+def test_flag_forms_write_the_same_csv(tmp_path, flags):
+    outputs = []
+    for i, form in enumerate((["--seed", "3"], flags)):
+        out = tmp_path / f"run{i}.csv"
+        assert cli.main(["sweep-env-coupling", *form, "--out", str(out)]) == 0
+        outputs.append(strip_timestamp(out.read_text(encoding="utf-8")))
+    assert "# seed=3" in outputs[0]
+    assert outputs[1] == outputs[0]
+
+
 def test_config_with_a_byte_order_mark_parses(tmp_path):
     # Some editors save UTF-8 with a leading BOM; it is not part of line 1.
     path = tmp_path / "bom.cfg"
     path.write_bytes(b"\xef\xbb\xbf[phase-mc]\nsamples = 2000\n")
     assert cli.parse_config_file(str(path), "phase-mc") == {"samples": 2000}
+
+
+@pytest.mark.parametrize("body,fragment", [
+    (b"\xef\xbb\xbf\xef\xbb\xbf[phase-mc]\n",
+     "line 1: expected key = value, got '\\ufeff[phase-mc]'"),
+    (b"[phase-mc]\n\xef\xbb\xbfsamples = 2000\n", "line 2: unknown key '\\ufeffsamples'"),
+    (b"\xef\xbb\xbf[phase-mc]\nsamples = 2000\xef\xbb\xbf\n",
+     "line 2: cannot parse '2000\\ufeff' as int"),
+], ids=["second", "line-2", "line-end"])
+def test_config_keeps_a_byte_order_mark_past_the_first(tmp_path, body, fragment):
+    # Only one leading mark is dropped; any other stays in its line.
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        cli.parse_config_file(str(path), "phase-mc")
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -685,6 +851,41 @@ def test_no_mode_imports_numpy_polynomial(tmp_path):
          *modes], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == repr([f"{m} 0 False" for m in modes])
+
+
+START_UP_MODULES = ("argparse", "gettext", "locale", "encodings.utf_8_sig")
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_mode_loads_no_parser_locale_or_bom_codec(tmp_path, mode):
+    # argparse (with gettext) costs about 3 ms to import and its first
+    # message another 2 ms for locale; the utf-8-sig codec about 0.7 ms.
+    # Only a module that the interpreter and numpy already load is excused.
+    # The config starts with a byte-order mark, so its removal is covered.
+    src = os.path.dirname(os.path.dirname(holosim.__file__))
+    probe = textwrap.dedent("""\
+        import sys
+        import numpy
+        names = sys.argv[4:]
+        before = [m for m in names if m in sys.modules]
+        from holosim import cli
+        code = cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
+        print(code)
+        print(*before)
+        print(*[m for m in names if m in sys.modules and m not in before])
+        """)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + textwrap.dedent(SMALL_RUNS).encode())
+    done = subprocess.run(
+        [sys.executable, "-c", probe, mode, str(cfg), str(tmp_path / "out.txt"),
+         *START_UP_MODULES], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    code, before, loaded = done.stdout.splitlines()[-3:]
+    assert code == "0"
+    if len(before.split()) == len(START_UP_MODULES):
+        pytest.skip("numpy's import alone loads all of them here")
+    assert loaded == ""
 
 
 # sweep-modccr at its defaults and on the benchmark's grid.
