@@ -44,6 +44,7 @@ from .estimator import (
 from .fock import (
     CoherentInput,
     FockCutoff,
+    MultiModeFockState,
     SqueezeParams,
     build_twb,
     expectation,
@@ -58,8 +59,8 @@ from .gaussian import (
     isserlis_moment,
 )
 from .modccr import (
-    closed_form_correction,
     deformed_commutator_check,
+    deformed_variance_coefficient,
     perturbation_generator_action,
 )
 
@@ -72,7 +73,7 @@ _GRID_RE = re.compile(r"^(linspace|logspace)\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^
 # draw, and below MIN_SAMPLES the Monte Carlo would reject it only after the
 # receipt).
 MAX_GRID_POINTS = 100_000
-MAX_CUTOFF = {"sweep-modccr": 400, "validate": 400, "phase-mc": 40}
+MAX_CUTOFF = {"sweep-modccr": 400, "phase-mc": 40}
 MAX_SAMPLES = 100_000_000
 # phase-mc's Monte Carlo sums squared quartic moments over its draws.  The
 # largest moment is a thermal mode's <n^4> = 24 sinh(r)^8 ~ 0.094 e^{8r},
@@ -113,7 +114,7 @@ _DEFAULTS = {
     "sweep-modccr": dict(
         epsilon_values=(0.01, 0.05, 0.1), cutoff=DEFAULT_ORACLE_CUTOFF,
         r_grid=_span_grid("linspace", 0.25, 3.0, 56)),
-    "validate": dict(cutoff=60, fault="none"),
+    "validate": dict(fault="none"),
     "phase-mc": dict(
         r=0.6, mu=0.8, sigma1=1e-2, sigma2=1e-2, rho=0.5,
         samples=100000, cutoff=DEFAULT_RECEIPT_CUTOFF),
@@ -474,13 +475,16 @@ def run_validate(config: SimpleNamespace) -> tuple:
         return gaussian.TwoModeGaussianState(
             asym + state.sigma_plus / decay, asym + state.sigma_minus / decay)
 
-    # 1. Twin-beam mean occupation against the closed form.
-    twb = build_twb(SqueezeParams(0.8), FockCutoff(config.cutoff))
+    # Checks 1, 2, 4 and 8 share one twin beam at a fixed cutoff.
+    cut = FockCutoff(60)
+    twb = build_twb(SqueezeParams(0.8), cut)
+
+    # 1. Guards phase-mc's receipt input, build_twb's twin beam: <n> against sinh(r)^2.
     mean_n = expectation(twb, ((0, True), (0, False))).real
     checks.append(_check("twb_mean_occupation",
                          abs(mean_n - math.sinh(0.8) ** 2), 1e-9))
 
-    # 2. Occupation-basis oracle vs Gaussian factorization at t=0.
+    # 2. Guards the Wick recursion of phase-mc's table against Fock expectations at t=0.
     state0 = from_squeezing(SqueezeParams(0.8))
     dev = 0.0
     for powers in CROSS_CHECK_POWERS:
@@ -489,7 +493,7 @@ def run_validate(config: SimpleNamespace) -> tuple:
         dev = max(dev, abs(oracle - analytic) / max(1.0, abs(analytic)))
     checks.append(_check("oracle_vs_isserlis_t0", dev, 1e-8))
 
-    # 3. Quadrature backend vs factorization on an evolved state.
+    # 3. Guards the same recursion on an evolved, mixed state against quadrature.
     m_th = 0.5
     evolved = evolve_fn(state0, m_th, 0.1)
     dev = 0.0
@@ -499,19 +503,18 @@ def run_validate(config: SimpleNamespace) -> tuple:
         dev = max(dev, abs(quad_val - wick_val) / max(1.0, abs(wick_val)))
     checks.append(_check("glauber_vs_isserlis", dev, 1e-8))
 
-    # 4. Null moments of the twin-beam number difference.
+    # 4. Guards sweep-modccr's oracle premise (N1 - N2)|TWB> = 0 against exact zeros.
     dev = max(abs(number_difference_moment(twb, p)) for p in (1, 2, 3, 4))
     checks.append(_check("twb_null_difference_moments", dev, 1e-10))
 
-    # 5. Forward composition law of the evolution.
+    # 5. Guards only the width map: its composition law.
     one = evolve_fn(evolve_fn(state0, m_th, 0.3), m_th, 1.1)
     two = evolve_fn(state0, m_th, 1.4)
     dev = max(abs(one.sigma_plus - two.sigma_plus),
               abs(one.sigma_minus - two.sigma_minus))
     checks.append(_check("evolution_semigroup", dev, 1e-12))
 
-    # 6. Drift/diffusion consistency of the width relaxation at t=0, in
-    # lambda*t units.
+    # 6. Guards only the width map: its t=0 rate against drift and diffusion (lambda*t units).
     drift, diffusion = fokker_planck_coefficients(m_th)
     dt = 1e-6
     stepped = evolve_fn(state0, m_th, dt)
@@ -523,18 +526,19 @@ def run_validate(config: SimpleNamespace) -> tuple:
         dev = max(dev, abs(observed_rate - predicted) / abs(predicted))
     checks.append(_check("width_relaxation_rate", dev, 1e-5))
 
-    # 7. Deformed commutators on the guarded subspace.
+    # 7. Guards the deformed algebra both sweep-modccr columns assume: the mode map's
+    # commutators on the guarded subspace against (eps, eps, 1 + eps).
     checks.append(_check("deformed_commutators",
                          deformed_commutator_check(0.1, FockCutoff(20)), 1e-10))
 
-    # 8. Propagated first-order correction vs B on the closed-form twin beam.
-    cut = FockCutoff(80)
-    pair = build_twb(SqueezeParams(0.8), cut).amplitudes
-    response = perturbation_generator_action(0.8)(pair)
-    dev = float(np.linalg.norm(response - closed_form_correction(0.8, cut)))
-    checks.append(_check("correction_vs_pair_response", dev, 1e-8))
+    # 8. Guards sweep-modccr's oracle numerator, r^2 |D0^2 s|^2 off the seed's 3x3 corner,
+    # against <D0^4> on B|TWB>, B acting by ladder stencils: neither route propagates.
+    response = perturbation_generator_action(0.8)(twb.amplitudes)
+    moment = number_difference_moment(MultiModeFockState(2, cut, response), 4)
+    dev = abs(moment - deformed_variance_coefficient(0.8, cut)) / max(1.0, moment)
+    checks.append(_check("variance_coefficient_vs_pair_response", dev, 1e-8))
 
-    # 9. Widths relax monotonically toward the thermal asymptote.
+    # 9. Guards only the width map: monotone relaxation toward the thermal asymptote.
     target = gaussian.asymptotic_width(m_th)
     times = np.linspace(0.0, 3.0, 13)
     gaps_p, gaps_m = [], []
@@ -547,7 +551,7 @@ def run_validate(config: SimpleNamespace) -> tuple:
     checks.append(_check("width_relaxation_monotone", 0.0 if monotone else 1.0,
                          0.0))
 
-    # 10. Full ratio approaches the closed-form ratio at weak coupling.
+    # 10. Guards only the width map: ratio_full, built on it, against ratio_approx.
     full = uncertainty_env_full(2.0, 0.5, 1e-4)
     approx = uncertainty_env_approx(2.0, 0.5, 1e-4)
     checks.append(_check("env_full_vs_approx",

@@ -3,12 +3,12 @@
 A constant deformation epsilon of the canonical mode algebra
 ([a1,a2] = [a1,a2'] = eps, [ai,ai'] = 1+eps) is realized through an
 explicit linear map onto standard auxiliary modes A1, A2.  This module
-verifies the deformed algebra on the truncated space and builds the
-first-order correction to the twin-beam state, a Duhamel integral over
-conjugated generators that collapses to a closed form because the
-perturbation commutes with the squeeze generator (Wilcox, J. Math. Phys.
-8, 962 (1967)).  It also gives the exact eps^2 coefficient of the deformed
-number difference's variance, which the oracle uncertainty evaluation uses.
+verifies the deformed algebra on the truncated space and gives the
+first-order perturbation B of the squeeze generator, whose Duhamel response
+collapses to a closed form because B commutes with the generator (Wilcox,
+J. Math. Phys. 8, 962 (1967)).  The exact eps^2 coefficient of the deformed
+number difference's variance, which the oracle uses, is read off that
+response's seed with no propagator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from ._propagators import apply_exponential
 from .errors import AmplitudeTooLarge, CutoffTooSmall
 from .fock import FockCutoff, _apply_ladder, _occupation_difference, twb_tail
 
@@ -85,7 +84,7 @@ def perturbation_generator_action(r: float):
     Expanding the squeeze generator A = A1'A2' - A1A2 written in deformed
     modes around eps = 0 gives B = r*((X'^2 - X^2)/2 - 1), X = A1 + A2.
     [A, X'] = -X and [A, X] = -X', so B commutes with A, which collapses the
-    Duhamel integral to ``closed_form_correction``.
+    Duhamel integral to the correction B|TWB> = r e^{rA} ((X'^2)/2 - 1)|0>.
     """
     def act(psi: np.ndarray) -> np.ndarray:
         up2 = _sum_ladder(_sum_ladder(psi, True), True)
@@ -102,18 +101,6 @@ def _correction_seed(dim: int) -> np.ndarray:
     return 0.5 * _sum_ladder(_sum_ladder(vac, True), True) - vac
 
 
-def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
-    """First-order correction r * e^{rA} ((X'^2)/2 - 1) |0> = B|TWB>, as (d, d).
-
-    The Duhamel response e^{rA} Int_0^1 e^{-urA} B e^{urA} du |0> to the
-    perturbation B (``perturbation_generator_action``) collapses to this
-    because B commutes with the squeeze generator A.  Not a normalized state;
-    ``twb_tail`` guards its support as ``build_twb`` does by default.
-    """
-    twb_tail(r, cutoff)
-    return r * apply_exponential("squeeze", cutoff.dim, r, _correction_seed(cutoff.dim))
-
-
 def deformed_variance_coefficient(r, cutoff: FockCutoff):
     """Exact eps^2 coefficient of Var(a1'a1 - a2'a2) on the corrected twin beam,
     at a squeeze strength r or at each of an array of them.
@@ -121,20 +108,24 @@ def deformed_variance_coefficient(r, cutoff: FockCutoff):
     The twin beam |TWB> of squeeze strength r is an eigenstate of
     D0 = N1 - N2 with eigenvalue 0, so the deformed observable
     (1+eps)D0 - eps P with P = A1A2 + A1'A2', acting on |TWB> + eps*c (c the
-    closed-form correction), gives eps*v + O(eps^2) with v = D0 c - P|TWB>;
-    the renormalization and the overlap of c with |TWB> drop out.  Then
-    <O^4> = eps^2 |D0 v|^2 + O(eps^3) while <O^2>^2 = O(eps^4).  P keeps the
-    twin beam on the diagonal n1 = n2, where D0 vanishes, so D0 v = D0^2 c.
+    first-order correction B|TWB>), gives eps*v + O(eps^2) with
+    v = D0 c - P|TWB>; the renormalization and the overlap of c with |TWB>
+    drop out.  Then <O^4> = eps^2 |D0 v|^2 + O(eps^3) while
+    <O^2>^2 = O(eps^4).  P keeps the twin beam on the diagonal n1 = n2,
+    where D0 vanishes, so D0 v = D0^2 c.
 
     With c = r e^{rA} s, s the seed, D0 commutes with the squeeze generator
     A and the truncated e^{rA} is exactly unitary on each n1 - n2 chain, so
     |D0^2 c|^2 = r^2 |D0^2 s|^2: no propagator is needed, and |D0^2 s|^2 is
     read once for all r.  D0^2 keeps only the seed's |2,0> and |0,2>, so its
     3x3 corner suffices.  Their part (|2,0> + |0,2>)/sqrt(2) has norm 1, so
-    the coefficient is exactly 16 r^2 at every cutoff n_max >= 2.
+    the coefficient is exactly 16 r^2 at every cutoff n_max >= 2; a smaller
+    cutoff cannot hold them and raises ``CutoffTooSmall``.
     """
+    if cutoff.n_max < 2:
+        raise CutoffTooSmall(f"the eps^2 coefficient needs n_max >= 2, got {cutoff.n_max}")
     for x in np.ravel(r).tolist():
         twb_tail(x, cutoff)
-    occ_diff = _occupation_difference(min(cutoff.dim, 3))
-    seed = _correction_seed(len(occ_diff))
+    occ_diff = _occupation_difference(3)
+    seed = _correction_seed(3)
     return r * r * float(np.linalg.norm(occ_diff * (occ_diff * seed)) ** 2)

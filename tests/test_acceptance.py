@@ -34,12 +34,8 @@ from holosim.gaussian import (
     glauber_moment,
     isserlis_moment,
 )
-from holosim.modccr import (
-    closed_form_correction,
-    deformed_commutator_check,
-    perturbation_generator_action,
-)
-from test_modccr import duhamel_response
+from holosim.modccr import deformed_commutator_check, perturbation_generator_action
+from test_modccr import closed_form_correction, duhamel_response
 
 
 @contextlib.contextmanager

@@ -14,11 +14,10 @@ import pytest
 
 import holosim
 from holosim import _propagators, cli, estimator, fock, modccr
-from holosim._propagators import apply_exponential
 from holosim.errors import ConfigError
-from holosim.fock import _apply_ladder
 from holosim.modccr import _sum_ladder
 from test_estimator import dropped_weight_reference
+from test_modccr import _seed_builder
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -63,58 +62,56 @@ def test_validate_fault_injection_is_detected(tmp_path, capsys):
     assert "check=evolution_semigroup status=FAIL" in stdout
 
 
-def _faulty_correction(seed_of, prefactor=lambda r: r, sign=1.0):
-    """A faulty closed_form_correction: prefactor(r) e^{sign r A} seed_of(|0>)."""
-    def correction(r, cutoff):
-        vac = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-        vac[0, 0] = 1.0
-        return prefactor(r) * apply_exponential("squeeze", cutoff.dim, sign * r, seed_of(vac))
-    return correction
+def _generator_without_x_squared(r):
+    """B = r((X'^2)/2 - 1), without its -X^2/2 term."""
+    def act(psi):
+        return r * (0.5 * _sum_ladder(_sum_ladder(psi, True), True) - psi)
+    return act
 
 
-def _raise_twice(psi, mode):
-    """A1'^2 (mode 0) or A2'^2 (mode 1)."""
-    return _apply_ladder(_apply_ladder(psi, mode, True), mode, True)
-
-
-def _x_prime_squared(vac):
-    return _sum_ladder(_sum_ladder(vac, True), True)
-
-
-def _seed(vac):
-    return 0.5 * _x_prime_squared(vac) - vac
-
-
-def _flipped_squeeze_chain(dim, q, chain=_propagators._squeeze_chain):
-    # Phases (-i)^k instead of i^k turn every e^{theta A} into e^{-theta A}.
-    indices, phases, eigs, vecs = chain(dim, q)
-    return indices, np.conj(phases), eigs, vecs
+def _coefficient_times(factor):
+    """The eps^2 coefficient with its r^2 prefactor scaled by factor(r)."""
+    def coefficient(r, cutoff):
+        return factor(r) * modccr.deformed_variance_coefficient(r, cutoff)
+    return coefficient
 
 
 @pytest.mark.parametrize("module,name,replacement", [
-    (cli, "closed_form_correction", _faulty_correction(lambda v: 0.5 * _x_prime_squared(v))),
-    (cli, "closed_form_correction", _faulty_correction(lambda v: _x_prime_squared(v) - v)),
+    (modccr, "_correction_seed", _seed_builder(1.0, -1.0)),
     # X'X and X^2 annihilate the vacuum, so both seeds read -|0>.
-    (cli, "closed_form_correction", _faulty_correction(lambda v: -v)),
-    (cli, "closed_form_correction", _faulty_correction(_seed, sign=-1.0)),
-    (cli, "closed_form_correction", _faulty_correction(_seed, prefactor=lambda r: r * r)),
-    (cli, "closed_form_correction",
-     _faulty_correction(lambda v: 0.5 * _x_prime_squared(v) + v)),
-    (cli, "closed_form_correction",
-     _faulty_correction(lambda v: 0.5 * (_raise_twice(v, 0) + _raise_twice(v, 1)) - v)),
-    (_propagators, "_squeeze_chain", _flipped_squeeze_chain),
-], ids=["seed-without-vacuum", "half-to-one", "annihilating-seed", "propagated-with-minus-r",
-        "r-squared-prefactor", "plus-vacuum", "no-cross-term", "flipped-chain-phase"])
+    (modccr, "_correction_seed", _seed_builder(0.0, -1.0)),
+    (cli, "perturbation_generator_action", _generator_without_x_squared),
+    (cli, "deformed_variance_coefficient", _coefficient_times(lambda r: 1.0 / r)),
+    # The correction's prefactor r^2 instead of r.
+    (cli, "deformed_variance_coefficient", _coefficient_times(lambda r: r * r)),
+], ids=["half-to-one", "annihilating-seed", "no-x-squared", "r-prefactor",
+        "r-squared-prefactor"])
 def test_validate_check_8_catches_a_faulty_correction(monkeypatch, capsys, module, name,
                                                       replacement):
-    # No other check propagates a squeeze chain, so the rest still pass.  The
-    # flipped phases also pass a Duhamel comparison, whose integral shares
-    # the propagator; check 8's twin beam is build_twb's closed form.
+    # Faults in the oracle's eps^2 coefficient or in B.  No other check reads
+    # either, so the rest still pass.  A fault in the seed's q = 0 part moves
+    # no shipped number; the Duhamel comparison in test_modccr catches it.
     monkeypatch.setattr(module, name, replacement)
     assert cli.main(["validate"]) == 1
     stdout = capsys.readouterr().out
-    assert "check=correction_vs_pair_response status=FAIL" in stdout
+    assert "check=variance_coefficient_vs_pair_response status=FAIL" in stdout
     assert stdout.count("status=PASS") == 9
+
+
+def test_validate_runs_no_chain_eigensolve(monkeypatch):
+    # Check 8 reads the oracle's coefficient off the seed and applies B by
+    # ladder stencils, so validate builds no chain spectrum; its one
+    # eigensolve is the 5-node Gauss rule's, built afresh here.
+    builders = (_propagators._squeeze_chain, _propagators._squeeze_spectrum,
+                _propagators._beam_splitter_chain)
+    for cached in (*builders, _propagators.gauss_rule):
+        cached.cache_clear()
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    assert cli.main(["validate"]) == 0
+    assert sum(builder.cache_info().misses for builder in builders) == 0
+    assert sizes == [5]
 
 
 def test_validate_unknown_fault(tmp_path, capsys):
@@ -587,11 +584,16 @@ def test_metadata_echo_is_pinned(tmp_path):
      "line 2: unknown key 'mu' for [sweep-env-coupling]"),
     ("[sweep-env-coupling]\ncutoff = 3\n",
      "line 2: unknown key 'cutoff' for [sweep-env-coupling]"),
+    # validate's checks fix their own cutoffs.
+    ("[validate]\ncutoff = 60\n",
+     "line 2: unknown key 'cutoff' for [validate] (expected one of fault, seed, out)"),
 ])
 def test_config_errors(tmp_path, capsys, body, fragment):
     path = tmp_path / "bad.cfg"
     path.write_text(body, encoding="utf-8")
-    code = cli.main(["sweep-env-coupling", "--config", str(path)])
+    # Each case runs the mode its first section names, else sweep-env-coupling.
+    mode = next((m for m in cli.MODES if body.startswith(f"[{m}]")), "sweep-env-coupling")
+    code = cli.main([mode, "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ")
@@ -604,7 +606,7 @@ def test_phase_mc_has_no_step_key(tmp_path, capsys):
     assert "line 2: unknown key 'h' for [phase-mc]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing"])
+@pytest.mark.parametrize("mode", ["sweep-env-coupling", "sweep-env-squeezing", "validate"])
 def test_cutoff_flag_only_for_modes_that_read_it(mode, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([mode, "--cutoff", "3"])
@@ -625,8 +627,8 @@ MODE_CHOICES = ("'sweep-env-coupling', 'sweep-env-squeezing', 'sweep-modccr', "
      "holosim validate: error: argument --seed: invalid int value: 'x'"),
     (["validate", "--seed=x"],
      "holosim validate: error: argument --seed: invalid int value: 'x'"),
-    (["validate", "--cutoff", "1.5"],
-     "holosim validate: error: argument --cutoff: invalid int value: '1.5'"),
+    (["sweep-modccr", "--cutoff", "1.5"],
+     "holosim sweep-modccr: error: argument --cutoff: invalid int value: '1.5'"),
     (["validate", "--seed", "-1.5"],
      "holosim validate: error: argument --seed: invalid int value: '-1.5'"),
     (["validate", "--config"],
@@ -637,12 +639,12 @@ MODE_CHOICES = ("'sweep-env-coupling', 'sweep-env-squeezing', 'sweep-modccr', "
      "holosim validate: error: argument --seed: expected one argument"),
     (["validate", "--seed", "-1e3"],
      "holosim validate: error: argument --seed: expected one argument"),
-    (["validate", "--c", "3"],
-     "holosim validate: error: ambiguous option: --c could match --config, --cutoff"),
-    (["validate", "--c=3"],
-     "holosim validate: error: ambiguous option: --c=3 could match --config, --cutoff"),
-    (["validate", "--seed", "x", "--c", "3"],
-     "holosim validate: error: ambiguous option: --c could match --config, --cutoff"),
+    (["sweep-modccr", "--c", "3"],
+     "holosim sweep-modccr: error: ambiguous option: --c could match --config, --cutoff"),
+    (["sweep-modccr", "--c=3"],
+     "holosim sweep-modccr: error: ambiguous option: --c=3 could match --config, --cutoff"),
+    (["sweep-modccr", "--seed", "x", "--c", "3"],
+     "holosim sweep-modccr: error: ambiguous option: --c could match --config, --cutoff"),
     (["sweep-env-coupling", "--cutoff", "3"],
      "holosim: error: unrecognized arguments: --cutoff 3"),
     (["sweep-env-coupling", "--cutoff=3"],
@@ -685,10 +687,10 @@ def test_command_line_contract(capsys, argv, message):
     (["phase-mc", "--seed=-3"], {"seed": -3}),
     (["validate", "--out", "-3"], {"out": "-3"}),
     (["validate", "--out="], {"out": ""}),
-    (["validate", "--se", "3", "--o", "f", "--con", "c", "--cu", "9"],
+    (["sweep-modccr", "--se", "3", "--o", "f", "--con", "c", "--cu", "9"],
      {"seed": 3, "out": "f", "config": "c", "cutoff": 9}),
     (["sweep-env-coupling", "--c", "c"], {"config": "c"}),
-    (["validate", "--seed", "1", "--seed", "3", "--cutoff=5"], {"seed": 3, "cutoff": 5}),
+    (["sweep-modccr", "--seed", "1", "--seed", "3", "--cutoff=5"], {"seed": 3, "cutoff": 5}),
 ])
 def test_command_line_values(argv, flags):
     assert cli.parse_args(argv) == (argv[0], flags)
@@ -978,6 +980,10 @@ def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
     ("phase-mc", "[phase-mc]\nsamples = 10\ncutoff = 40\n", [],
      "config error: samples must be >= 1000, got 10"),
     ("sweep-modccr", "[sweep-modccr]\nr_grid = 0, 0.5\n", [], "vanishes at r = 0"),
+    # Cutoff 1 holds the twin beam at these r but not the seed's |2,0> and
+    # |0,2>, which the oracle's coefficient reads, so no column may be written.
+    ("sweep-modccr", "[sweep-modccr]\nr_grid = 0.001, 0.002\nepsilon_values = 0.05\ncutoff = 1\n",
+     [], "error: the eps^2 coefficient needs n_max >= 2, got 1"),
     # The phase table needs no cutoff, so the amplitude's own bound guards it.
     ("phase-mc", "[phase-mc]\nmu = 1001\n", [], "|mu| must be <= 1000"),
     ("phase-mc", "[phase-mc]\nmu = 1e300\n", [], "|mu| must be <= 1000"),
@@ -996,8 +1002,8 @@ def test_every_mode_runs_under_the_benchmark_tracer(tmp_path, mode):
       for r in ("16", "43")),
 ], ids=["negative-seed", "overflowing-squeeze", "sweep-out-missing-dir",
         "validate-out-missing-dir", "config-not-utf8", "oversized-cutoff",
-        "oversized-samples", "undersized-samples", "modccr-r-zero", "oversized-mu",
-        "overflowing-mu", "nan-ratio", "noise-width-1e154", "noise-width-1e200",
+        "oversized-samples", "undersized-samples", "modccr-r-zero", "modccr-cutoff-1",
+        "oversized-mu", "overflowing-mu", "nan-ratio", "noise-width-1e154", "noise-width-1e200",
         "noise-width-1e308", "phase-mc-r-100", "phase-mc-r-200", "phase-mc-r-349",
         "phase-mc-r-16-denominator-in-rounding", "phase-mc-r-43-denominator-in-rounding"])
 def test_bad_input_exits_2_without_traceback(tmp_path, mode, config, flags,

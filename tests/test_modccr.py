@@ -21,12 +21,12 @@ from holosim.fock import (
     _apply_ladder,
     _occupation_difference,
     build_twb,
+    twb_tail,
 )
 from holosim.modccr import (
     _check_epsilon,
     _sum_ladder,
     auxiliary_mode_map,
-    closed_form_correction,
     deformed_commutator_check,
     deformed_variance_coefficient,
     perturbation_generator_action,
@@ -51,8 +51,23 @@ def duhamel_response(r, generator, cutoff):
     return apply_exponential("squeeze", d, r, integral)
 
 
-# The finite-eps reference: the corrected twin beam, propagated through
-# closed_form_correction, and the deformed observable's first-order action.
+# The finite-eps reference: the first-order correction, propagated through
+# the squeeze chains, the corrected twin beam, and the deformed observable's
+# first-order action.
+
+def closed_form_correction(r: float, cutoff: FockCutoff) -> np.ndarray:
+    """First-order correction r * e^{rA} ((X'^2)/2 - 1) |0> = B|TWB>, as (d, d).
+
+    The Duhamel response e^{rA} Int_0^1 e^{-urA} B e^{urA} du |0> to the
+    perturbation B (``perturbation_generator_action``) collapses to this
+    because B commutes with the squeeze generator A.  It propagates the
+    shipped seed, ``modccr._correction_seed``, so a faulty seed fails the
+    Duhamel comparison.  Not a normalized state; ``twb_tail`` guards its
+    support as ``build_twb`` does by default.
+    """
+    twb_tail(r, cutoff)
+    return r * apply_exponential("squeeze", cutoff.dim, r, modccr._correction_seed(cutoff.dim))
+
 
 def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
     """A1' A2' (dagger) or A1 A2 acting on a two-mode amplitude tensor."""
@@ -324,6 +339,16 @@ def test_variance_coefficient_is_16_r_squared():
         assert coefficient == pytest.approx(16.0 * r * r, rel=1e-14)
 
 
+def test_variance_coefficient_needs_the_two_photon_corner():
+    # At n_max = 1 the seed's |2,0> and |0,2> lie above the cutoff, so the
+    # coefficient, and with it the oracle ratio, must raise, not read 0.
+    for evaluate in (lambda: deformed_variance_coefficient(1e-3, FockCutoff(1)),
+                     lambda: uncertainty_modccr_fock(1e-3, 0.05, FockCutoff(1))):
+        with pytest.raises(CutoffTooSmall, match="n_max >= 2"):
+            evaluate()
+    assert deformed_variance_coefficient(1e-3, FockCutoff(2)) == pytest.approx(16e-6, rel=1e-14)
+
+
 def _seed_builder(half, vacuum):
     """A correction seed (half * X'^2 + vacuum) |0> on (dim, dim) amplitudes."""
     def seed(dim):
@@ -341,9 +366,10 @@ def _seed_builder(half, vacuum):
 ], ids=["shipped", "half-to-one", "seed-without-vacuum", "plus-vacuum"])
 def test_oracle_sees_only_the_seeds_two_photon_part(monkeypatch, half, vacuum, moves):
     # D0^2 keeps only |2,0> and |0,2>, so the oracle reads the seed's
-    # X'^2 weight and is blind to its q = 0 part; validate check 8 catches
-    # a faulty q = 0 part.  The oracle caches nothing: every call reads the
-    # seed afresh, so the patched seed is the one the second call sees.
+    # X'^2 weight and is blind to its q = 0 part; the Duhamel comparison
+    # (test_duhamel_matches_closed_form) catches a faulty q = 0 part.  The
+    # oracle caches nothing: every call reads the seed afresh, so the
+    # patched seed is the one the second call sees.
     r, eps = 0.8, 0.05
     shipped = uncertainty_modccr_fock(r, eps)
     monkeypatch.setattr(modccr, "_correction_seed", _seed_builder(half, vacuum))

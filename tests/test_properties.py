@@ -359,8 +359,7 @@ RUN_KEYS = {
     "phase-mc": dict(r=RUN_NUMBER, mu=RUN_NUMBER, sigma1=RUN_NUMBER, sigma2=RUN_NUMBER,
                      rho=RUN_NUMBER, samples=st.integers(900, 2000),
                      cutoff=st.integers(-1, 12)),
-    "validate": dict(cutoff=st.integers(-1, 12),
-                     fault=st.sampled_from(["none", "relaxation_sign_flip", "bogus"])),
+    "validate": dict(fault=st.sampled_from(["none", "relaxation_sign_flip", "bogus"])),
 }
 
 
