@@ -21,10 +21,6 @@ an exponential acts only on the chains its input occupies: every other
 chain's rows stay exact zeros.  The truncated generator is exactly
 antisymmetric, hence every truncated exponential built here is exactly
 unitary (to rounding).
-
-The same tridiagonal eigensolve gives the Gauss-Hermite rule by Golub-Welsch
-(Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues of the Jacobi
-matrix, the weights the squared first components of its unit eigenvectors.
 """
 
 from __future__ import annotations
@@ -37,18 +33,6 @@ import numpy as np
 def _tridiagonal_eigh(couplings):
     """Spectrum of the zero-diagonal symmetric tridiagonal matrix with these couplings."""
     return np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
-
-
-@functools.lru_cache(maxsize=None)
-def gauss_rule(n):
-    """(nodes, weights) of the n-node Gauss rule for the normal density
-    e^{-x^2}/sqrt(pi), exact for polynomials of degree at most 2n - 1.  The
-    density is symmetric, so its Jacobi matrix has a zero diagonal."""
-    nodes, vecs = _tridiagonal_eigh(np.sqrt(np.arange(1.0, n) / 2.0))
-    weights = vecs[0] ** 2
-    # Cached, so every caller shares these arrays.
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 @functools.lru_cache(maxsize=None)

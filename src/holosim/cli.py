@@ -373,7 +373,8 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     powers = (2, 4)
     table = estimator.phase_table(squeeze, coherent, powers)
     # A denominator within the floor or the table's rounding exits before any draw.
-    denom = check_denominator(mixed_derivative(table[0]), estimator.rounding_level(table[0]))
+    level = estimator.rounding_level(table[0])
+    denom = check_denominator(mixed_derivative(table[0]), level)
     tail, direct = estimator.fock_receipt(squeeze, coherent, FockCutoff(config.cutoff),
                                           config.sigma1, config.sigma2, powers)
     residuals = ([math.nan] * len(powers) if direct is None else
@@ -410,7 +411,6 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
         print(f"warning: linearization_bias {bias!r} exceeds covariance_se/"
               f"|covariance_injected| {noise!r}: covariance_recovered is biased "
               "beyond its noise", file=sys.stderr)
-    level = quad.rounding_level
     meta["z_par"] = _z_score(quad.mean_par, quad.exact_par, quad.se_par, level)
     meta["z_perp"] = _z_score(quad.mean_perp, quad.exact_perp, quad.se_perp, level)
     return SweepResult(meta, {name: [value] for name, value in zip(names, row)})

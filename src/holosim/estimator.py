@@ -509,10 +509,8 @@ class PairedAverages:
     se_perp: float
     mean_diff: float
     se_diff: float
-    mixed_derivative: float
     exact_par: float
     exact_perp: float
-    rounding_level: float
 
 
 def noise_average(coeffs: np.ndarray, covariance: np.ndarray) -> float:
@@ -550,11 +548,9 @@ def paired_phase_average(noise: PhaseNoiseModel, table: list, samples: int,
     are allowed, one forked worker runs the second half of the chunks
     (``_forked_partials``); the sums are the same bits either way.
     ``table`` is ``phase_table``'s list of R, one per power; returns one
-    ``PairedAverages`` per R, in order.  Each carries ``rounding_level``,
-    the table's rounding scale 1e-12 sum |R|; ``mixed_derivative``, the
-    table's exact d^2/dphi1 dphi2 at (0, 0); and ``exact_par``/``exact_perp``,
-    the table's noise averages in closed form (``noise_average``), which the
-    Monte-Carlo means estimate.
+    ``PairedAverages`` per R, in order.  Each carries ``exact_par`` and
+    ``exact_perp``, the table's noise averages in closed form
+    (``noise_average``), which the Monte-Carlo means estimate.
     """
     if samples < MIN_SAMPLES:
         raise NegativeParameter(f"need at least {MIN_SAMPLES} samples, got {samples}")
@@ -577,8 +573,7 @@ def paired_phase_average(noise: PhaseNoiseModel, table: list, samples: int,
     for total, r in zip(totals, table):
         stats = [_mean_and_se(t, q, samples) for t, q in total]
         averages = [noise_average(r, cov) for cov in covariances]
-        results.append(PairedAverages(*stats[0], *stats[1], *stats[2],
-                                      mixed_derivative(r), *averages, rounding_level(r)))
+        results.append(PairedAverages(*stats[0], *stats[1], *stats[2], *averages))
     return tuple(results)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._propagators import gauss_rule
 from .errors import DegreeTooHigh, InvalidModeIndex, NegativeParameter
 from .fock import MAX_MONOMIAL_DEGREE, SqueezeParams
 
@@ -205,6 +204,17 @@ def _laguerre_kernel(z: np.ndarray, n: int, m: int) -> np.ndarray:
             * _genlaguerre(m, n - m, arg))
 
 
+# The 5-node Gauss-Hermite rule for the density e^{-x^2}/sqrt(pi) in closed
+# form (Abramowitz & Stegun, Table 25.10), in ascending node order: nodes 0,
+# +-sqrt((5 - sqrt(10))/2), +-sqrt((5 + sqrt(10))/2) carry the weights 8/15,
+# (7 + 2 sqrt(10))/60, (7 - 2 sqrt(10))/60.  Exact through degree 9.
+_SQRT10 = math.sqrt(10.0)
+_INNER, _OUTER = math.sqrt((5.0 - _SQRT10) / 2.0), math.sqrt((5.0 + _SQRT10) / 2.0)
+_W_INNER, _W_OUTER = (7.0 + 2.0 * _SQRT10) / 60.0, (7.0 - 2.0 * _SQRT10) / 60.0
+HERMITE_NODES = np.array([-_OUTER, -_INNER, 0.0, _INNER, _OUTER])
+HERMITE_WEIGHTS = np.array([_W_OUTER, _W_INNER, 8.0 / 15.0, _W_INNER, _W_OUTER])
+
+
 def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
     """<(a1')^n1 a1^m1 (a2')^n2 a2^m2> by direct phase-space quadrature.
 
@@ -214,8 +224,8 @@ def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
     statistically independent rotated quadratures (x1+x2, y1+y2, x1-x2,
     y1-y2), each rescaled to its own width.  The kernels are polynomials
     of degree at most MAX_MONOMIAL_DEGREE, so the smallest exact rule has
-    MAX_MONOMIAL_DEGREE // 2 + 1 nodes (5, exact through degree 2n - 1 = 9),
-    built by Golub-Welsch in ``_propagators.gauss_rule``.
+    MAX_MONOMIAL_DEGREE // 2 + 1 = 5 nodes (exact through degree 2n - 1 = 9):
+    ``HERMITE_NODES`` and ``HERMITE_WEIGHTS``, in closed form.
     """
     for p in powers:
         if not isinstance(p, (int, np.integer)) or p < 0:
@@ -223,14 +233,13 @@ def glauber_moment(state: TwoModeGaussianState, powers: tuple) -> complex:
     if sum(powers) > MAX_MONOMIAL_DEGREE:
         raise DegreeTooHigh(f"total degree {sum(powers)} exceeds {MAX_MONOMIAL_DEGREE}")
     n1, m1, n2, m2 = powers
-    nodes, weights = gauss_rule(MAX_MONOMIAL_DEGREE // 2 + 1)
     # Independent rotated coordinates and their variances: u_plus = x1 + x2,
     # w_plus = y1 + y2, u_minus = x1 - x2, w_minus = y1 - y2.
     variances = (state.sigma_plus / 2.0, state.sigma_minus / 2.0,
                  state.sigma_minus / 2.0, state.sigma_plus / 2.0)
-    up, wp, um, wm = np.ix_(*(math.sqrt(2.0 * var) * nodes for var in variances))
+    up, wp, um, wm = np.ix_(*(math.sqrt(2.0 * var) * HERMITE_NODES for var in variances))
     z1 = 0.5 * ((up + um) + 1j * (wp + wm))
     z2 = 0.5 * ((up - um) + 1j * (wp - wm))
     vals = _laguerre_kernel(z1, n1, m1) * _laguerre_kernel(z2, n2, m2)
-    w1, w2, w3, w4 = np.ix_(weights, weights, weights, weights)
+    w1, w2, w3, w4 = np.ix_(*(HERMITE_WEIGHTS,) * 4)
     return complex(np.sum(w1 * w2 * w3 * w4 * vals))

@@ -24,7 +24,8 @@ from holosim import (
     uncertainty_modccr_fock,
 )
 from holosim.cli import CROSS_CHECK_POWERS
-from holosim.estimator import correlation_estimate, planck_coupling_estimate
+from holosim.estimator import (correlation_estimate, mixed_derivative,
+                               planck_coupling_estimate)
 from holosim.fock import build_twb, expectation, number_difference_moment
 from holosim.gaussian import (
     as_ladder_sequence,
@@ -164,7 +165,7 @@ def test_acceptance_8_phase_noise_recovery():
         noise = PhaseNoiseModel(1e-2, 1e-2, rho=0.5)
         (res,) = paired_phase_average(noise, table, 100_000, seed=7)
         recovered = correlation_estimate(res.mean_par, res.mean_perp,
-                                         res.mixed_derivative)
+                                         mixed_derivative(table[0]))
         injected = 0.5 * 1e-2 * 1e-2
         assert abs(recovered - injected) / injected <= 0.10
         (again,) = paired_phase_average(noise, table, 100_000, seed=7)

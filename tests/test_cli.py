@@ -100,18 +100,18 @@ def test_validate_check_8_catches_a_faulty_correction(monkeypatch, capsys, modul
 
 def test_validate_runs_no_chain_eigensolve(monkeypatch):
     # Check 8 reads the oracle's coefficient off the seed and applies B by
-    # ladder stencils, so validate builds no chain spectrum; its one
-    # eigensolve is the 5-node Gauss rule's, built afresh here.
+    # ladder stencils, so validate builds no chain spectrum, and check 3's
+    # Gauss rule is in closed form: validate runs no eigensolve at all.
     builders = (_propagators._squeeze_chain, _propagators._squeeze_spectrum,
                 _propagators._beam_splitter_chain)
-    for cached in (*builders, _propagators.gauss_rule):
+    for cached in builders:
         cached.cache_clear()
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
     assert cli.main(["validate"]) == 0
     assert sum(builder.cache_info().misses for builder in builders) == 0
-    assert sizes == [5]
+    assert sizes == []
 
 
 def test_validate_unknown_fault(tmp_path, capsys):
@@ -833,8 +833,8 @@ SMALL_RUNS = """\
 
 
 def test_no_mode_imports_numpy_polynomial(tmp_path):
-    # The quadrature rule is built in-house (_propagators.gauss_rule), so
-    # no mode pays for numpy.polynomial's import; tests keep it as a reference.
+    # The quadrature rule is in closed form (gaussian.HERMITE_NODES), so no
+    # mode pays for numpy.polynomial's import; tests keep it as a reference.
     src = os.path.dirname(os.path.dirname(holosim.__file__))
     probe = textwrap.dedent("""\
         import sys

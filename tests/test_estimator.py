@@ -42,6 +42,7 @@ from holosim.estimator import (
     classical_uncertainty,
     correlation_estimate,
     fock_receipt,
+    mixed_derivative,
     noise_average,
     table_residuals,
 )
@@ -163,11 +164,6 @@ def tabulate(coeffs, phi1, phi2):
     return [np.einsum("si,ij,sj->s", b1, r, b2) for r in coeffs]
 
 
-def mixed_derivative(table):
-    noise = PhaseNoiseModel(0.01, 0.01)
-    return paired_phase_average(noise, table, 1000, seed=1)[0].mixed_derivative
-
-
 def gaussian_moments(r, mu, phi1, phi2, powers):
     """<(N_c1 - N_c2)^p> at one phase pair from ``ordered_moment``.
 
@@ -260,7 +256,7 @@ def test_delta_n_matches_heisenberg_expansion(state4):
 def test_mixed_derivative_reference(table4):
     # d^2/dphi1 dphi2 of -2 <N_c1 N_c2> at (0, 0) is -Re(mu^2) <a1 a2>, with
     # <a1 a2> = sinh(2r)/2 on the twin beam.
-    denom = mixed_derivative(table4)
+    denom = mixed_derivative(table4[0])
     assert denom == pytest.approx(-0.64 * math.sinh(1.2) / 2.0, rel=1e-12, abs=0.0)
     assert denom == pytest.approx(DENOM_REF, rel=1e-12, abs=0.0)
 
@@ -273,14 +269,14 @@ def test_mixed_derivative_interferometer_swap(table4):
         assert np.max(np.abs(r - r.T)) <= 1e-12 * np.abs(r).sum()
     assert gaussian_moments(0.6, 0.8, 0.2, 0.7, (2, 4)) == pytest.approx(
         gaussian_moments(0.6, 0.8, 0.7, 0.2, (2, 4)), rel=1e-12)
-    assert mixed_derivative(table4) == pytest.approx(
-        mixed_derivative([r.T for r in table4]), rel=1e-12)
+    assert mixed_derivative(table4[0]) == pytest.approx(
+        mixed_derivative(table4[0].T), rel=1e-12)
 
 
 def test_mixed_derivative_degenerate_guard():
     vac = phase_table(SqueezeParams(0.0), CoherentInput(0.0), (2,))
     with pytest.raises(DegenerateDenominator):
-        correlation_estimate(0.0, 0.0, mixed_derivative(vac))
+        correlation_estimate(0.0, 0.0, mixed_derivative(vac[0]))
 
 
 def test_uncorrelated_noise_has_identical_configurations(table3):
@@ -320,7 +316,7 @@ def test_paired_average_reference_run(table4):
     assert res.se_diff == pytest.approx(MC_SE_DIFF, rel=5e-12, abs=0.0)
     assert res.se_diff < abs(res.mean_diff)
     recovered = correlation_estimate(res.mean_par, res.mean_perp,
-                                     res.mixed_derivative)
+                                     mixed_derivative(table4[0]))
     assert recovered == pytest.approx(INJECTED_COV, rel=0.1)
 
 

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from holosim._propagators import gauss_rule
 from holosim.cli import CROSS_CHECK_POWERS
 from holosim.errors import (DegreeTooHigh, InvalidModeIndex, NegativeParameter,
                             ParameterOutOfRange)
 from holosim.fock import (MAX_MONOMIAL_DEGREE, FockCutoff, SqueezeParams, build_twb,
                           expectation)
 from holosim.gaussian import (
+    HERMITE_NODES,
+    HERMITE_WEIGHTS,
     TwoModeGaussianState,
     as_ladder_sequence,
     evolve,
@@ -241,23 +242,22 @@ def test_glauber_matches_isserlis_on_required_monomials(state):
 
 def test_gauss_rules_match_numpy_polynomial():
     # numpy.polynomial is the reference in tests only.
-    nodes, weights = gauss_rule(5)
     ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(5)
-    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
-    assert np.max(np.abs(weights - ref_weights / math.sqrt(math.pi))) <= 1e-14
-    assert not (nodes.flags.writeable or weights.flags.writeable)
+    assert np.max(np.abs(HERMITE_NODES - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(HERMITE_WEIGHTS - ref_weights / math.sqrt(math.pi))) <= 1e-15
+    # The closed forms keep the rule's symmetry exactly.
+    assert HERMITE_NODES[2] == 0.0
+    assert np.array_equal(HERMITE_NODES, -HERMITE_NODES[::-1])
+    assert np.array_equal(HERMITE_WEIGHTS, HERMITE_WEIGHTS[::-1])
 
 
 def test_five_hermite_nodes_are_the_fewest_exact_through_degree_8():
     # E[x^8] = 105/16 under e^{-x^2}/sqrt(pi): an n-node rule is exact through
     # degree 2n - 1, so glauber_moment's 5 nodes reach degree 8 and 4 do not.
-    def eighth_moment(n):
-        nodes, weights = gauss_rule(n)
-        return float(weights @ nodes ** 8)
-
-    assert MAX_MONOMIAL_DEGREE // 2 + 1 == 5
-    assert eighth_moment(5) == pytest.approx(105.0 / 16.0, rel=1e-14)
-    assert abs(eighth_moment(4) - 105.0 / 16.0) > 1.0
+    nodes4, weights4 = np.polynomial.hermite.hermgauss(4)
+    assert MAX_MONOMIAL_DEGREE // 2 + 1 == HERMITE_NODES.size == 5
+    assert HERMITE_WEIGHTS @ HERMITE_NODES ** 8 == pytest.approx(105.0 / 16.0, rel=1e-14)
+    assert abs(weights4 @ nodes4 ** 8 / math.sqrt(math.pi) - 105.0 / 16.0) > 1.0
 
 
 def test_degree_caps():
