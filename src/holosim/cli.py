@@ -44,7 +44,6 @@ from .estimator import (
 from .fock import (
     CoherentInput,
     FockCutoff,
-    MultiModeFockState,
     SqueezeParams,
     build_twb,
     expectation,
@@ -533,8 +532,7 @@ def run_validate(config: SimpleNamespace) -> tuple:
 
     # 8. Guards sweep-modccr's oracle numerator, r^2 |D0^2 s|^2 off the seed's 3x3 corner,
     # against <D0^4> on B|TWB>, B acting by ladder stencils: neither route propagates.
-    response = perturbation_generator_action(0.8)(twb.amplitudes)
-    moment = number_difference_moment(MultiModeFockState(2, cut, response), 4)
+    moment = number_difference_moment(perturbation_generator_action(0.8)(twb), 4)
     dev = abs(moment - deformed_variance_coefficient(0.8, cut)) / max(1.0, moment)
     checks.append(_check("variance_coefficient_vs_pair_response", dev, 1e-8))
 

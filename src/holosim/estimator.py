@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._propagators import apply_exponential
 from .errors import (
     DegenerateDenominator,
     NegativeParameter,
     ParameterOutOfRange,
+    UnsupportedPhase,
     WorkerFailed,
     ZeroAmplitude,
 )
@@ -32,11 +34,9 @@ from .fock import (
     MAX_SQUEEZE_R,
     CoherentInput,
     FockCutoff,
-    MultiModeFockState,
     SqueezeParams,
     _check_difference_power,
     _occupation_difference,
-    apply_beam_splitter,
     build_twb,
     twb_tail,
 )
@@ -247,6 +247,7 @@ def modccr_oracle_column(r, epsilon, cutoff: FockCutoff) -> np.ndarray:
     """``uncertainty_modccr_fock`` at every (r[i], epsilon[j]) of two 1-D
     sequences, as a (len(r), len(epsilon)) array, NaN where that raises
     ``CutoffTooSmall``, ``AmplitudeTooLarge`` or ``DegenerateDenominator``.
+    A cutoff with n_max < 2 raises ``CutoffTooSmall`` instead of giving NaN.
 
     The numerator is the exact epsilon^2 coefficient of the variance
     (``deformed_variance_coefficient``).  The denominator is the quadrature
@@ -293,6 +294,8 @@ def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCu
     """
     for power in powers:
         _check_difference_power(power)
+    if not (math.isfinite(phi1) and math.isfinite(phi2)):
+        raise UnsupportedPhase("beam-splitter angle must be finite")
     # |<k|mu>| past the cutoff.  Q is 1 - P where the lower sum P < 1/2, as
     # where every weight in range underflows, else the upper sum: P >= 1/2
     # puts |mu|^2 - ln 2, below the Poisson median, under n_max + 1, so past
@@ -311,7 +314,7 @@ def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCu
         np.dot(weights, q * (2.0 - q)))
     if tail > RECEIPT_TAIL_TOL:
         return tail, None
-    pair = np.diagonal(build_twb(squeeze, cutoff, tail_tol=RECEIPT_TAIL_TOL).amplitudes)
+    pair = np.diagonal(build_twb(squeeze, cutoff, tail_tol=RECEIPT_TAIL_TOL))
     port = mags[:cutoff.dim] * np.exp(1j * n * np.angle(coherent.mu))
     port /= np.linalg.norm(port)
     # The normalization of the kept chains: the pair's n with both ports' n_b <= n_max - n.
@@ -321,8 +324,8 @@ def fock_receipt(squeeze: SqueezeParams, coherent: CoherentInput, cutoff: FockCu
     chains[n, :, n] = np.where(n[:, None] + n <= cutoff.n_max, port, 0.0)
     grams = []
     for phi, weight in ((phi1, pair / math.sqrt(kept)), (phi2, 1.0)):
-        v = apply_beam_splitter(MultiModeFockState(3, cutoff, chains * weight),
-                                0, 1, phi).amplitudes
+        # fock.apply_beam_splitter's exp(phi K) on modes a (axis 0) and b (axis 1).
+        v = apply_exponential("beam_splitter", cutoff.dim, phi, chains * weight)
         grams.append(np.matmul(v.conj().swapaxes(1, 2), v).reshape(cutoff.dim, -1))
     # The powers weight probabilities: a binomial sum of Gram products
     # would cancel, losing about 6 digits at phi = 0.01.

@@ -1,7 +1,8 @@
 """Truncated occupation-basis oracle for few-mode photonic states.
 
-States live on a shared per-mode cutoff ``n_max`` and are stored as dense
-complex amplitude tensors of shape ``(n_max+1,)*mode_count``.  The module
+A state is a plain complex amplitude tensor, one axis per mode, each of
+length ``n_max+1`` for a shared per-mode cutoff ``n_max``: the mode count
+is its ``ndim`` and the cutoff its ``shape[0] - 1``.  The module
 provides the twin-beam builder with its exact tail above the cutoff
 (``twb_tail``), occupation-basis kets, an exactly unitary beam-splitter
 action, and expectation values of low-degree ordered ladder monomials
@@ -83,21 +84,6 @@ class CoherentInput:
         return abs(self.mu) ** 2
 
 
-@dataclass(frozen=True)
-class MultiModeFockState:
-    """Dense amplitude tensor over the truncated occupation basis."""
-
-    mode_count: int
-    cutoff: FockCutoff
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.cutoff.dim,) * self.mode_count
-        if self.amplitudes.shape != expected:
-            raise InvalidModeIndex(
-                f"amplitude tensor has shape {self.amplitudes.shape}, expected {expected}")
-
-
 def twb_tail(r: float, cutoff: FockCutoff,
              tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> float:
     """Exact out-of-cutoff weight tanh(r)^(2*(n_max+1)) of the twin-beam state.
@@ -116,8 +102,8 @@ def twb_tail(r: float, cutoff: FockCutoff,
 
 
 def build_twb(params: SqueezeParams, cutoff: FockCutoff,
-              tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> MultiModeFockState:
-    """Twin-beam (two-mode squeezed vacuum) state on two modes.
+              tail_tol: float = DEFAULT_TWO_MODE_TAIL_TOL) -> np.ndarray:
+    """Twin-beam (two-mode squeezed vacuum) amplitudes on two modes.
 
     Amplitudes are the exact geometric series tanh(r)^n * sech(r) on the
     diagonal |n, n>, renormalized after truncation.  Raises
@@ -129,44 +115,47 @@ def build_twb(params: SqueezeParams, cutoff: FockCutoff,
     amp = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     amp[n, n] = diag
     amp /= np.linalg.norm(amp)
-    return MultiModeFockState(2, cutoff, amp)
+    return amp
 
 
-def basis_state(occupations, cutoff: FockCutoff) -> MultiModeFockState:
-    """Occupation-basis ket |n_0, n_1, ...> as a state tensor."""
+def basis_state(occupations, cutoff: FockCutoff) -> np.ndarray:
+    """Occupation-basis ket |n_0, n_1, ...> as an amplitude tensor."""
     occupations = tuple(int(n) for n in occupations)
     for n in occupations:
         if not 0 <= n <= cutoff.n_max:
             raise CutoffTooSmall(f"occupation {n} outside 0..{cutoff.n_max}")
     amp = np.zeros((cutoff.dim,) * len(occupations), dtype=complex)
     amp[occupations] = 1.0
-    return MultiModeFockState(len(occupations), cutoff, amp)
+    return amp
 
 
-def _check_mode(state: MultiModeFockState, mode: int) -> None:
-    if not 0 <= mode < state.mode_count:
+def _check_state(amp: np.ndarray, *modes) -> None:
+    """Raise ``InvalidModeIndex`` unless ``amp``'s axes share one length and
+    each of ``modes`` is one of its axes."""
+    if len(set(amp.shape)) > 1:
         raise InvalidModeIndex(
-            f"mode {mode} out of range for a {state.mode_count}-mode state")
+            f"amplitude tensor has shape {amp.shape}, expected axes of one length")
+    for mode in modes:
+        if not 0 <= mode < amp.ndim:
+            raise InvalidModeIndex(f"mode {mode} out of range for a {amp.ndim}-mode state")
 
 
-def apply_beam_splitter(state: MultiModeFockState, mode_a: int, mode_b: int,
-                        phi: float) -> MultiModeFockState:
+def apply_beam_splitter(amp: np.ndarray, mode_a: int, mode_b: int,
+                        phi: float) -> np.ndarray:
     """Apply exp(phi*(a'b - b'a)/2) mixing ``mode_a`` into ``mode_b``.
 
     In the Heisenberg picture this sends a -> a*cos(phi/2) + b*sin(phi/2),
     so phi = pi swaps the two modes (up to sign).  Exactly unitary at any
     cutoff; applied chain-wise without building the dense unitary.
     """
-    _check_mode(state, mode_a)
-    _check_mode(state, mode_b)
+    _check_state(amp, mode_a, mode_b)
     if mode_a == mode_b:
         raise InvalidModeIndex("beam splitter requires two distinct modes")
     if not math.isfinite(phi):
         raise UnsupportedPhase("beam-splitter angle must be finite")
-    amp = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
-    amp = apply_exponential("beam_splitter", state.cutoff.dim, phi, amp)
-    amp = np.moveaxis(amp, (0, 1), (mode_a, mode_b))
-    return MultiModeFockState(state.mode_count, state.cutoff, amp)
+    amp = np.moveaxis(amp, (mode_a, mode_b), (0, 1))
+    amp = apply_exponential("beam_splitter", amp.shape[0], phi, amp)
+    return np.moveaxis(amp, (0, 1), (mode_a, mode_b))
 
 
 def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
@@ -183,8 +172,8 @@ def _apply_ladder(amp: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
     return out
 
 
-def expectation(state: MultiModeFockState, monomial) -> complex:
-    """Expectation of an ordered ladder monomial.
+def expectation(amp: np.ndarray, monomial) -> complex:
+    """Expectation of an ordered ladder monomial on amplitudes ``amp``.
 
     ``monomial`` is a sequence of ``(mode, dagger)`` pairs read left to
     right as written, e.g. ``[(0, True), (1, False)]`` for a0' a1.  Degree
@@ -193,12 +182,11 @@ def expectation(state: MultiModeFockState, monomial) -> complex:
     ops = list(monomial)
     if len(ops) > MAX_MONOMIAL_DEGREE:
         raise DegreeTooHigh(f"monomial degree {len(ops)} exceeds {MAX_MONOMIAL_DEGREE}")
-    for mode, _ in ops:
-        _check_mode(state, int(mode))
-    ket = state.amplitudes
+    _check_state(amp, *(int(mode) for mode, _ in ops))
+    ket = amp
     for mode, dagger in reversed(ops):
         ket = _apply_ladder(ket, int(mode), bool(dagger))
-    return complex(np.vdot(state.amplitudes, ket))
+    return complex(np.vdot(amp, ket))
 
 
 def _check_difference_power(power) -> None:
@@ -212,16 +200,14 @@ def _occupation_difference(dim: int) -> np.ndarray:
     return (np.arange(dim)[:, None] - np.arange(dim)[None, :]).astype(float)
 
 
-def number_difference_moment(state: MultiModeFockState, power: int) -> float:
-    """<(N_0 - N_1)^power> on the first two modes of a state.
+def number_difference_moment(amp: np.ndarray, power: int) -> float:
+    """<(N_0 - N_1)^power> on the first two modes of amplitudes ``amp``.
 
     On a twin beam these are its two modes.  The number operators are
     diagonal, so this is an exact weighted probability sum.
     """
     _check_difference_power(power)
-    if state.mode_count < 2:
-        raise InvalidModeIndex("number-difference moments need at least two modes")
-    weight = (_occupation_difference(state.cutoff.dim) ** power).reshape(
-        (state.cutoff.dim,) * 2 + (1,) * (state.mode_count - 2))
-    prob = np.abs(state.amplitudes) ** 2
-    return float(np.sum(weight * prob))
+    _check_state(amp, 0, 1)
+    dim = amp.shape[0]
+    weight = (_occupation_difference(dim) ** power).reshape((dim,) * 2 + (1,) * (amp.ndim - 2))
+    return float(np.sum(weight * np.abs(amp) ** 2))

@@ -47,7 +47,6 @@ from holosim.estimator import (
     table_residuals,
 )
 from holosim.fock import (
-    MultiModeFockState,
     apply_beam_splitter,
     build_twb,
     expectation,
@@ -103,12 +102,12 @@ def four_mode_input(squeeze, coherent, cutoff=FockCutoff(DEFAULT_RECEIPT_CUTOFF)
     port = np.array([math.exp(-abs(mu) ** 2 / 2.0) * mu ** k / math.sqrt(math.factorial(k))
                      for k in range(cutoff.dim)])
     port /= np.linalg.norm(port)
-    amp = np.multiply.outer(np.multiply.outer(twb.amplitudes, port), port)
+    amp = np.multiply.outer(np.multiply.outer(twb, port), port)
     n_max = cutoff.n_max
     for n in range(1, cutoff.dim):
         amp[n, :, n_max - n + 1:] = 0.0
         amp[:, n, :, n_max - n + 1:] = 0.0
-    return MultiModeFockState(4, cutoff, amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
 
 
 def dropped_weight_reference(r, mu, n_max):

@@ -16,7 +16,6 @@ from holosim.errors import (
 from holosim.estimator import uncertainty_modccr_analytic, uncertainty_modccr_fock
 from holosim.fock import (
     FockCutoff,
-    MultiModeFockState,
     SqueezeParams,
     _apply_ladder,
     _occupation_difference,
@@ -75,7 +74,7 @@ def _pair_ladder(psi: np.ndarray, dagger: bool) -> np.ndarray:
 
 
 def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
-                    tail_tol: float = 1e-10) -> MultiModeFockState:
+                    tail_tol: float = 1e-10) -> np.ndarray:
     """Twin-beam state carrying the first-order deformation correction.
 
     Returns the renormalized |TWB> + eps * r * e^{rA}((X'^2)/2 - 1)|0>;
@@ -87,9 +86,8 @@ def build_twb_prime(r: float, epsilon: float, cutoff: FockCutoff,
     twb = build_twb(SqueezeParams(r), cutoff, tail_tol=tail_tol)
     if epsilon == 0.0 or r == 0.0:
         return twb
-    amp = twb.amplitudes + epsilon * closed_form_correction(r, cutoff)
-    amp = amp / np.linalg.norm(amp)
-    return MultiModeFockState(2, cutoff, amp)
+    amp = twb + epsilon * closed_form_correction(r, cutoff)
+    return amp / np.linalg.norm(amp)
 
 
 def deformed_number_difference_action(epsilon: float):
@@ -200,7 +198,7 @@ def test_duhamel_reduces_to_strength_derivative():
     duh = duhamel_response(r, squeeze_generator, cut)
     plus = build_twb(SqueezeParams(r + h), cut)
     minus = build_twb(SqueezeParams(r - h), cut)
-    fd = r * (plus.amplitudes - minus.amplitudes) / (2.0 * h)
+    fd = r * (plus - minus) / (2.0 * h)
     assert np.max(np.abs(duh - fd)) < 1e-6
 
 
@@ -257,9 +255,9 @@ def test_twb_prime_degenerate_limits():
     cut = FockCutoff(20)
     plain = build_twb(SqueezeParams(0.5), cut)
     no_deform = build_twb_prime(0.5, 0.0, cut)
-    assert np.array_equal(no_deform.amplitudes, plain.amplitudes)
+    assert np.array_equal(no_deform, plain)
     no_squeeze = build_twb_prime(0.0, 0.1, cut)
-    assert no_squeeze.amplitudes[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert no_squeeze[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_twb_prime_overlap_and_norm():
@@ -267,8 +265,8 @@ def test_twb_prime_overlap_and_norm():
     cut = FockCutoff(30)
     twb = build_twb(SqueezeParams(0.8), cut, tail_tol=1e-6)
     prime = build_twb_prime(0.8, eps, cut, tail_tol=1e-6)
-    assert np.linalg.norm(prime.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    deviation = 1.0 - abs(np.vdot(twb.amplitudes, prime.amplitudes)) ** 2
+    assert np.linalg.norm(prime) == pytest.approx(1.0, abs=1e-12)
+    deviation = 1.0 - abs(np.vdot(twb, prime)) ** 2
     assert 0.0 < deviation < 4.0 * eps * eps
 
 
@@ -276,14 +274,12 @@ def test_twb_prime_correction_scales_linearly():
     # Using the eps=0.02 build as the reference slope, the residual after
     # removing the linear part grows like eps*(eps - 0.02).
     cut = FockCutoff(30)
-    base = build_twb(SqueezeParams(0.8), cut, tail_tol=1e-6).amplitudes
-    slope = (build_twb_prime(0.8, 0.02, cut, tail_tol=1e-6).amplitudes
-             - base) / 0.02
+    base = build_twb(SqueezeParams(0.8), cut, tail_tol=1e-6)
+    slope = (build_twb_prime(0.8, 0.02, cut, tail_tol=1e-6) - base) / 0.02
     residual = {}
     for eps in (0.04, 0.08):
         prime = build_twb_prime(0.8, eps, cut, tail_tol=1e-6)
-        residual[eps] = float(np.linalg.norm(
-            prime.amplitudes - base - eps * slope))
+        residual[eps] = float(np.linalg.norm(prime - base - eps * slope))
     assert 3.0 < residual[0.08] / residual[0.04] < 9.0
 
 
@@ -293,17 +289,16 @@ def test_deformed_difference_first_order_structure():
     r = 0.8
     cut = FockCutoff(40)
     d = cut.dim
-    twb = build_twb(SqueezeParams(r), cut)
+    amp = build_twb(SqueezeParams(r), cut)
     seed = np.zeros((d, d), dtype=complex)
     seed[2, 0], seed[0, 2] = 1.0, -1.0
     rotated = apply_exponential("squeeze", d, r, seed)
-    amp = twb.amplitudes
     pair_part = (_apply_ladder(_apply_ladder(amp, 1, False), 0, False)
                  + _apply_ladder(_apply_ladder(amp, 1, True), 0, True))
     residuals = {}
     for eps in (1e-4, 2e-4):
         prime = build_twb_prime(r, eps, cut)
-        moved = deformed_number_difference_action(eps)(prime.amplitudes)
+        moved = deformed_number_difference_action(eps)(prime)
         first_order = eps * (math.sqrt(2.0) * r * rotated - pair_part)
         residuals[eps] = float(np.linalg.norm(moved - first_order))
         assert residuals[eps] < 30.0 * eps * eps
@@ -319,9 +314,8 @@ def test_variance_coefficient_matches_finite_epsilon():
     exact = deformed_variance_coefficient(r, cut)
 
     def variance(eps):
-        state = build_twb_prime(r, eps, cut)
         observable = deformed_number_difference_action(eps)
-        once = observable(state.amplitudes)
+        once = observable(build_twb_prime(r, eps, cut))
         twice = observable(once)
         m2 = float(np.vdot(once, once).real)
         return float(np.vdot(twice, twice).real) - m2 ** 2

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,8 @@ FOCK_BOUND = {16: 5e-6, 24: 7e-11}
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(r=st.floats(0.0, 0.5), amplitude=st.floats(0.0, 1.4), angle=PHASE,
        phi1=PHASE, phi2=PHASE)
+# |mu|^2 is subnormal here, and so is the table's sum |R|.
+@example(r=0.0, amplitude=4.785817055373012e-159, angle=0.0, phi1=0.0, phi2=0.0)
 def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
     # A complex mu: with a real one, dropping the conjugate from the
     # daggered ports' means would go unseen.
@@ -64,10 +67,13 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
     table = phase_table(SqueezeParams(r), CoherentInput(mu), (2, 4))
     exact = gaussian_moments(r, mu, phi1, phi2, (2, 4))
     tabulated = tabulate(table, np.array([phi1]), np.array([phi2]))
-    # Each basis function is bounded by 1, so sum |R| bounds the moment.
+    # Each basis function is bounded by 1, so sum |R| bounds the moment.  The
+    # bound is floored at the smallest normal double: below it rounding is
+    # absolute, and 1e-12 * scale underflows to 0.
     scales = [np.abs(coeffs).sum() for coeffs in table]
-    for approx, value, scale in zip(tabulated, exact, scales):
-        assert abs(approx[0] - value) <= 1e-12 * scale
+    tols = [max(1e-12 * scale, sys.float_info.min) for scale in scales]
+    for approx, value, tol in zip(tabulated, exact, tols):
+        assert abs(approx[0] - value) <= tol
     # The Fock route truncates, and its deviation shrinks with the cutoff;
     # at cutoff 16 it drops at most 1.1e-8 of the input in this box.
     deviation = {}
@@ -82,7 +88,7 @@ def test_phase_table_is_exact_off_grid(r, amplitude, angle, phi1, phi2):
     # cross difference approaches it.
     denom = mixed_derivative(table[0])
     closed = -(mu * mu).real * math.sinh(2.0 * r) / 2.0
-    assert denom == pytest.approx(closed, rel=1e-12, abs=1e-12 * scales[0])
+    assert denom == pytest.approx(closed, rel=1e-12, abs=tols[0])
     assert cross_difference(SqueezeParams(r), CoherentInput(mu)) == pytest.approx(
         denom, abs=FOCK_BOUND[16] * max(1.0, scales[0]))
 
