@@ -233,11 +233,35 @@ CSV_BLOCK = 1000
 
 @dataclass
 class SweepResult:
-    """Named columns plus full metadata echo; renders to CSV and a gnuplot script."""
+    """Named columns plus full metadata echo; renders to CSV and, for a sweep,
+    to a gnuplot script.
+
+    A sweep's plot draws its third column against its first, one line per
+    ``series`` value of its second.  Its x axis is logarithmic where ``logx``
+    is set, else its y axis.  A result without ``series`` has no plot.
+    """
 
     metadata: dict
     columns: dict  # name -> sequence or numpy array, one entry per row
-    gnuplot: str = None
+    series: tuple = ()
+    logx: bool = False
+
+    def plot_script(self, csv_name: str) -> str:
+        """The gnuplot script that plots the CSV file ``csv_name``."""
+        xlabel, series_name, ylabel = list(self.columns)[:3]
+        plots = [f'"{csv_name}" using 1:($2=={value!r} ? $3 : 1/0) with lines '
+                 f'title "{series_name}={value!r}"' for value in self.series]
+        return "\n".join([
+            f"# gnuplot script for {csv_name}",
+            'set datafile separator ","',
+            'set datafile missing "nan"',
+            "set key autotitle columnhead",
+            f'set xlabel "{xlabel}"',
+            f'set ylabel "{ylabel}"',
+            "set key left top",
+            "set logscale x" if self.logx else "set logscale y",
+            "plot \\\n  " + ", \\\n  ".join(plots),
+        ]) + "\n"
 
     def csv_blocks(self):
         """The CSV text: the header, then blocks of up to ``CSV_BLOCK`` rows."""
@@ -285,49 +309,31 @@ def _metadata(config: SimpleNamespace, backend_note: str) -> dict:
 # Sweep runners.
 # ---------------------------------------------------------------------------
 
-# The backends of a thermal sweep's two ratio columns.
-_THERMAL_BACKENDS = ("gaussian_full", "gaussian_approx")
-
-
-def _thermal_sweep(grid, m_values, r, lambda_tau) -> tuple:
-    """(grid, M, full ratio, approx ratio, backend, backend) columns of a
-    thermal sweep.
+def run_thermal_sweep(config: SimpleNamespace) -> SweepResult:
+    """sweep-env-coupling over the lambda_tau grid at fixed r, or
+    sweep-env-squeezing over the r grid at fixed lambda_tau.
 
     The swept argument is passed as ``grid[:, None]``, so rows run over the
     grid, then M, and each ratio is one call over all rows.
     """
-    m = np.array(m_values)
+    coupling = config.mode == "sweep-env-coupling"
+    grid = np.array(config.lambda_tau_grid if coupling else config.r_grid)
+    r, lambda_tau = (config.r, grid[:, None]) if coupling else (grid[:, None], config.lambda_tau)
+    m = np.array(config.m_values)
     full = uncertainty_env_full(r, m, lambda_tau).ravel()
     approx = uncertainty_env_approx(r, m, lambda_tau).ravel()
-    return (np.repeat(grid, m.size), np.tile(m, grid.size), full, approx,
-            *([backend] * full.size for backend in _THERMAL_BACKENDS))
-
-
-def run_sweep_env_coupling(config: SimpleNamespace) -> SweepResult:
-    grid = np.array(config.lambda_tau_grid)
-    lt, m, full, approx, *backends = _thermal_sweep(grid, config.m_values, config.r,
-                                                    grid[:, None])
-    quotient = np.divide(full, approx, where=approx > 0.0,
-                         out=np.full_like(full, math.nan))
-    names = ("lambda_tau", "M", "ratio_full", "ratio_approx",
-             "full_over_approx", "backend_full", "backend_approx")
-    columns = dict(zip(names, (lt, m, full, approx, quotient, *backends)))
-    gnuplot = _series_plot_script(csv_basename(config), names,
-                                  config.m_values, logx=True)
-    return SweepResult(_metadata(config, "+".join(_THERMAL_BACKENDS)), columns, gnuplot)
-
-
-def run_sweep_env_squeezing(config: SimpleNamespace) -> SweepResult:
-    grid = np.array(config.r_grid)
-    r, m, full, approx, *backends = _thermal_sweep(grid, config.m_values, grid[:, None],
-                                                   config.lambda_tau)
-    flags = _monotone_decreasing(r, config.m_values, full)
-    names = ("r", "M", "ratio_full", "ratio_approx",
-             "monotone_decreasing", "backend_full", "backend_approx")
-    columns = dict(zip(names, (r, m, full, approx, flags, *backends)))
-    gnuplot = _series_plot_script(csv_basename(config), names,
-                                  config.m_values, logx=False)
-    return SweepResult(_metadata(config, "+".join(_THERMAL_BACKENDS)), columns, gnuplot)
+    swept = np.repeat(grid, m.size)
+    columns = {"lambda_tau" if coupling else "r": swept, "M": np.tile(m, grid.size),
+               "ratio_full": full, "ratio_approx": approx}
+    if coupling:
+        columns["full_over_approx"] = np.divide(full, approx, where=approx > 0.0,
+                                                out=np.full_like(full, math.nan))
+    else:
+        columns["monotone_decreasing"] = _monotone_decreasing(swept, config.m_values, full)
+    columns["backend_full"] = ["gaussian_full"] * full.size
+    columns["backend_approx"] = ["gaussian_approx"] * full.size
+    return SweepResult(_metadata(config, "gaussian_full+gaussian_approx"), columns,
+                       config.m_values, logx=coupling)
 
 
 def _monotone_decreasing(r: np.ndarray, m_values: tuple,
@@ -352,15 +358,14 @@ def run_sweep_modccr(config: SimpleNamespace) -> SweepResult:
     fock = modccr_oracle_column(grid, epsilon, FockCutoff(config.cutoff)).ravel()
     deviation = np.divide(np.abs(fock - analytic), analytic, where=analytic > 0.0,
                           out=np.full_like(fock, math.nan))
-    backends = [("fock_oracle", "none")[gap] for gap in np.isnan(fock).tolist()]
-    names = ("r", "epsilon", "ratio_analytic", "ratio_fock",
-             "relative_deviation", "backend_analytic", "backend_fock")
-    columns = dict(zip(names, (np.repeat(grid, epsilon.size), np.tile(epsilon, grid.size),
-                               analytic, fock, deviation, ["analytic_modccr"] * fock.size,
-                               backends)))
-    gnuplot = _series_plot_script(csv_basename(config), names,
-                                  config.epsilon_values, logx=False)
-    return SweepResult(_metadata(config, "analytic_modccr+fock_oracle"), columns, gnuplot)
+    columns = {"r": np.repeat(grid, epsilon.size), "epsilon": np.tile(epsilon, grid.size),
+               "ratio_analytic": analytic, "ratio_fock": fock,
+               "relative_deviation": deviation,
+               "backend_analytic": ["analytic_modccr"] * fock.size,
+               "backend_fock": [("fock_oracle", "none")[gap]
+                                for gap in np.isnan(fock).tolist()]}
+    return SweepResult(_metadata(config, "analytic_modccr+fock_oracle"), columns,
+                       config.epsilon_values)
 
 
 def run_phase_mc(config: SimpleNamespace) -> SweepResult:
@@ -386,12 +391,11 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
     variance_par = max(quartic.mean_par - quad.mean_par ** 2, 0.0)
     delta_e = math.sqrt(2.0 * variance_par) / abs(denom)
     delta_e_cl = classical_uncertainty(config.mu)
-    names = ("samples", "e_par", "se_par", "e_perp", "se_perp",
-             "denominator", "covariance_recovered", "covariance_se",
-             "covariance_injected", "delta_e", "delta_e_cl", "ratio")
-    row = (config.samples, quad.mean_par, quad.se_par, quad.mean_perp,
-           quad.se_perp, denom, covariance, covariance_se, injected,
-           delta_e, delta_e_cl, delta_e / delta_e_cl)
+    row = {"samples": config.samples, "e_par": quad.mean_par, "se_par": quad.se_par,
+           "e_perp": quad.mean_perp, "se_perp": quad.se_perp, "denominator": denom,
+           "covariance_recovered": covariance, "covariance_se": covariance_se,
+           "covariance_injected": injected, "delta_e": delta_e,
+           "delta_e_cl": delta_e_cl, "ratio": delta_e / delta_e_cl}
     meta = _metadata(config, "gaussian" if direct is None else "gaussian+fock_oracle")
     meta["discarded_tail"] = tail
     meta["table_residual_p2"], meta["table_residual_p4"] = residuals
@@ -412,7 +416,7 @@ def run_phase_mc(config: SimpleNamespace) -> SweepResult:
               "beyond its noise", file=sys.stderr)
     meta["z_par"] = _z_score(quad.mean_par, quad.exact_par, quad.se_par, level)
     meta["z_perp"] = _z_score(quad.mean_perp, quad.exact_perp, quad.se_perp, level)
-    return SweepResult(meta, {name: [value] for name, value in zip(names, row)})
+    return SweepResult(meta, {name: [value] for name, value in row.items()})
 
 
 def _z_score(estimate: float, exact: float, se: float, rounding_level: float) -> float:
@@ -560,45 +564,12 @@ def run_validate(config: SimpleNamespace) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# gnuplot script emission.
-# ---------------------------------------------------------------------------
-
-def csv_basename(config: SimpleNamespace) -> str:
-    return os.path.basename(config.out) if config.out else "output.csv"
-
-
-def _series_plot_script(csv_name, columns, series_values, logx):
-    """Plot columns[2] against columns[0], one line per value of columns[1].
-
-    The y axis is logarithmic unless ``logx`` makes the x axis so.
-    """
-    xlabel, series_name, ylabel = columns[:3]
-    lines = [
-        f"# gnuplot script for {csv_name}",
-        'set datafile separator ","',
-        'set datafile missing "nan"',
-        "set key autotitle columnhead",
-        f'set xlabel "{xlabel}"',
-        f'set ylabel "{ylabel}"',
-        "set key left top",
-    ]
-    lines.append("set logscale x" if logx else "set logscale y")
-    plots = []
-    for value in series_values:
-        cond = f"($2=={value!r} ? $3 : 1/0)"
-        plots.append(f'"{csv_name}" using 1:{cond} with lines '
-                     f'title "{series_name}={value!r}"')
-    lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
 
 _RUNNERS = {
-    "sweep-env-coupling": run_sweep_env_coupling,
-    "sweep-env-squeezing": run_sweep_env_squeezing,
+    "sweep-env-coupling": run_thermal_sweep,
+    "sweep-env-squeezing": run_thermal_sweep,
     "sweep-modccr": run_sweep_modccr,
     "phase-mc": run_phase_mc,
 }
@@ -617,8 +588,9 @@ def _write(path: str, chunks) -> None:
 def _emit(result: SweepResult, config: SimpleNamespace) -> None:
     if config.out:
         _write(config.out, result.csv_blocks())
-        if result.gnuplot:
-            _write(os.path.splitext(config.out)[0] + ".gnuplot", (result.gnuplot,))
+        if result.series:
+            _write(os.path.splitext(config.out)[0] + ".gnuplot",
+                   (result.plot_script(os.path.basename(config.out)),))
     else:
         # One write of the whole text: when a reader closes the pipe early
         # (``| head``) the run still exits 0, where block-by-block writes

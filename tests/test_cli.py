@@ -163,6 +163,50 @@ def test_env_coupling_sweep_csv_and_plot_script(tmp_path, capsys):
     assert "set logscale x" in script
 
 
+PLOTTED_SWEEPS = """\
+    [sweep-env-coupling]
+    m_values = 0, 0.5, 2
+    lambda_tau_grid = logspace(1e-5, 1e-3, 3)
+    [sweep-env-squeezing]
+    m_values = 0, 0.5, 2
+    r_grid = linspace(0.5, 1.5, 3)
+    [sweep-modccr]
+    r_grid = 0.3, 0.6
+    epsilon_values = 0.01, 0.05
+    """
+
+
+@pytest.mark.parametrize("mode,values,logscale", [
+    ("sweep-env-coupling", (0.0, 0.5, 2.0), "x"),
+    ("sweep-env-squeezing", (0.0, 0.5, 2.0), "y"),
+    ("sweep-modccr", (0.01, 0.05), "y"),
+])
+def test_every_sweep_plots_its_out_csv(tmp_path, monkeypatch, capsys, mode, values,
+                                       logscale):
+    cfg = write_config(tmp_path, PLOTTED_SWEEPS)
+    (tmp_path / "runs").mkdir()
+    out = tmp_path / "runs" / "sweep.csv"
+    assert cli.main([mode, "--config", cfg, "--out", str(out)]) == 0
+    xlabel, series, ylabel = data_lines(out.read_text(encoding="utf-8"))[0].split(",")[:3]
+    script = (tmp_path / "runs" / "sweep.gnuplot").read_text(encoding="utf-8")
+    lines = script.splitlines()
+    assert lines[0] == "# gnuplot script for sweep.csv"
+    assert f'set xlabel "{xlabel}"' in lines and f'set ylabel "{ylabel}"' in lines
+    assert [line for line in lines if line.startswith("set logscale")] == [
+        f"set logscale {logscale}"]
+    entries = [line for line in lines if '"sweep.csv" using 1:' in line]
+    assert len(entries) == len(values)
+    for entry, value in zip(entries, values):
+        assert f"($2=={value!r} ? $3 : 1/0)" in entry
+        assert f'title "{series}={value!r}"' in entry
+    # To stdout, nothing is written beside the run.
+    monkeypatch.chdir(tmp_path / "runs")
+    assert cli.main([mode, "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("# tool=holosim")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "run.cfg", "runs", "sweep.csv", "sweep.gnuplot"]
+
+
 def test_sweep_output_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, """\
         [sweep-env-coupling]
@@ -394,6 +438,16 @@ def test_phase_mc_linearization_bias_at_r_10(tmp_path, capsys):
     assert row["covariance_se"] / row["covariance_injected"] == pytest.approx(97.9, rel=1e-3)
     assert row["covariance_recovered"] == pytest.approx(0.244, rel=1e-2)
     assert err.startswith("warning: ")
+
+
+def test_phase_mc_linearization_bias_at_mu_1000(tmp_path, capsys):
+    # The bias grows as about 0.165 |mu|^2 sigma1 sigma2 for |mu| >= 30, a
+    # term kappa_phase (sigma1 sigma2 e^{2r}, 3.32e-4 here) does not carry.
+    meta, row, err = _linearization_run(
+        tmp_path, capsys, "[phase-mc]\nmu = 1000\nsamples = 2000\n")
+    assert float(meta["linearization_bias"]) > 1.0
+    assert float(meta["kappa_phase"]) == pytest.approx(3.32e-4, rel=1e-3)
+    assert err.startswith("warning: linearization_bias ")
 
 
 def test_phase_mc_receipt_is_nan_where_its_cutoff_cannot_hold_the_input(tmp_path):
